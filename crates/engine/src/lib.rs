@@ -14,7 +14,7 @@
 //!   one skeleton pass per document: patterns run as NFAs over the
 //!   hash-consed skeleton, per-occurrence value ranges come from the
 //!   per-path cursors (document order makes them contiguous), selections
-//!   mark occurrences before joins hash-probe them, and element
+//!   mark occurrences before joins probe their join tables, and element
 //!   construction streams into a [`vx_core::VecDocBuilder`] — the result
 //!   of a constructor query is itself a `VEC(T)`, never a DOM.
 //! * [`naive_eval`] is the differential oracle: an independent

@@ -1,28 +1,29 @@
-//! Cardinality-aware join planning and the redesigned execution options.
+//! Cardinality-aware join planning and the execution options.
 //!
-//! The paper's evaluator (pre-0.3) hash-joined every equality edge: build
-//! a `value → occurrences` table over the side bound last, then probe it
-//! per enclosing tuple and *scan every candidate occurrence* against the
-//! matched set. For a low-selectivity self-join (Table 3's SQ3) that scan
-//! is quadratic — every probe touches every build occurrence.
+//! Every planned equality edge executes through one join table, built
+//! once before enumeration: the build side (the variable bound last)
+//! grouped by join value, each group its occurrences ascending, plus
+//! each probe occurrence's matching group ids — compressed rows, O(probe
+//! values + build values). Enumeration probes it as sorted slices. The
+//! strategies below differ only in how the table is built, that is, how
+//! a probe value finds its build group:
 //!
-//! The planner kills that cliff with two more strategies, both driven by
-//! the value-sorted runs that version-3 `.vec` files persist (and that
-//! can be rebuilt at query time when a run is forced on an unindexed
-//! store):
+//! * [`JoinStrategy::Hash`] — a hash map over the build side's value
+//!   bytes. Needs no sorted run.
+//! * [`JoinStrategy::IndexNestedLoop`] — binary search in the build
+//!   side's value-sorted run. Wins when the probe side is selective.
+//! * [`JoinStrategy::SortMerge`] — one merge of both sides' sorted runs.
+//!   Wins when both sides are large.
 //!
-//! * [`JoinStrategy::IndexNestedLoop`] — binary-search the build side's
-//!   sorted run per probe value. Wins when the probe side is selective.
-//! * [`JoinStrategy::SortMerge`] — merge the two sorted runs once into
-//!   per-probe-occurrence match lists. Wins when both sides are large.
-//!
-//! Strategy choice is per join edge, from exact post-collection
-//! cardinalities: hash when no index is available (or indexes are
-//! disabled), otherwise index-nested-loop when
-//! `probe_values · ⌈log₂ build_values⌉ < build_values`, sort-merge
-//! beyond. `VX_PLAN=hash|inl|merge` or [`RunOptions::strategy`] forces
-//! one strategy for every edge — the differential suite runs all three
-//! and the default plan against the naive oracle, byte-for-byte.
+//! Sorted runs come from the version-3 `.vec` value indexes when the
+//! store has them and are sorted at query time otherwise. Strategy choice
+//! is per join edge, from exact post-collection cardinalities: hash when
+//! no index is available (or indexes are disabled), otherwise
+//! index-nested-loop when `probe_values · ⌈log₂ build_values⌉ <
+//! build_values`, sort-merge beyond. `VX_PLAN=hash|inl|merge` or
+//! [`RunOptions::strategy`] forces one strategy for every edge — the
+//! differential suite runs all three and the default plan against the
+//! naive oracle, byte-for-byte.
 //!
 //! [`Plan`] is the stable, renderable description of those choices that
 //! [`crate::Query::explain`], `vx explain`, and the server's
@@ -33,14 +34,14 @@ use std::fmt;
 /// How one equality join edge is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
-    /// Build a `value → occurrence set` hash table, probe per tuple,
-    /// scan candidates against the matched set. The pre-0.3 behaviour
-    /// and the fallback when no sorted run is available.
+    /// Find each probe value's build group in a hash map over the build
+    /// side's value bytes. The choice when no sorted run is available.
     Hash,
-    /// Binary-search the build side's value-sorted run per probe value.
+    /// Find each probe value's build group by binary search in the build
+    /// side's value-sorted run.
     IndexNestedLoop,
-    /// Merge both sides' value-sorted runs once into per-probe-occurrence
-    /// match lists; probing is then a slice lookup.
+    /// Find the build groups of all probe values in one merge of both
+    /// sides' value-sorted runs.
     SortMerge,
 }
 
@@ -99,7 +100,7 @@ impl IndexSource {
 }
 
 /// Execution options for [`crate::Query::run_with`] — the one knob set
-/// that replaced the pre-0.3 `run`/`run_corpus`/`run_handle`/… family.
+/// for every kind of target.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Fan multi-document collection out over scoped threads (subject to
@@ -111,7 +112,7 @@ pub struct RunOptions {
     pub profile: bool,
     /// Let the planner use persistent value indexes (join strategy
     /// choice and literal-filter point lookups). Off means every join
-    /// hash-builds and every filter scans, exactly as pre-0.3.
+    /// table is hash-built and every filter scans.
     pub use_indexes: bool,
     /// Force one join strategy for every edge instead of the
     /// per-edge cardinality choice. `None` defers to the `VX_PLAN`
@@ -204,7 +205,7 @@ pub struct PlanJoin {
     pub index: IndexSource,
     /// Total probe-side values.
     pub probe_values: u64,
-    /// Total build-side values (the run / hash-table entry count).
+    /// Total build-side values (what the join table groups).
     pub build_values: u64,
     /// `None` when the edge is checked per tuple at block entry (both
     /// sides bound in enclosing blocks) rather than planned.

@@ -9,8 +9,8 @@
 //! | `plan` | document resolution, variable/reference setup |
 //! | `match:<doc>` | the NFA pattern-match pass over `<doc>`'s skeleton (one per referenced document) |
 //! | `group` | flattening value groups, building per-parent candidate lists |
-//! | `join-build` | building the hash-join indexes over build-side extended vectors |
-//! | `enumerate` | tuple enumeration: binding, selections, hash probes |
+//! | `join-build` | building one join table per planned join edge over the build side's extended vector |
+//! | `enumerate` | tuple enumeration: binding, selections, join-table probes |
 //! | `output` | value projection / element construction (time re-attributed out of `enumerate`) |
 //!
 //! The spans are recorded as chained boundaries ([`vx_obs::Spans::tile`])
@@ -30,8 +30,9 @@
 //! | `cursor.values.passed` | text values passed one edge at a time |
 //! | `cursor.values.skipped` | text values bulk-advanced without visiting |
 //! | `occ.rows` | extended-vector rows collected (all variables) |
-//! | `join.build.entries` | occurrence entries inserted into hash-join indexes |
-//! | `join.probe.hits` / `join.probe.misses` | hash probes that found / missed a build-side match |
+//! | `join.build.entries` | `(value, occurrence)` entries grouped into join tables |
+//! | `join.probe.hits` / `join.probe.misses` | probe occurrences whose match list was non-empty / empty (every strategy) |
+//! | `enum.candidates` | candidate occurrences `bind` examined — linear in probes plus tuples unless enumeration goes quadratic |
 //! | `filter.checks` / `filter.passes` | selection filter evaluations / successes |
 //! | `tuples.emitted` | binding tuples reaching the output step |
 //! | `values.emitted` | text values projected or streamed into construction |

@@ -17,25 +17,28 @@
 //! subtree.
 //!
 //! Tuple enumeration then runs *selections before joins*: literal
-//! filters are checked the moment a variable binds, while equality edges
-//! hash-probe an index built over the join side bound last
-//! ([`crate::Join::ready_at`]). Binding order is document order, so
-//! results come out in document order without sorting. Output either
+//! filters are checked the moment a variable binds, while each equality
+//! edge probes one join table built before enumeration over the side
+//! bound last ([`crate::Join::ready_at`]): the build occurrences grouped
+//! by value, probed as sorted slices whichever strategy built it.
+//! Binding order is document order, so results come out in document
+//! order without sorting. Output either
 //! projects value bytes or streams element construction into a
 //! [`VecDocBuilder`] — the result of a constructor query is itself a
 //! vectorized document, never a DOM.
 
 use crate::graph::{
-    Block, Filter, FilterTest, Join, Output, PatStep, PatTest, QueryGraph, RefKind, Template,
-    TplItem,
+    Block, FilterTest, Join, Output, PatStep, PatTest, QueryGraph, RefKind, Template, TplItem,
 };
 use crate::plan::{
     choose_strategy, IndexSource, JoinStrategy, Plan, PlanFilter, PlanJoin, PlanVar, RunOptions,
 };
 use crate::profile::{QueryProfile, VarCardinality};
 use crate::{EngineError, QueryOutput, Result};
+use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
 use vx_core::{VecDoc, VecDocBuilder};
 use vx_obs::{Counters, Spans};
@@ -133,25 +136,19 @@ fn struct_index_enabled(options: &RunOptions) -> bool {
     })
 }
 
-/// The shared evaluation body. Timers run only when `want_profile` is
-/// set or the `VX_LOG` sink is active — an unprofiled run with `VX_LOG`
-/// unset takes no timestamps beyond plain counter arithmetic, which is
-/// what keeps the disabled path inside the < 5 % bench budget.
-fn reduce_inner(
-    graph: &QueryGraph,
-    docs: &[DocBinding<'_>],
-    hint: &str,
-    options: &RunOptions,
-) -> Result<(QueryOutput, Option<QueryProfile>)> {
-    let parallel = options.parallel;
-    let profiling = options.profile || vx_obs::log_enabled();
-    let total = Instant::now();
-    let mut spans = Spans::new();
-    if profiling {
-        spans.tile(None);
-    }
+/// Where each variable and reference of a graph lives.
+struct Layout {
+    /// `[var]` → the index in `docs` of the document it evaluates in.
+    var_doc: Vec<usize>,
+    /// `[var]` → its child variables.
+    var_children: Vec<Vec<usize>>,
+    /// `[var]` → the references relative to it.
+    refs_of_var: Vec<Vec<usize>>,
+}
 
-    // Resolve document names.
+/// Resolves every `doc("…")` name against `docs` (first entry wins on
+/// duplicates) and places each variable in its document.
+fn layout(graph: &QueryGraph, docs: &[DocBinding<'_>]) -> Result<Layout> {
     let mut doc_of_name: HashMap<&str, usize> = HashMap::new();
     for (i, binding) in docs.iter().enumerate() {
         doc_of_name.entry(binding.name).or_insert(i);
@@ -188,6 +185,46 @@ fn reduce_inner(
     for (r, vref) in graph.refs.iter().enumerate() {
         refs_of_var[vref.var].push(r);
     }
+    Ok(Layout {
+        var_doc,
+        var_children,
+        refs_of_var,
+    })
+}
+
+/// The strategy forced for every join edge: [`RunOptions::strategy`],
+/// else the `VX_PLAN` environment variable.
+fn forced_strategy(options: &RunOptions) -> Option<JoinStrategy> {
+    options.strategy.or_else(|| {
+        std::env::var("VX_PLAN")
+            .ok()
+            .and_then(|s| JoinStrategy::parse(&s))
+    })
+}
+
+/// The shared evaluation body. Timers run only when `want_profile` is
+/// set or the `VX_LOG` sink is active — an unprofiled run with `VX_LOG`
+/// unset takes no timestamps beyond plain counter arithmetic, which is
+/// what keeps the disabled path inside the < 5 % bench budget.
+fn reduce_inner(
+    graph: &QueryGraph,
+    docs: &[DocBinding<'_>],
+    hint: &str,
+    options: &RunOptions,
+) -> Result<(QueryOutput, Option<QueryProfile>)> {
+    let parallel = options.parallel;
+    let profiling = options.profile || vx_obs::log_enabled();
+    let total = Instant::now();
+    let mut spans = Spans::new();
+    if profiling {
+        spans.tile(None);
+    }
+
+    let Layout {
+        var_doc,
+        var_children,
+        refs_of_var,
+    } = layout(graph, docs)?;
     if profiling {
         spans.tile(Some("plan"));
     }
@@ -289,11 +326,7 @@ fn reduce_inner(
         spans.tile(Some("group"));
     }
 
-    let forced = options.strategy.or_else(|| {
-        std::env::var("VX_PLAN")
-            .ok()
-            .and_then(|s| JoinStrategy::parse(&s))
-    });
+    let forced = forced_strategy(options);
     let plans = plan_execution(
         graph,
         docs,
@@ -362,10 +395,15 @@ fn reduce_inner(
     );
     counters.add(
         "join.build.entries",
-        eval.plans.joins.values().map(JoinExec::entries).sum(),
+        eval.plans
+            .values()
+            .flat_map(|exec| exec.joins.iter().flatten())
+            .map(|table| table.group_occs.len() as u64)
+            .sum(),
     );
     counters.add("join.probe.hits", eval.tally.probe_hits.get());
     counters.add("join.probe.misses", eval.tally.probe_misses.get());
+    counters.add("enum.candidates", eval.tally.candidates.get());
     counters.add("filter.checks", eval.tally.filter_checks.get());
     counters.add("filter.passes", eval.tally.filter_passes.get());
     counters.add("tuples.emitted", eval.tally.tuples.get());
@@ -546,8 +584,11 @@ impl WalkTally {
 /// join indexes mid-recursion).
 #[derive(Debug, Default)]
 struct EnumTally {
+    /// Probe occurrences whose match list was non-empty / empty.
     probe_hits: Cell<u64>,
     probe_misses: Cell<u64>,
+    /// Candidate occurrences examined by `bind` (`enum.candidates`).
+    candidates: Cell<u64>,
     filter_checks: Cell<u64>,
     filter_passes: Cell<u64>,
     tuples: Cell<u64>,
@@ -1105,113 +1146,239 @@ struct Eval<'a> {
     docs: &'a [DocBinding<'a>],
     var_doc: &'a [usize],
     state: &'a State,
-    /// `[var][parent occ]` → candidate occurrences (empty outer Vec for
-    /// document-rooted variables, whose candidates are all occurrences).
+    /// `[var][parent occ]` → candidate occurrences, ascending (empty
+    /// outer Vec for document-rooted variables, whose candidates are all
+    /// occurrences).
     child_occs: &'a [Vec<Vec<usize>>],
-    /// Per-join execution plans and index-resolved literal filters.
-    plans: ExecPlans<'a>,
+    /// Join tables and index-resolved literal filters, per block.
+    plans: ExecPlans,
     /// Whether to take output-emission timestamps (counters are always
     /// live; only `Instant` calls are gated).
     profiling: bool,
     tally: EnumTally,
 }
 
-/// Everything the planner pre-builds before enumeration.
-struct ExecPlans<'a> {
-    /// Keyed by `(build ref, probe ref)` — the side bound last during
-    /// enumeration (per [`crate::Join::ready_at`]) and the side probed.
-    joins: HashMap<(usize, usize), JoinExec<'a>>,
-    /// `Eq` filters resolved through a persistent value index as point
-    /// lookups: `(ref, literal, occurrences passing — sorted)`. A vec
-    /// because there are at most a handful per query and tuple-keyed
-    /// map lookups would tie the probe literal's lifetime to the plan's.
-    eq_filters: Vec<(usize, &'a str, Vec<usize>)>,
+/// Everything the planner pre-builds before enumeration, keyed by block
+/// address (the graph outlives the plans).
+type ExecPlans = HashMap<*const Block, BlockExec>;
+
+/// One block's pre-built execution data, indexed like the block's own
+/// `joins` and `filters`.
+struct BlockExec {
+    /// The table of each planned join edge; `None` for edges checked at
+    /// block entry (both sides bound in enclosing blocks).
+    joins: Vec<Option<JoinTable>>,
+    /// The occurrences passing each `Eq` filter the planner resolved
+    /// through a persistent value index (ascending); `None` for filters
+    /// checked per occurrence.
+    indexed: Vec<Option<Vec<usize>>>,
 }
 
-/// One planned join edge.
-struct JoinExec<'a> {
-    data: JoinData<'a>,
+/// One planned join edge, built once before enumeration and probed as
+/// sorted slices — the same table whichever strategy built it.
+///
+/// The build side is grouped by join value as compressed sparse rows:
+/// group `g` holds the build occurrences carrying its value, ascending
+/// and deduplicated. The probe side maps each probe occurrence to the
+/// groups its values fall in, again as compressed rows. Both halves are
+/// O(values), never O(join size). The strategies differ only in how a
+/// probe value finds its group: a hash map over borrowed value bytes
+/// (`hash`), binary search in the build side's sorted run (`inl`), or
+/// one merge of both sides' sorted runs (`merge`).
+struct JoinTable {
+    /// `group_occs[group_offsets[g]..group_offsets[g + 1]]` is group `g`.
+    group_offsets: Vec<usize>,
+    group_occs: Vec<usize>,
+    /// `probe_groups[probe_offsets[p]..probe_offsets[p + 1]]` are the
+    /// groups probe occurrence `p` matches.
+    probe_offsets: Vec<usize>,
+    probe_groups: Vec<usize>,
 }
 
-enum JoinData<'a> {
-    /// Value bytes → occurrences of the build variable carrying that
-    /// value. The pre-0.3 path, byte- and counter-identical to it.
-    Hash(HashMap<Vec<u8>, HashSet<usize>>),
-    /// The build side's `(value, occurrence)` run, value-ascending —
-    /// probed by binary search (index-nested-loop).
-    BuildRun(Vec<(&'a [u8], usize)>),
-    /// Sort-merge, fully materialized: probe occurrence → matching
-    /// build occurrences (sorted, deduplicated). `build_values` keeps
-    /// the `join.build.entries` counter meaningful.
-    Matched {
-        lists: Vec<Vec<usize>>,
-        build_values: u64,
-    },
-}
-
-impl JoinExec<'_> {
-    /// The `join.build.entries` contribution: hash-table entry count or
-    /// sorted-run length.
-    fn entries(&self) -> u64 {
-        match &self.data {
-            JoinData::Hash(index) => index.values().map(|s| s.len() as u64).sum(),
-            JoinData::BuildRun(run) => run.len() as u64,
-            JoinData::Matched { build_values, .. } => *build_values,
-        }
-    }
-}
-
-/// A probe result: the build-side occurrences matching the current
-/// tuple, in whichever shape the strategy produced.
-enum Matched<'e> {
-    /// Unordered (hash strategy) — membership-checked per candidate.
-    Set(HashSet<usize>),
-    /// Sorted ascending, deduplicated — intersected by two pointers.
-    List(Vec<usize>),
-    /// Borrowed sorted list (sort-merge lookups).
-    Slice(&'e [usize]),
-}
-
-impl Matched<'_> {
-    fn as_slice(&self) -> &[usize] {
-        match self {
-            Matched::List(v) => v,
-            Matched::Slice(s) => s,
-            Matched::Set(_) => unreachable!("sorted access to a hash-matched set"),
-        }
-    }
-}
-
-/// Intersects two probe results, preferring sorted output unless both
-/// sides are hash sets (the pre-0.3 shape).
-fn intersect_matched<'e>(a: Matched<'e>, b: Matched<'e>) -> Matched<'e> {
-    match (a, b) {
-        (Matched::Set(x), Matched::Set(y)) => Matched::Set(x.intersection(&y).copied().collect()),
-        (Matched::Set(s), other) | (other, Matched::Set(s)) => Matched::List(
-            other
-                .as_slice()
-                .iter()
-                .copied()
-                .filter(|occ| s.contains(occ))
-                .collect(),
-        ),
-        (x, y) => {
-            let (a, b) = (x.as_slice(), y.as_slice());
-            let mut out = Vec::new();
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        out.push(a[i]);
-                        i += 1;
-                        j += 1;
+impl JoinTable {
+    fn build(
+        strategy: JoinStrategy,
+        build_doc: &VecDoc,
+        probe_doc: &VecDoc,
+        state: &State,
+        (build, build_occs): (usize, usize),
+        (probe, probe_occs): (usize, usize),
+        use_indexes: bool,
+    ) -> JoinTable {
+        // `(group, build occ)` pairs, then `(probe occ, group)` pairs.
+        let mut build_pairs: Vec<(usize, usize)> = Vec::new();
+        let look_up_each = |find: &dyn Fn(&[u8]) -> Option<usize>| {
+            let mut pairs = Vec::new();
+            for occ in 0..probe_occs {
+                for pos in state.values(probe, occ) {
+                    if let Some(g) = find(value_at(probe_doc, pos)) {
+                        pairs.push((occ, g));
                     }
                 }
             }
-            Matched::List(out)
+            pairs
+        };
+        let (groups, probe_pairs) = match strategy {
+            JoinStrategy::Hash => {
+                let mut group_of: HashMap<&[u8], usize> = HashMap::new();
+                for occ in 0..build_occs {
+                    for pos in state.values(build, occ) {
+                        let next = group_of.len();
+                        let g = *group_of.entry(value_at(build_doc, pos)).or_insert(next);
+                        build_pairs.push((g, occ));
+                    }
+                }
+                (group_of.len(), look_up_each(&|v| group_of.get(v).copied()))
+            }
+            JoinStrategy::IndexNestedLoop | JoinStrategy::SortMerge => {
+                let run = sorted_run_for(build_doc, state, build, build_occs, use_indexes);
+                let mut group_values: Vec<&[u8]> = Vec::new();
+                for &(v, occ) in &run {
+                    if group_values.last() != Some(&v) {
+                        group_values.push(v);
+                    }
+                    build_pairs.push((group_values.len() - 1, occ));
+                }
+                let probe_pairs = if strategy == JoinStrategy::IndexNestedLoop {
+                    look_up_each(&|v| group_values.binary_search(&v).ok())
+                } else {
+                    let probe_run =
+                        sorted_run_for(probe_doc, state, probe, probe_occs, use_indexes);
+                    let mut pairs = Vec::new();
+                    let mut g = 0;
+                    for &(v, occ) in &probe_run {
+                        while g < group_values.len() && group_values[g] < v {
+                            g += 1;
+                        }
+                        if g == group_values.len() {
+                            break;
+                        }
+                        if group_values[g] == v {
+                            pairs.push((occ, g));
+                        }
+                    }
+                    pairs
+                };
+                (group_values.len(), probe_pairs)
+            }
+        };
+        let (group_offsets, group_occs) = compress_rows(groups, &build_pairs);
+        let (probe_offsets, probe_groups) = compress_rows(probe_occs, &probe_pairs);
+        JoinTable {
+            group_offsets,
+            group_occs,
+            probe_offsets,
+            probe_groups,
         }
+    }
+
+    fn group(&self, g: usize) -> &[usize] {
+        &self.group_occs[self.group_offsets[g]..self.group_offsets[g + 1]]
+    }
+
+    /// The build occurrences matching probe occurrence `probe_occ`,
+    /// ascending and deduplicated: borrowed when its values fall in one
+    /// group, the k-way merge of its groups otherwise.
+    fn matches(&self, probe_occ: usize) -> Cow<'_, [usize]> {
+        let groups =
+            &self.probe_groups[self.probe_offsets[probe_occ]..self.probe_offsets[probe_occ + 1]];
+        match groups {
+            [] => Cow::Borrowed(&[]),
+            &[g] => Cow::Borrowed(self.group(g)),
+            _ => {
+                let lists: Vec<&[usize]> = groups.iter().map(|&g| self.group(g)).collect();
+                Cow::Owned(merge_sorted(&lists))
+            }
+        }
+    }
+}
+
+/// Compressed sparse rows from `(row, item)` pairs: `items[offsets[r]..
+/// offsets[r + 1]]` holds row `r`'s items, ascending and deduplicated.
+fn compress_rows(rows: usize, pairs: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
+    let mut offsets = vec![0usize; rows + 1];
+    for &(row, _) in pairs {
+        offsets[row + 1] += 1;
+    }
+    for r in 0..rows {
+        offsets[r + 1] += offsets[r];
+    }
+    let mut items = vec![0usize; pairs.len()];
+    let mut fill = offsets[..rows].to_vec();
+    for &(row, item) in pairs {
+        items[fill[row]] = item;
+        fill[row] += 1;
+    }
+    // Sort and deduplicate each row, compacting in place: row `r` still
+    // starts at the old `offsets[r]` when it is reached.
+    let mut kept = 0;
+    for r in 0..rows {
+        let (start, end) = (offsets[r], offsets[r + 1]);
+        items[start..end].sort_unstable();
+        offsets[r] = kept;
+        for i in start..end {
+            if kept == offsets[r] || items[kept - 1] != items[i] {
+                items[kept] = items[i];
+                kept += 1;
+            }
+        }
+    }
+    offsets[rows] = kept;
+    items.truncate(kept);
+    (offsets, items)
+}
+
+/// The k-way merge of ascending lists, deduplicated.
+fn merge_sorted(lists: &[&[usize]]) -> Vec<usize> {
+    let mut heads: BinaryHeap<Reverse<(usize, usize, usize)>> = lists
+        .iter()
+        .enumerate()
+        .filter_map(|(l, list)| list.first().map(|&occ| Reverse((occ, l, 0))))
+        .collect();
+    let mut out = Vec::new();
+    while let Some(Reverse((occ, l, i))) = heads.pop() {
+        if out.last() != Some(&occ) {
+            out.push(occ);
+        }
+        if let Some(&next) = lists[l].get(i + 1) {
+            heads.push(Reverse((next, l, i + 1)));
+        }
+    }
+    out
+}
+
+/// Calls `f` on each element common to two ascending lists, walking
+/// them by two pointers; returns the number of comparisons made.
+fn for_each_common(
+    a: &[usize],
+    b: &[usize],
+    mut f: impl FnMut(usize) -> Result<()>,
+) -> Result<usize> {
+    let (mut i, mut j, mut steps) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        steps += 1;
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                f(a[i])?;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    Ok(steps)
+}
+
+/// Narrows the occurrences allowed so far by one more sorted list.
+fn narrow<'e>(allowed: Option<Cow<'e, [usize]>>, list: Cow<'e, [usize]>) -> Cow<'e, [usize]> {
+    match allowed {
+        None => list,
+        Some(prev) => prev
+            .iter()
+            .copied()
+            .filter(|occ| list.binary_search(occ).is_ok())
+            .collect(),
     }
 }
 
@@ -1261,18 +1428,22 @@ fn occ_of_positions(state: &State, r: usize, occs: usize, len: usize) -> Vec<usi
     map
 }
 
+/// The bytes of the value at `(vector index, value index)`.
+fn value_at<'d>(doc: &'d VecDoc, &(vec, idx): &(usize, usize)) -> &'d [u8] {
+    doc.vectors()[vec].values[idx].as_slice()
+}
+
 /// Builds the `(value, occurrence)` run of a reference, value-ascending.
 /// Reuses the persistent `.vec` value index when the reference is
 /// single-vector and one was loaded (O(n) remap); otherwise sorts the
-/// collected pairs at query time. Returns whether the persistent run
-/// was used.
+/// collected pairs at query time.
 fn sorted_run_for<'a>(
     doc: &'a VecDoc,
     state: &State,
     r: usize,
     occs: usize,
     use_persistent: bool,
-) -> (Vec<(&'a [u8], usize)>, bool) {
+) -> Vec<(&'a [u8], usize)> {
     if use_persistent {
         if let Some(vec_idx) = persistent_vector_of(doc, state, r, occs) {
             let order = doc
@@ -1280,197 +1451,129 @@ fn sorted_run_for<'a>(
                 .expect("checked by persistent_vector_of");
             let values = &doc.vectors()[vec_idx].values;
             let occ_of = occ_of_positions(state, r, occs, values.len());
-            let run = order
+            return order
                 .iter()
                 .filter_map(|&pos| {
                     let occ = occ_of[pos as usize];
                     (occ != usize::MAX).then(|| (values[pos as usize].as_slice(), occ))
                 })
                 .collect();
-            return (run, true);
         }
     }
     let mut run: Vec<(&[u8], usize)> = Vec::new();
     for occ in 0..occs {
-        for &(vec, idx) in state.values(r, occ) {
-            run.push((doc.vectors()[vec].values[idx].as_slice(), occ));
+        for pos in state.values(r, occ) {
+            run.push((value_at(doc, pos), occ));
         }
     }
     run.sort_unstable_by(|a, b| a.0.cmp(b.0).then(a.1.cmp(&b.1)));
-    (run, false)
+    run
 }
 
-/// The pre-0.3 hash build: value bytes → occurrences of the build
-/// variable carrying that value.
-fn hash_build(
-    doc: &VecDoc,
-    state: &State,
-    build: usize,
-    occs: usize,
-) -> HashMap<Vec<u8>, HashSet<usize>> {
-    let mut index: HashMap<Vec<u8>, HashSet<usize>> = HashMap::new();
-    for occ in 0..occs {
-        for &(vec, idx) in state.values(build, occ) {
-            index
-                .entry(doc.vectors()[vec].values[idx].clone())
-                .or_default()
-                .insert(occ);
-        }
-    }
-    index
-}
-
-/// Merges two value-sorted runs into per-probe-occurrence match lists.
-fn merge_runs(
-    probe_run: &[(&[u8], usize)],
-    build_run: &[(&[u8], usize)],
-    probe_occs: usize,
-) -> Vec<Vec<usize>> {
-    let mut lists: Vec<Vec<usize>> = vec![Vec::new(); probe_occs];
-    let (mut i, mut j) = (0, 0);
-    while i < probe_run.len() && j < build_run.len() {
-        match probe_run[i].0.cmp(build_run[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let value = probe_run[i].0;
-                let i_end = i + probe_run[i..]
-                    .iter()
-                    .take_while(|(v, _)| *v == value)
-                    .count();
-                let j_end = j + build_run[j..]
-                    .iter()
-                    .take_while(|(v, _)| *v == value)
-                    .count();
-                for &(_, probe_occ) in &probe_run[i..i_end] {
-                    for &(_, build_occ) in &build_run[j..j_end] {
-                        lists[probe_occ].push(build_occ);
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    for list in &mut lists {
-        list.sort_unstable();
-        list.dedup();
-    }
-    lists
+/// The occurrences of `r`'s variable passing `r = lit`, ascending, when
+/// `r`'s values come from one vector with a persistent sorted run: a
+/// point lookup in the run instead of a per-occurrence scan.
+fn indexed_eq(doc: &VecDoc, state: &State, r: usize, occs: usize, lit: &str) -> Option<Vec<usize>> {
+    let vec_idx = persistent_vector_of(doc, state, r, occs)?;
+    let order = doc
+        .sorted_run(vec_idx)
+        .expect("checked by persistent_vector_of");
+    let values = &doc.vectors()[vec_idx].values;
+    let occ_of = occ_of_positions(state, r, occs, values.len());
+    let target = lit.as_bytes();
+    let lo = order.partition_point(|&pos| values[pos as usize].as_slice() < target);
+    let mut passing: Vec<usize> = order[lo..]
+        .iter()
+        .take_while(|&&pos| values[pos as usize].as_slice() == target)
+        .map(|&pos| occ_of[pos as usize])
+        .filter(|&occ| occ != usize::MAX)
+        .collect();
+    passing.sort_unstable();
+    passing.dedup();
+    Some(passing)
 }
 
 /// The planner pass: walks every block, picks a strategy per planned
 /// join edge from exact post-collection cardinalities, and builds its
-/// execution data. Also resolves `Eq` filters through persistent value
+/// join table. Also resolves `Eq` filters through persistent value
 /// indexes as point lookups where possible.
-fn plan_execution<'a>(
-    graph: &'a QueryGraph,
-    docs: &'a [DocBinding<'a>],
+fn plan_execution(
+    graph: &QueryGraph,
+    docs: &[DocBinding<'_>],
     var_doc: &[usize],
-    state: &'a State,
+    state: &State,
     forced: Option<JoinStrategy>,
     use_indexes: bool,
     trace: Option<vx_obs::TraceId>,
-) -> ExecPlans<'a> {
-    let mut joins: HashMap<(usize, usize), JoinExec<'a>> = HashMap::new();
-    let mut eq_filters: Vec<(usize, &'a str, Vec<usize>)> = Vec::new();
+) -> ExecPlans {
+    let mut plans = ExecPlans::new();
     let mut stack: Vec<&Block> = vec![&graph.block];
     while let Some(block) = stack.pop() {
-        for join in &block.joins {
-            let Some(pos) = join.ready_at else { continue };
-            let (build, probe) = join_sides(graph, block, join, pos);
-            if joins.contains_key(&(build, probe)) {
-                continue;
-            }
-            let build_var = graph.refs[build].var;
-            let probe_var = graph.refs[probe].var;
-            let build_doc = docs[var_doc[build_var]].doc;
-            let probe_doc = docs[var_doc[probe_var]].doc;
-            let build_occs = state.occ_parent[build_var].len();
-            let probe_occs = state.occ_parent[probe_var].len();
-            let build_values = ref_value_count(state, build, build_occs);
-            let probe_values = ref_value_count(state, probe, probe_occs);
-            let has_index = persistent_vector_of(build_doc, state, build, build_occs).is_some();
-            let strategy =
-                choose_strategy(forced, use_indexes, has_index, probe_values, build_values);
-            if vx_obs::log_enabled() {
-                let probe_label = ref_label(graph, probe);
-                let build_label = ref_label(graph, build);
-                let trace_str = trace.map(|t| t.to_string());
-                let mut fields: Vec<(&str, vx_obs::Value<'_>)> = vec![
-                    ("probe", vx_obs::Value::Str(&probe_label)),
-                    ("build", vx_obs::Value::Str(&build_label)),
-                    ("strategy", vx_obs::Value::Str(strategy.name())),
-                    ("probe_values", vx_obs::Value::U64(probe_values)),
-                    ("build_values", vx_obs::Value::U64(build_values)),
-                ];
-                if let Some(t) = &trace_str {
-                    fields.push(("trace", vx_obs::Value::Str(t)));
-                }
-                vx_obs::event("engine.join", &fields);
-            }
-            let data = match strategy {
-                JoinStrategy::Hash => {
-                    JoinData::Hash(hash_build(build_doc, state, build, build_occs))
-                }
-                JoinStrategy::IndexNestedLoop => {
-                    let (run, _) = sorted_run_for(build_doc, state, build, build_occs, use_indexes);
-                    JoinData::BuildRun(run)
-                }
-                JoinStrategy::SortMerge => {
-                    let (build_run, _) =
-                        sorted_run_for(build_doc, state, build, build_occs, use_indexes);
-                    let (probe_run, _) =
-                        sorted_run_for(probe_doc, state, probe, probe_occs, use_indexes);
-                    JoinData::Matched {
-                        lists: merge_runs(&probe_run, &build_run, probe_occs),
-                        build_values: build_run.len() as u64,
+        if plans.contains_key(&std::ptr::from_ref(block)) {
+            continue;
+        }
+        let joins = block
+            .joins
+            .iter()
+            .map(|join| {
+                let pos = join.ready_at?;
+                let (build, probe) = join_sides(graph, block, join, pos);
+                let build_var = graph.refs[build].var;
+                let probe_var = graph.refs[probe].var;
+                let build_doc = docs[var_doc[build_var]].doc;
+                let probe_doc = docs[var_doc[probe_var]].doc;
+                let build_occs = state.occ_parent[build_var].len();
+                let probe_occs = state.occ_parent[probe_var].len();
+                let build_values = ref_value_count(state, build, build_occs);
+                let probe_values = ref_value_count(state, probe, probe_occs);
+                let has_index = persistent_vector_of(build_doc, state, build, build_occs).is_some();
+                let strategy =
+                    choose_strategy(forced, use_indexes, has_index, probe_values, build_values);
+                if vx_obs::log_enabled() {
+                    let probe_label = ref_label(graph, probe);
+                    let build_label = ref_label(graph, build);
+                    let trace_str = trace.map(|t| t.to_string());
+                    let mut fields: Vec<(&str, vx_obs::Value<'_>)> = vec![
+                        ("probe", vx_obs::Value::Str(&probe_label)),
+                        ("build", vx_obs::Value::Str(&build_label)),
+                        ("strategy", vx_obs::Value::Str(strategy.name())),
+                        ("probe_values", vx_obs::Value::U64(probe_values)),
+                        ("build_values", vx_obs::Value::U64(build_values)),
+                    ];
+                    if let Some(t) = &trace_str {
+                        fields.push(("trace", vx_obs::Value::Str(t)));
                     }
+                    vx_obs::event("engine.join", &fields);
                 }
-            };
-            joins.insert((build, probe), JoinExec { data });
-        }
-        for filter in &block.filters {
-            if filter.ready_at.is_none() || !use_indexes {
-                continue;
-            }
-            let FilterTest::Eq(r, lit) = &filter.test else {
-                continue;
-            };
-            if eq_filters
-                .iter()
-                .any(|(er, elit, _)| *er == *r && *elit == lit.as_str())
-            {
-                continue;
-            }
-            let var = graph.refs[*r].var;
-            let doc = docs[var_doc[var]].doc;
-            let occs = state.occ_parent[var].len();
-            let Some(vec_idx) = persistent_vector_of(doc, state, *r, occs) else {
-                continue;
-            };
-            let order = doc
-                .sorted_run(vec_idx)
-                .expect("checked by persistent_vector_of");
-            let values = &doc.vectors()[vec_idx].values;
-            let occ_of = occ_of_positions(state, *r, occs, values.len());
-            let target = lit.as_bytes();
-            let lo = order.partition_point(|&pos| values[pos as usize].as_slice() < target);
-            let mut passing: Vec<usize> = order[lo..]
-                .iter()
-                .take_while(|&&pos| values[pos as usize].as_slice() == target)
-                .map(|&pos| occ_of[pos as usize])
-                .filter(|&occ| occ != usize::MAX)
-                .collect();
-            passing.sort_unstable();
-            passing.dedup();
-            eq_filters.push((*r, lit.as_str(), passing));
-        }
+                Some(JoinTable::build(
+                    strategy,
+                    build_doc,
+                    probe_doc,
+                    state,
+                    (build, build_occs),
+                    (probe, probe_occs),
+                    use_indexes,
+                ))
+            })
+            .collect();
+        let indexed = block
+            .filters
+            .iter()
+            .map(|filter| match &filter.test {
+                FilterTest::Eq(r, lit) if use_indexes && filter.ready_at.is_some() => {
+                    let var = graph.refs[*r].var;
+                    let occs = state.occ_parent[var].len();
+                    indexed_eq(docs[var_doc[var]].doc, state, *r, occs, lit)
+                }
+                _ => None,
+            })
+            .collect();
+        plans.insert(std::ptr::from_ref(block), BlockExec { joins, indexed });
         if let Output::Document(tpl) = &block.output {
             push_template_blocks(tpl, &mut stack);
         }
     }
-    ExecPlans { joins, eq_filters }
+    plans
 }
 
 /// Renders a step path as `/a//b/*`.
@@ -1504,38 +1607,11 @@ pub(crate) fn explain_with(
     docs: &[DocBinding<'_>],
     options: &RunOptions,
 ) -> Result<Plan> {
-    let mut doc_of_name: HashMap<&str, usize> = HashMap::new();
-    for (i, binding) in docs.iter().enumerate() {
-        doc_of_name.entry(binding.name).or_insert(i);
-    }
-    for name in graph.doc_names() {
-        if !doc_of_name.contains_key(name) {
-            return Err(EngineError::UnknownDocument(name.to_string()));
-        }
-    }
-    let mut var_doc: Vec<usize> = Vec::with_capacity(graph.vars.len());
-    for var in &graph.vars {
-        let d = match (&var.doc, var.parent) {
-            (Some(name), _) => doc_of_name[name.as_str()],
-            (None, Some(p)) => var_doc[p],
-            (None, None) => {
-                return Err(EngineError::Corrupt(
-                    "variable with neither document nor parent root".into(),
-                ))
-            }
-        };
-        var_doc.push(d);
-    }
-    let mut var_children: Vec<Vec<usize>> = vec![Vec::new(); graph.vars.len()];
-    for (v, var) in graph.vars.iter().enumerate() {
-        if let Some(p) = var.parent {
-            var_children[p].push(v);
-        }
-    }
-    let mut refs_of_var: Vec<Vec<usize>> = vec![Vec::new(); graph.vars.len()];
-    for (r, vref) in graph.refs.iter().enumerate() {
-        refs_of_var[vref.var].push(r);
-    }
+    let Layout {
+        var_doc,
+        var_children,
+        refs_of_var,
+    } = layout(graph, docs)?;
     let mut state = State::new(graph);
     let mut tally = WalkTally::default();
     let struct_enabled = struct_index_enabled(options);
@@ -1556,11 +1632,7 @@ pub(crate) fn explain_with(
     }
     state.flatten_values();
 
-    let forced = options.strategy.or_else(|| {
-        std::env::var("VX_PLAN")
-            .ok()
-            .and_then(|s| JoinStrategy::parse(&s))
-    });
+    let forced = forced_strategy(options);
 
     let variables = graph
         .vars
@@ -1705,24 +1777,30 @@ fn push_template_blocks<'g>(tpl: &'g Template, stack: &mut Vec<&'g Block>) {
 }
 
 impl Eval<'_> {
-    fn ref_bytes(&self, r: usize, occ: usize) -> Vec<&[u8]> {
+    /// The value bytes of reference `r` at occurrence `occ`.
+    fn ref_bytes(&self, r: usize, occ: usize) -> impl Iterator<Item = &[u8]> + Clone {
         let doc = self.docs[self.var_doc[self.graph.refs[r].var]].doc;
         self.state
             .values(r, occ)
             .iter()
-            .map(|&(vec, idx)| doc.vectors()[vec].values[idx].as_slice())
-            .collect()
+            .map(move |pos| value_at(doc, pos))
+    }
+
+    /// Whether references `a` (at `a_occ`) and `b` (at `b_occ`) share a
+    /// value. Both lists are a reference's values at one occurrence —
+    /// a handful — so a nested scan beats building a set.
+    fn share_value(&self, (a, a_occ): (usize, usize), (b, b_occ): (usize, usize)) -> bool {
+        let right = self.ref_bytes(b, b_occ);
+        self.ref_bytes(a, a_occ)
+            .any(|x| right.clone().any(|y| x == y))
     }
 
     fn filter_passes(&self, test: &FilterTest, occ: usize) -> bool {
         bump(&self.tally.filter_checks);
         let pass = match test {
             FilterTest::Exists(r) => self.state.exists(*r, occ),
-            FilterTest::Eq(r, lit) => self.ref_bytes(*r, occ).contains(&lit.as_bytes()),
-            FilterTest::PathPair(a, b) => {
-                let left: HashSet<&[u8]> = self.ref_bytes(*a, occ).into_iter().collect();
-                self.ref_bytes(*b, occ).iter().any(|v| left.contains(v))
-            }
+            FilterTest::Eq(r, lit) => self.ref_bytes(*r, occ).any(|v| v == lit.as_bytes()),
+            FilterTest::PathPair(a, b) => self.share_value((*a, occ), (*b, occ)),
         };
         if pass {
             bump(&self.tally.filter_passes);
@@ -1740,20 +1818,21 @@ impl Eval<'_> {
         }
         for join in &block.joins {
             if join.ready_at.is_none() {
-                let left = self.ref_bytes(join.left, env[self.graph.refs[join.left].var]);
-                let set: HashSet<&[u8]> = left.into_iter().collect();
-                let right = self.ref_bytes(join.right, env[self.graph.refs[join.right].var]);
-                if !right.iter().any(|v| set.contains(v)) {
+                let left = (join.left, env[self.graph.refs[join.left].var]);
+                let right = (join.right, env[self.graph.refs[join.right].var]);
+                if !self.share_value(left, right) {
                     return Ok(());
                 }
             }
         }
-        self.bind(block, 0, env, sink)
+        let exec = &self.plans[&std::ptr::from_ref(block)];
+        self.bind(block, exec, 0, env, sink)
     }
 
     fn bind(
         &self,
         block: &Block,
+        exec: &BlockExec,
         pos: usize,
         env: &mut Vec<usize>,
         sink: &mut Sink<'_>,
@@ -1776,104 +1855,67 @@ impl Eval<'_> {
         }
         let var = block.vars[pos];
 
-        // Probe every join that becomes checkable at this binding — each
-        // yields the build-side occurrences matching the current tuple,
-        // in the strategy's shape (hash set or sorted list).
-        let mut allowed: Option<Matched<'_>> = None;
-        for join in &block.joins {
+        // Every join that becomes checkable at this binding yields the
+        // build-side occurrences matching the current tuple as a sorted
+        // list; index-resolved literal filters narrow the same way
+        // instead of being re-checked per occurrence.
+        let mut allowed: Option<Cow<'_, [usize]>> = None;
+        for (join, table) in block.joins.iter().zip(&exec.joins) {
             if join.ready_at != Some(pos) {
                 continue;
             }
-            let (build, probe) = join_sides(self.graph, block, join, pos);
-            let probe_occ = env[self.graph.refs[probe].var];
-            let matched = self.probe_join(build, probe, probe_occ);
-            allowed = Some(match allowed {
-                None => matched,
-                Some(prev) => intersect_matched(prev, matched),
+            let table = table.as_ref().expect("planned join has a table");
+            let (_, probe) = join_sides(self.graph, block, join, pos);
+            let matched = table.matches(env[self.graph.refs[probe].var]);
+            bump(if matched.is_empty() {
+                &self.tally.probe_misses
+            } else {
+                &self.tally.probe_hits
             });
+            allowed = Some(narrow(allowed, matched));
         }
-        // Index-resolved literal filters narrow the same way joins do,
-        // instead of being re-checked per occurrence below.
-        for filter in &block.filters {
+        for (filter, passing) in block.filters.iter().zip(&exec.indexed) {
             if filter.ready_at != Some(pos) {
                 continue;
             }
-            if let Some(passing) = self.indexed_eq(filter) {
-                let narrowed = Matched::Slice(passing);
-                allowed = Some(match allowed {
-                    None => narrowed,
-                    Some(prev) => intersect_matched(prev, narrowed),
-                });
+            if let Some(passing) = passing {
+                allowed = Some(narrow(allowed, Cow::Borrowed(passing)));
             }
         }
 
-        // Candidate occurrences: the parent's children when nested, every
-        // occurrence when document-rooted. The doc-rooted range is never
-        // materialized — `bind` runs once per enclosing tuple, and an
-        // O(occurrences) allocation per probe would itself re-create the
-        // quadratic cliff the planner removes.
-        let parent = self.graph.vars[var].parent;
-        match allowed {
-            None => match parent {
-                Some(p) => {
-                    for &occ in &self.child_occs[var][env[p]] {
-                        self.bind_occ(block, pos, var, occ, env, sink)?;
-                    }
+        // Candidates: the parent occurrence's children, or every
+        // occurrence of a document-rooted variable (never materialized —
+        // `bind` runs once per enclosing tuple). A sorted match list of
+        // a document-rooted variable IS its candidate list, so it is
+        // bound directly, never by a scan of all occurrences per probe.
+        let examined = match (&allowed, self.graph.vars[var].parent) {
+            (None, Some(p)) => {
+                let candidates = &self.child_occs[var][env[p]];
+                for &occ in candidates {
+                    self.bind_occ(block, exec, pos, occ, env, sink)?;
                 }
-                None => {
-                    for occ in 0..self.state.occ_parent[var].len() {
-                        self.bind_occ(block, pos, var, occ, env, sink)?;
-                    }
-                }
-            },
-            Some(Matched::Set(set)) => {
-                // The pre-0.3 shape: scan candidates, membership-check.
-                match parent {
-                    Some(p) => {
-                        for &occ in &self.child_occs[var][env[p]] {
-                            if set.contains(&occ) {
-                                self.bind_occ(block, pos, var, occ, env, sink)?;
-                            }
-                        }
-                    }
-                    None => {
-                        for occ in 0..self.state.occ_parent[var].len() {
-                            if set.contains(&occ) {
-                                self.bind_occ(block, pos, var, occ, env, sink)?;
-                            }
-                        }
-                    }
-                }
+                candidates.len()
             }
-            Some(matched) => {
-                let list = matched.as_slice();
-                match parent {
-                    None => {
-                        // Document-rooted: candidates are all occurrences,
-                        // so the sorted match list IS the candidate list —
-                        // this is what removes the per-probe full scan.
-                        for &occ in list {
-                            self.bind_occ(block, pos, var, occ, env, sink)?;
-                        }
-                    }
-                    Some(p) => {
-                        let candidates = &self.child_occs[var][env[p]];
-                        let (mut ci, mut li) = (0, 0);
-                        while ci < candidates.len() && li < list.len() {
-                            match candidates[ci].cmp(&list[li]) {
-                                std::cmp::Ordering::Less => ci += 1,
-                                std::cmp::Ordering::Greater => li += 1,
-                                std::cmp::Ordering::Equal => {
-                                    self.bind_occ(block, pos, var, candidates[ci], env, sink)?;
-                                    ci += 1;
-                                    li += 1;
-                                }
-                            }
-                        }
-                    }
+            (None, None) => {
+                let occs = self.state.occ_parent[var].len();
+                for occ in 0..occs {
+                    self.bind_occ(block, exec, pos, occ, env, sink)?;
                 }
+                occs
             }
-        }
+            (Some(list), None) => {
+                for &occ in list.iter() {
+                    self.bind_occ(block, exec, pos, occ, env, sink)?;
+                }
+                list.len()
+            }
+            (Some(list), Some(p)) => for_each_common(&self.child_occs[var][env[p]], list, |occ| {
+                self.bind_occ(block, exec, pos, occ, env, sink)
+            })?,
+        };
+        self.tally
+            .candidates
+            .set(self.tally.candidates.get() + examined as u64);
         env[var] = usize::MAX;
         Ok(())
     }
@@ -1883,81 +1925,22 @@ impl Eval<'_> {
     fn bind_occ(
         &self,
         block: &Block,
+        exec: &BlockExec,
         pos: usize,
-        var: usize,
         occ: usize,
         env: &mut Vec<usize>,
         sink: &mut Sink<'_>,
     ) -> Result<()> {
-        for filter in &block.filters {
+        for (filter, passing) in block.filters.iter().zip(&exec.indexed) {
             if filter.ready_at == Some(pos)
-                && self.indexed_eq(filter).is_none()
+                && passing.is_none()
                 && !self.filter_passes(&filter.test, occ)
             {
                 return Ok(());
             }
         }
-        env[var] = occ;
-        self.bind(block, pos + 1, env, sink)
-    }
-
-    /// The occurrences passing `filter` when it is an `Eq` the planner
-    /// resolved through a persistent value index.
-    fn indexed_eq(&self, filter: &Filter) -> Option<&[usize]> {
-        match &filter.test {
-            FilterTest::Eq(r, lit) => self
-                .plans
-                .eq_filters
-                .iter()
-                .find(|(er, elit, _)| er == r && *elit == lit.as_str())
-                .map(|(_, _, passing)| passing.as_slice()),
-            _ => None,
-        }
-    }
-
-    /// Probes one planned join for the current tuple.
-    fn probe_join(&self, build: usize, probe: usize, probe_occ: usize) -> Matched<'_> {
-        let exec = &self.plans.joins[&(build, probe)];
-        match &exec.data {
-            JoinData::Hash(index) => {
-                let mut matched: HashSet<usize> = HashSet::new();
-                for value in self.ref_bytes(probe, probe_occ) {
-                    if let Some(occs) = index.get(value) {
-                        bump(&self.tally.probe_hits);
-                        matched.extend(occs);
-                    } else {
-                        bump(&self.tally.probe_misses);
-                    }
-                }
-                Matched::Set(matched)
-            }
-            JoinData::BuildRun(run) => {
-                let mut matched: Vec<usize> = Vec::new();
-                for value in self.ref_bytes(probe, probe_occ) {
-                    let lo = run.partition_point(|&(v, _)| v < value);
-                    let matches = run[lo..].iter().take_while(|&&(v, _)| v == value);
-                    let before = matched.len();
-                    matched.extend(matches.map(|&(_, occ)| occ));
-                    if matched.len() > before {
-                        bump(&self.tally.probe_hits);
-                    } else {
-                        bump(&self.tally.probe_misses);
-                    }
-                }
-                matched.sort_unstable();
-                matched.dedup();
-                Matched::List(matched)
-            }
-            JoinData::Matched { lists, .. } => {
-                let list = lists.get(probe_occ).map_or(&[] as &[usize], Vec::as_slice);
-                if list.is_empty() {
-                    bump(&self.tally.probe_misses);
-                } else {
-                    bump(&self.tally.probe_hits);
-                }
-                Matched::Slice(list)
-            }
-        }
+        env[block.vars[pos]] = occ;
+        self.bind(block, exec, pos + 1, env, sink)
     }
 
     fn emit(&self, output: &Output, env: &mut Vec<usize>, sink: &mut Sink<'_>) -> Result<()> {

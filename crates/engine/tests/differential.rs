@@ -544,10 +544,78 @@ fn store_backed_joins_agree_across_strategies() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// TQ3's shape: a value join whose `$b/NP/NN` reference spans several
+/// vectors (one per `NP/NN` path below a `PP`).
+const TQ3_SHAPED: &str = r#"for $a in doc("tb")//NP, $b in doc("tb")//PP
+   where $a/NN = $b/NP/NN
+   return $a/NN"#;
+
+/// MQ2's shape: a self-join on a low-cardinality key behind a selective
+/// probe-side filter.
+const MQ2_SHAPED: &str = r#"for $a in doc("ml")//MedlineCitation,
+       $b in doc("ml")//MedlineCitation
+   where $a/Language = "FRE" and $a/PubData/Year = $b/PubData/Year
+   return $b/PMID"#;
+
+/// The join shapes that used to scan every build occurrence per probe:
+/// TQ3's multi-vector reference and MQ2's `Year` key, which has no
+/// sorted run (in memory there are none; in a store the vector is
+/// dictionary-coded). Under every strategy, in memory and over a store,
+/// each must give the oracle's answer, and `bind` may examine at most
+/// two candidates per probe occurrence and emitted tuple
+/// (`enum.candidates`) — a count guard a per-probe scan cannot pass.
+#[test]
+fn multi_vector_and_unsorted_key_joins_stay_linear() {
+    use vx_core::{Compaction, Store, StoreHandle};
+
+    let c = Corpus::new();
+    let base = std::env::temp_dir().join(format!("vx-diff-linear-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let mut handles = Vec::new();
+    for (name, _, doc) in c.docs.iter().filter(|(n, _, _)| n == "tb" || n == "ml") {
+        Store::save(&base.join(name), doc, Compaction::Auto).unwrap();
+        handles.push(StoreHandle::open(&base.join(name)).unwrap());
+    }
+    let vecs = c.vecs();
+    for src in [TQ3_SHAPED, MQ2_SHAPED] {
+        let expected = c.values(src);
+        assert!(!expected.is_empty(), "degenerate corpus for {src}");
+        let query = Query::new(src).expect(src);
+        for strategy in STRATEGIES {
+            let options = RunOptions {
+                strategy: Some(strategy),
+                profile: true,
+                ..RunOptions::default()
+            };
+            for (target, outcome) in [
+                ("memory", query.run_with(&vecs, &options).expect(src)),
+                ("store", query.run_with(&handles, &options).expect(src)),
+            ] {
+                let label = format!("{} over {target}", strategy.name());
+                assert_eq!(outcome.output.strings(), expected, "{label}: {src}");
+                let profile = outcome.profile.expect("profile requested");
+                let probes = profile
+                    .variables
+                    .iter()
+                    .find(|v| v.name == "a")
+                    .expect("probe variable $a")
+                    .occurrences;
+                let tuples = profile.counters.get("tuples.emitted");
+                let candidates = profile.counters.get("enum.candidates");
+                assert!(
+                    candidates <= 2 * (probes + tuples),
+                    "{label}: {candidates} candidates for {probes} probes and {tuples} tuples: {src}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 /// Child half of `vx_plan_env_is_honored`: runs only when re-executed
-/// with `VX_PLAN` set, and routes SQ3- and XMark-shaped joins through
-/// `check` so the env-forced default plan is held to the oracle and to
-/// every explicitly forced strategy.
+/// with `VX_PLAN` set, and routes SQ3-, XMark-, TQ3- and MQ2-shaped
+/// joins through `check` so the env-forced default plan is held to the
+/// oracle and to every explicitly forced strategy.
 #[test]
 #[ignore = "child process of vx_plan_env_is_honored; needs VX_PLAN set"]
 fn vx_plan_child() {
@@ -568,6 +636,8 @@ fn vx_plan_child() {
            where $o/seller/@person = $p/@id
            return $p/name"#,
     );
+    c.check(TQ3_SHAPED);
+    c.check(MQ2_SHAPED);
 }
 
 /// `VX_PLAN=hash|inl|merge` forces the strategy process-wide; each value
