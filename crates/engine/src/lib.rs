@@ -42,7 +42,7 @@ pub use graph::{
     Template, TplItem, ValueRef, VarNode,
 };
 pub use oracle::{naive_eval, NaiveOutput};
-pub use plan::{IndexSource, JoinStrategy, Plan, PlanFilter, PlanJoin, PlanVar, RunOptions};
+pub use plan::{IndexSource, Plan, PlanFilter, PlanJoin, PlanVar, RunOptions};
 pub use profile::{QueryProfile, VarCardinality};
 pub use reduce::{reduce, reduce_profiled, DocBinding};
 
@@ -300,16 +300,17 @@ impl Query {
 
     /// Explains how the query would execute against `targets` under the
     /// default options: runs collection (one skeleton pass — never
-    /// enumeration), then reports exact per-variable cardinalities, the
-    /// join strategy the planner picks per edge, and which literal
-    /// filters resolve through persistent value indexes. The rendered
-    /// form is stable (`vx explain`, the server's `"explain": true`).
+    /// enumeration), then reports exact per-variable cardinalities,
+    /// where each join edge's sorted runs come from (the same decision
+    /// execution uses), and which literal filters resolve through
+    /// persistent value indexes. The rendered form is stable
+    /// (`vx explain`, the server's `"explain": true`).
     pub fn explain<'a>(&'a self, targets: impl Into<Targets<'a>>) -> Result<Plan> {
         self.explain_with(targets, &RunOptions::default())
     }
 
-    /// As [`Query::explain`] under explicit options (forced strategy,
-    /// indexes off).
+    /// As [`Query::explain`] under explicit options (indexes off, the
+    /// structural index off).
     pub fn explain_with<'a>(
         &'a self,
         targets: impl Into<Targets<'a>>,

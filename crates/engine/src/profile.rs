@@ -31,7 +31,7 @@
 //! | `cursor.values.skipped` | text values bulk-advanced without visiting |
 //! | `occ.rows` | extended-vector rows collected (all variables) |
 //! | `join.build.entries` | `(value, occurrence)` entries grouped into join tables |
-//! | `join.probe.hits` / `join.probe.misses` | probe occurrences whose match list was non-empty / empty (every strategy) |
+//! | `join.probe.hits` / `join.probe.misses` | probe occurrences whose match list was non-empty / empty |
 //! | `enum.candidates` | candidate occurrences `bind` examined — linear in probes plus tuples unless enumeration goes quadratic |
 //! | `filter.checks` / `filter.passes` | selection filter evaluations / successes |
 //! | `tuples.emitted` | binding tuples reaching the output step |

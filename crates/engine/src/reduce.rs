@@ -20,19 +20,19 @@
 //! filters are checked the moment a variable binds, while each equality
 //! edge probes one join table built before enumeration over the side
 //! bound last ([`crate::Join::ready_at`]): the build occurrences grouped
-//! by value, probed as sorted slices whichever strategy built it.
-//! Binding order is document order, so results come out in document
-//! order without sorting. Output either
+//! by value in one sort-merge, probed as sorted slices. One [`Planner`]
+//! decides each edge's and filter's access, for execution and for
+//! [`explain_with`] alike. Binding order is document order, so results
+//! come out in document order without sorting. Output either
 //! projects value bytes or streams element construction into a
 //! [`VecDocBuilder`] — the result of a constructor query is itself a
 //! vectorized document, never a DOM.
 
 use crate::graph::{
-    Block, FilterTest, Join, Output, PatStep, PatTest, QueryGraph, RefKind, Template, TplItem,
+    Block, Filter, FilterTest, Join, Output, PatStep, PatTest, QueryGraph, RefKind, Template,
+    TplItem,
 };
-use crate::plan::{
-    choose_strategy, IndexSource, JoinStrategy, Plan, PlanFilter, PlanJoin, PlanVar, RunOptions,
-};
+use crate::plan::{IndexSource, Plan, PlanFilter, PlanJoin, PlanVar, RunOptions};
 use crate::profile::{QueryProfile, VarCardinality};
 use crate::{EngineError, QueryOutput, Result};
 use std::borrow::Cow;
@@ -192,16 +192,6 @@ fn layout(graph: &QueryGraph, docs: &[DocBinding<'_>]) -> Result<Layout> {
     })
 }
 
-/// The strategy forced for every join edge: [`RunOptions::strategy`],
-/// else the `VX_PLAN` environment variable.
-fn forced_strategy(options: &RunOptions) -> Option<JoinStrategy> {
-    options.strategy.or_else(|| {
-        std::env::var("VX_PLAN")
-            .ok()
-            .and_then(|s| JoinStrategy::parse(&s))
-    })
-}
-
 /// The shared evaluation body. Timers run only when `want_profile` is
 /// set or the `VX_LOG` sink is active — an unprofiled run with `VX_LOG`
 /// unset takes no timestamps beyond plain counter arithmetic, which is
@@ -212,7 +202,6 @@ fn reduce_inner(
     hint: &str,
     options: &RunOptions,
 ) -> Result<(QueryOutput, Option<QueryProfile>)> {
-    let parallel = options.parallel;
     let profiling = options.profile || vx_obs::log_enabled();
     let total = Instant::now();
     let mut spans = Spans::new();
@@ -220,92 +209,19 @@ fn reduce_inner(
         spans.tile(None);
     }
 
-    let Layout {
-        var_doc,
-        var_children,
-        refs_of_var,
-    } = layout(graph, docs)?;
+    let layout = layout(graph, docs)?;
+    let var_doc = &layout.var_doc;
     if profiling {
         spans.tile(Some("plan"));
     }
-
-    // --- Collection: one skeleton pass per referenced document. -------
-    //
-    // Documents are independent (each variable and reference belongs to
-    // exactly one), so the per-document passes fan out over scoped
-    // threads when there is more than one, the host has more than one
-    // CPU, and nobody is watching the clock: each thread fills a
-    // private `State`, and the merge moves each document's slots into
-    // the shared one — the result is byte-identical to the serial pass.
-    // The last document is collected on the calling thread (spawning
-    // buys nothing for it), and profiled runs stay serial so the
-    // `match:{doc}` spans keep tiling the total.
-    let referenced: Vec<usize> = (0..docs.len()).filter(|i| var_doc.contains(i)).collect();
-    let mut state = State::new(graph);
-    let mut walk_tally = WalkTally::default();
-    let struct_enabled = struct_index_enabled(options);
-    if parallel && !profiling && referenced.len() >= 2 && fan_out_enabled() {
-        let var_doc_ref = &var_doc;
-        let var_children_ref = &var_children;
-        let refs_of_var_ref = &refs_of_var;
-        let collect_one = |doc_idx: usize| -> Result<(State, WalkTally)> {
-            let mut sub = State::new(graph);
-            let mut tally = WalkTally::default();
-            collect_doc(
-                graph,
-                docs[doc_idx].doc,
-                docs[doc_idx].index,
-                doc_idx,
-                var_doc_ref,
-                var_children_ref,
-                refs_of_var_ref,
-                &mut sub,
-                &mut tally,
-                struct_enabled,
-            )?;
-            Ok((sub, tally))
-        };
-        let collected: Vec<Result<(State, WalkTally)>> = std::thread::scope(|scope| {
-            let (&last_idx, rest) = referenced.split_last().expect("len >= 2");
-            let workers: Vec<_> = rest
-                .iter()
-                .map(|&doc_idx| scope.spawn(move || collect_one(doc_idx)))
-                .collect();
-            let last = collect_one(last_idx);
-            let mut results: Vec<Result<(State, WalkTally)>> = workers
-                .into_iter()
-                .map(|w| w.join().expect("document collector thread panicked"))
-                .collect();
-            results.push(last);
-            results
-        });
-        // Merge in document order; errors surface in document order too,
-        // matching what the serial loop would have reported first.
-        for (&doc_idx, sub) in referenced.iter().zip(collected) {
-            let (sub_state, sub_tally) = sub?;
-            state.adopt(sub_state, doc_idx, &var_doc, graph);
-            walk_tally.add(&sub_tally);
-        }
-    } else {
-        for &doc_idx in &referenced {
-            collect_doc(
-                graph,
-                docs[doc_idx].doc,
-                docs[doc_idx].index,
-                doc_idx,
-                &var_doc,
-                &var_children,
-                &refs_of_var,
-                &mut state,
-                &mut walk_tally,
-                struct_enabled,
-            )?;
-            if profiling {
-                spans.tile(Some(&format!("match:{}", docs[doc_idx].name)));
-            }
-        }
-    }
-    state.flatten_values();
+    let (state, walk_tally) = collect(
+        graph,
+        docs,
+        &layout,
+        struct_index_enabled(options),
+        options.parallel,
+        profiling.then_some(&mut spans),
+    )?;
 
     // Candidate lists: occurrences of each variable grouped by parent
     // occurrence (document order within each group).
@@ -326,14 +242,14 @@ fn reduce_inner(
         spans.tile(Some("group"));
     }
 
-    let forced = forced_strategy(options);
     let plans = plan_execution(
-        graph,
-        docs,
-        &var_doc,
-        &state,
-        forced,
-        options.use_indexes,
+        &Planner {
+            graph,
+            docs,
+            var_doc,
+            state: &state,
+            use_indexes: options.use_indexes,
+        },
         options.trace,
     );
     if profiling {
@@ -343,7 +259,7 @@ fn reduce_inner(
     let eval = Eval {
         graph,
         docs,
-        var_doc: &var_doc,
+        var_doc,
         state: &state,
         child_occs: &child_occs,
         plans,
@@ -709,15 +625,100 @@ fn pattern_of(steps: &[PatStep], skeleton: &Skeleton) -> Result<PathPattern> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The collection phase: one skeleton pass per referenced document,
+/// then each reference's values flattened per occurrence.
+///
+/// Documents are independent (each variable and reference belongs to
+/// exactly one), so with `parallel` set the per-document passes fan out
+/// over scoped threads when there is more than one, the host has more
+/// than one CPU, and nobody is watching the clock: each thread fills a
+/// private `State`, and the merge moves each document's slots into the
+/// shared one — the result is byte-identical to the serial pass. The
+/// last document is collected on the calling thread (spawning buys
+/// nothing for it). With `spans` given (a profiled run) collection stays
+/// serial and tiles one `match:{doc}` span per document.
+fn collect(
+    graph: &QueryGraph,
+    docs: &[DocBinding<'_>],
+    layout: &Layout,
+    struct_enabled: bool,
+    parallel: bool,
+    mut spans: Option<&mut Spans>,
+) -> Result<(State, WalkTally)> {
+    let referenced: Vec<usize> = (0..docs.len())
+        .filter(|i| layout.var_doc.contains(i))
+        .collect();
+    let mut state = State::new(graph);
+    let mut walk_tally = WalkTally::default();
+    if parallel && spans.is_none() && referenced.len() >= 2 && fan_out_enabled() {
+        let collect_one = |doc_idx: usize| -> Result<(State, WalkTally)> {
+            let mut sub = State::new(graph);
+            let mut tally = WalkTally::default();
+            collect_doc(
+                graph,
+                docs[doc_idx],
+                doc_idx,
+                layout,
+                &mut sub,
+                &mut tally,
+                struct_enabled,
+            )?;
+            Ok((sub, tally))
+        };
+        let collected: Vec<Result<(State, WalkTally)>> = std::thread::scope(|scope| {
+            let (&last_idx, rest) = referenced.split_last().expect("len >= 2");
+            let workers: Vec<_> = rest
+                .iter()
+                .map(|&doc_idx| scope.spawn(move || collect_one(doc_idx)))
+                .collect();
+            let last = collect_one(last_idx);
+            let mut results: Vec<Result<(State, WalkTally)>> = workers
+                .into_iter()
+                .map(|w| w.join().expect("document collector thread panicked"))
+                .collect();
+            results.push(last);
+            results
+        });
+        // Merge in document order; errors surface in document order too,
+        // matching what the serial loop would have reported first.
+        for (&doc_idx, sub) in referenced.iter().zip(collected) {
+            let (sub_state, sub_tally) = sub?;
+            state.adopt(sub_state, doc_idx, &layout.var_doc, graph);
+            walk_tally.add(&sub_tally);
+        }
+    } else {
+        for &doc_idx in &referenced {
+            collect_doc(
+                graph,
+                docs[doc_idx],
+                doc_idx,
+                layout,
+                &mut state,
+                &mut walk_tally,
+                struct_enabled,
+            )?;
+            if let Some(spans) = spans.as_deref_mut() {
+                spans.tile(Some(&format!("match:{}", docs[doc_idx].name)));
+            }
+        }
+    }
+    state.flatten_values();
+    Ok((state, walk_tally))
+}
+
 fn collect_doc(
     graph: &QueryGraph,
-    doc: &VecDoc,
-    precomputed: Option<&PathIndex>,
+    DocBinding {
+        doc,
+        index: precomputed,
+        ..
+    }: DocBinding<'_>,
     doc_idx: usize,
-    var_doc: &[usize],
-    var_children: &[Vec<usize>],
-    refs_of_var: &[Vec<usize>],
+    Layout {
+        var_doc,
+        var_children,
+        refs_of_var,
+    }: &Layout,
     state: &mut State,
     tally: &mut WalkTally,
     struct_enabled: bool,
@@ -1158,8 +1159,8 @@ struct Eval<'a> {
     tally: EnumTally,
 }
 
-/// Everything the planner pre-builds before enumeration, keyed by block
-/// address (the graph outlives the plans).
+/// Everything [`plan_execution`] pre-builds before enumeration, keyed by
+/// block address (the graph outlives the plans).
 type ExecPlans = HashMap<*const Block, BlockExec>;
 
 /// One block's pre-built execution data, indexed like the block's own
@@ -1175,16 +1176,14 @@ struct BlockExec {
 }
 
 /// One planned join edge, built once before enumeration and probed as
-/// sorted slices — the same table whichever strategy built it.
+/// sorted slices.
 ///
 /// The build side is grouped by join value as compressed sparse rows:
 /// group `g` holds the build occurrences carrying its value, ascending
 /// and deduplicated. The probe side maps each probe occurrence to the
 /// groups its values fall in, again as compressed rows. Both halves are
-/// O(values), never O(join size). The strategies differ only in how a
-/// probe value finds its group: a hash map over borrowed value bytes
-/// (`hash`), binary search in the build side's sorted run (`inl`), or
-/// one merge of both sides' sorted runs (`merge`).
+/// O(values), never O(join size). One merge of the two sides'
+/// value-sorted runs finds every probe value's group.
 struct JoinTable {
     /// `group_occs[group_offsets[g]..group_offsets[g + 1]]` is group `g`.
     group_offsets: Vec<usize>,
@@ -1196,74 +1195,32 @@ struct JoinTable {
 }
 
 impl JoinTable {
-    fn build(
-        strategy: JoinStrategy,
-        build_doc: &VecDoc,
-        probe_doc: &VecDoc,
-        state: &State,
-        (build, build_occs): (usize, usize),
-        (probe, probe_occs): (usize, usize),
-        use_indexes: bool,
-    ) -> JoinTable {
+    fn build(state: &State, edge: &EdgePlan<'_>) -> JoinTable {
         // `(group, build occ)` pairs, then `(probe occ, group)` pairs.
-        let mut build_pairs: Vec<(usize, usize)> = Vec::new();
-        let look_up_each = |find: &dyn Fn(&[u8]) -> Option<usize>| {
-            let mut pairs = Vec::new();
-            for occ in 0..probe_occs {
-                for pos in state.values(probe, occ) {
-                    if let Some(g) = find(value_at(probe_doc, pos)) {
-                        pairs.push((occ, g));
-                    }
-                }
+        let build_run = sorted_run_for(state, &edge.build);
+        let mut group_values: Vec<&[u8]> = Vec::new();
+        let mut build_pairs = Vec::with_capacity(build_run.len());
+        for &(v, occ) in &build_run {
+            if group_values.last() != Some(&v) {
+                group_values.push(v);
             }
-            pairs
-        };
-        let (groups, probe_pairs) = match strategy {
-            JoinStrategy::Hash => {
-                let mut group_of: HashMap<&[u8], usize> = HashMap::new();
-                for occ in 0..build_occs {
-                    for pos in state.values(build, occ) {
-                        let next = group_of.len();
-                        let g = *group_of.entry(value_at(build_doc, pos)).or_insert(next);
-                        build_pairs.push((g, occ));
-                    }
-                }
-                (group_of.len(), look_up_each(&|v| group_of.get(v).copied()))
+            build_pairs.push((group_values.len() - 1, occ));
+        }
+        let mut probe_pairs = Vec::new();
+        let mut g = 0;
+        for (v, occ) in sorted_run_for(state, &edge.probe) {
+            while g < group_values.len() && group_values[g] < v {
+                g += 1;
             }
-            JoinStrategy::IndexNestedLoop | JoinStrategy::SortMerge => {
-                let run = sorted_run_for(build_doc, state, build, build_occs, use_indexes);
-                let mut group_values: Vec<&[u8]> = Vec::new();
-                for &(v, occ) in &run {
-                    if group_values.last() != Some(&v) {
-                        group_values.push(v);
-                    }
-                    build_pairs.push((group_values.len() - 1, occ));
-                }
-                let probe_pairs = if strategy == JoinStrategy::IndexNestedLoop {
-                    look_up_each(&|v| group_values.binary_search(&v).ok())
-                } else {
-                    let probe_run =
-                        sorted_run_for(probe_doc, state, probe, probe_occs, use_indexes);
-                    let mut pairs = Vec::new();
-                    let mut g = 0;
-                    for &(v, occ) in &probe_run {
-                        while g < group_values.len() && group_values[g] < v {
-                            g += 1;
-                        }
-                        if g == group_values.len() {
-                            break;
-                        }
-                        if group_values[g] == v {
-                            pairs.push((occ, g));
-                        }
-                    }
-                    pairs
-                };
-                (group_values.len(), probe_pairs)
+            if g == group_values.len() {
+                break;
             }
-        };
-        let (group_offsets, group_occs) = compress_rows(groups, &build_pairs);
-        let (probe_offsets, probe_groups) = compress_rows(probe_occs, &probe_pairs);
+            if group_values[g] == v {
+                probe_pairs.push((occ, g));
+            }
+        }
+        let (group_offsets, group_occs) = compress_rows(group_values.len(), &build_pairs);
+        let (probe_offsets, probe_groups) = compress_rows(edge.probe.occs, &probe_pairs);
         JoinTable {
             group_offsets,
             group_occs,
@@ -1416,16 +1373,16 @@ fn persistent_vector_of(doc: &VecDoc, state: &State, r: usize, occs: usize) -> O
     vec_idx.filter(|&v| doc.sorted_run(v).is_some())
 }
 
-/// `vector position → owning occurrence` for a single-vector reference
-/// (`usize::MAX` where no occurrence references the position).
-fn occ_of_positions(state: &State, r: usize, occs: usize, len: usize) -> Vec<usize> {
-    let mut map = vec![usize::MAX; len];
-    for occ in 0..occs {
-        for &(_, idx) in state.values(r, occ) {
-            map[idx] = occ;
-        }
-    }
-    map
+/// `vector position → occurrences referencing it` for a single-vector
+/// reference, as compressed rows over the vector's `len` positions (see
+/// [`compress_rows`]). A position can belong to several occurrences:
+/// under `//S` with nested `S`s, `$s//NN` reaches the inner `S`'s values
+/// from the outer one too.
+fn occs_of_positions(state: &State, r: usize, occs: usize, len: usize) -> (Vec<usize>, Vec<usize>) {
+    let pairs: Vec<(usize, usize)> = (0..occs)
+        .flat_map(|occ| state.values(r, occ).iter().map(move |&(_, idx)| (idx, occ)))
+        .collect();
+    compress_rows(len, &pairs)
 }
 
 /// The bytes of the value at `(vector index, value index)`.
@@ -1433,147 +1390,210 @@ fn value_at<'d>(doc: &'d VecDoc, &(vec, idx): &(usize, usize)) -> &'d [u8] {
     doc.vectors()[vec].values[idx].as_slice()
 }
 
-/// Builds the `(value, occurrence)` run of a reference, value-ascending.
-/// Reuses the persistent `.vec` value index when the reference is
-/// single-vector and one was loaded (O(n) remap); otherwise sorts the
-/// collected pairs at query time.
-fn sorted_run_for<'a>(
-    doc: &'a VecDoc,
-    state: &State,
+/// One side of a planned join edge, as the [`Planner`] decided it.
+struct EdgeSide<'a> {
+    /// The value reference.
     r: usize,
+    /// The document the reference's values live in.
+    doc: &'a VecDoc,
+    /// Occurrences of the reference's variable.
     occs: usize,
-    use_persistent: bool,
-) -> Vec<(&'a [u8], usize)> {
-    if use_persistent {
-        if let Some(vec_idx) = persistent_vector_of(doc, state, r, occs) {
-            let order = doc
-                .sorted_run(vec_idx)
-                .expect("checked by persistent_vector_of");
-            let values = &doc.vectors()[vec_idx].values;
-            let occ_of = occ_of_positions(state, r, occs, values.len());
-            return order
-                .iter()
-                .filter_map(|&pos| {
-                    let occ = occ_of[pos as usize];
-                    (occ != usize::MAX).then(|| (values[pos as usize].as_slice(), occ))
-                })
-                .collect();
+    /// Exact total values the reference collected.
+    values: u64,
+    /// The vector whose persistent sorted run supplies this side's
+    /// `(value, occurrence)` run; `None` sorts the run at query time.
+    run: Option<usize>,
+}
+
+/// A planned join edge's decisions, made once by [`Planner::edge`]:
+/// [`plan_execution`] builds the edge's [`JoinTable`] from them and
+/// [`explain_with`] renders them.
+struct EdgePlan<'a> {
+    build: EdgeSide<'a>,
+    probe: EdgeSide<'a>,
+}
+
+impl EdgePlan<'_> {
+    fn access(&self) -> IndexSource {
+        if self.build.run.is_some() && self.probe.run.is_some() {
+            IndexSource::Persistent
+        } else {
+            IndexSource::QuerySort
         }
+    }
+}
+
+/// The one planner over a collected query: every join edge's and
+/// literal filter's access decision comes from here, for execution
+/// ([`plan_execution`]) and for [`explain_with`] alike, so the two
+/// cannot drift.
+struct Planner<'a> {
+    graph: &'a QueryGraph,
+    docs: &'a [DocBinding<'a>],
+    var_doc: &'a [usize],
+    state: &'a State,
+    use_indexes: bool,
+}
+
+impl<'a> Planner<'a> {
+    /// The decisions for `join` in `block`; `None` for an edge checked
+    /// per tuple at block entry (both sides bound in enclosing blocks).
+    fn edge(&self, block: &Block, join: &Join) -> Option<EdgePlan<'a>> {
+        let (build, probe) = join_sides(self.graph, block, join, join.ready_at?);
+        Some(EdgePlan {
+            build: self.side(build),
+            probe: self.side(probe),
+        })
+    }
+
+    fn side(&self, r: usize) -> EdgeSide<'a> {
+        let var = self.graph.refs[r].var;
+        let doc = self.docs[self.var_doc[var]].doc;
+        let occs = self.state.occ_parent[var].len();
+        EdgeSide {
+            r,
+            doc,
+            occs,
+            values: ref_value_count(self.state, r, occs),
+            run: if self.use_indexes {
+                persistent_vector_of(doc, self.state, r, occs)
+            } else {
+                None
+            },
+        }
+    }
+
+    /// The occurrences passing an `Eq` filter, ascending, when it
+    /// resolves through a persistent value index as a point lookup
+    /// instead of a per-occurrence scan: `r`'s values come from one
+    /// vector with a sorted run, indexes are on, and the filter is
+    /// checked at a binding (not at block entry).
+    fn indexed_eq(&self, filter: &Filter) -> Option<Vec<usize>> {
+        let FilterTest::Eq(r, lit) = &filter.test else {
+            return None;
+        };
+        if !self.use_indexes || filter.ready_at.is_none() {
+            return None;
+        }
+        let var = self.graph.refs[*r].var;
+        let doc = self.docs[self.var_doc[var]].doc;
+        let occs = self.state.occ_parent[var].len();
+        let vec_idx = persistent_vector_of(doc, self.state, *r, occs)?;
+        let order = doc
+            .sorted_run(vec_idx)
+            .expect("checked by persistent_vector_of");
+        let values = &doc.vectors()[vec_idx].values;
+        let (offsets, owners) = occs_of_positions(self.state, *r, occs, values.len());
+        let target = lit.as_bytes();
+        let lo = order.partition_point(|&pos| values[pos as usize].as_slice() < target);
+        let mut passing: Vec<usize> = order[lo..]
+            .iter()
+            .map(|&pos| pos as usize)
+            .take_while(|&pos| values[pos].as_slice() == target)
+            .flat_map(|pos| &owners[offsets[pos]..offsets[pos + 1]])
+            .copied()
+            .collect();
+        passing.sort_unstable();
+        passing.dedup();
+        Some(passing)
+    }
+}
+
+/// Builds the `(value, occurrence)` run of one join side,
+/// value-ascending: an O(n) remap of the persistent `.vec` value index
+/// when the planner chose one, otherwise the collected pairs sorted at
+/// query time.
+fn sorted_run_for<'a>(state: &State, side: &EdgeSide<'a>) -> Vec<(&'a [u8], usize)> {
+    if let Some(vec_idx) = side.run {
+        let order = side
+            .doc
+            .sorted_run(vec_idx)
+            .expect("planned from a persistent run");
+        let values = &side.doc.vectors()[vec_idx].values;
+        let (offsets, owners) = occs_of_positions(state, side.r, side.occs, values.len());
+        let mut run = Vec::with_capacity(owners.len());
+        for &pos in order {
+            let pos = pos as usize;
+            for &occ in &owners[offsets[pos]..offsets[pos + 1]] {
+                run.push((values[pos].as_slice(), occ));
+            }
+        }
+        return run;
     }
     let mut run: Vec<(&[u8], usize)> = Vec::new();
-    for occ in 0..occs {
-        for pos in state.values(r, occ) {
-            run.push((value_at(doc, pos), occ));
+    for occ in 0..side.occs {
+        for pos in state.values(side.r, occ) {
+            run.push((value_at(side.doc, pos), occ));
         }
     }
-    run.sort_unstable_by(|a, b| a.0.cmp(b.0).then(a.1.cmp(&b.1)));
+    // Ties need no order: the table's rows are sorted when compressed.
+    run.sort_unstable_by(|a, b| a.0.cmp(b.0));
     run
 }
 
-/// The occurrences of `r`'s variable passing `r = lit`, ascending, when
-/// `r`'s values come from one vector with a persistent sorted run: a
-/// point lookup in the run instead of a per-occurrence scan.
-fn indexed_eq(doc: &VecDoc, state: &State, r: usize, occs: usize, lit: &str) -> Option<Vec<usize>> {
-    let vec_idx = persistent_vector_of(doc, state, r, occs)?;
-    let order = doc
-        .sorted_run(vec_idx)
-        .expect("checked by persistent_vector_of");
-    let values = &doc.vectors()[vec_idx].values;
-    let occ_of = occ_of_positions(state, r, occs, values.len());
-    let target = lit.as_bytes();
-    let lo = order.partition_point(|&pos| values[pos as usize].as_slice() < target);
-    let mut passing: Vec<usize> = order[lo..]
-        .iter()
-        .take_while(|&&pos| values[pos as usize].as_slice() == target)
-        .map(|&pos| occ_of[pos as usize])
-        .filter(|&occ| occ != usize::MAX)
-        .collect();
-    passing.sort_unstable();
-    passing.dedup();
-    Some(passing)
-}
-
-/// The planner pass: walks every block, picks a strategy per planned
-/// join edge from exact post-collection cardinalities, and builds its
-/// join table. Also resolves `Eq` filters through persistent value
-/// indexes as point lookups where possible.
-fn plan_execution(
-    graph: &QueryGraph,
-    docs: &[DocBinding<'_>],
-    var_doc: &[usize],
-    state: &State,
-    forced: Option<JoinStrategy>,
-    use_indexes: bool,
-    trace: Option<vx_obs::TraceId>,
-) -> ExecPlans {
-    let mut plans = ExecPlans::new();
-    let mut stack: Vec<&Block> = vec![&graph.block];
-    while let Some(block) = stack.pop() {
-        if plans.contains_key(&std::ptr::from_ref(block)) {
-            continue;
-        }
-        let joins = block
-            .joins
-            .iter()
-            .map(|join| {
-                let pos = join.ready_at?;
-                let (build, probe) = join_sides(graph, block, join, pos);
-                let build_var = graph.refs[build].var;
-                let probe_var = graph.refs[probe].var;
-                let build_doc = docs[var_doc[build_var]].doc;
-                let probe_doc = docs[var_doc[probe_var]].doc;
-                let build_occs = state.occ_parent[build_var].len();
-                let probe_occs = state.occ_parent[probe_var].len();
-                let build_values = ref_value_count(state, build, build_occs);
-                let probe_values = ref_value_count(state, probe, probe_occs);
-                let has_index = persistent_vector_of(build_doc, state, build, build_occs).is_some();
-                let strategy =
-                    choose_strategy(forced, use_indexes, has_index, probe_values, build_values);
-                if vx_obs::log_enabled() {
-                    let probe_label = ref_label(graph, probe);
-                    let build_label = ref_label(graph, build);
-                    let trace_str = trace.map(|t| t.to_string());
-                    let mut fields: Vec<(&str, vx_obs::Value<'_>)> = vec![
-                        ("probe", vx_obs::Value::Str(&probe_label)),
-                        ("build", vx_obs::Value::Str(&build_label)),
-                        ("strategy", vx_obs::Value::Str(strategy.name())),
-                        ("probe_values", vx_obs::Value::U64(probe_values)),
-                        ("build_values", vx_obs::Value::U64(build_values)),
-                    ];
-                    if let Some(t) = &trace_str {
-                        fields.push(("trace", vx_obs::Value::Str(t)));
-                    }
-                    vx_obs::event("engine.join", &fields);
-                }
-                Some(JoinTable::build(
-                    strategy,
-                    build_doc,
-                    probe_doc,
-                    state,
-                    (build, build_occs),
-                    (probe, probe_occs),
-                    use_indexes,
-                ))
-            })
-            .collect();
-        let indexed = block
-            .filters
-            .iter()
-            .map(|filter| match &filter.test {
-                FilterTest::Eq(r, lit) if use_indexes && filter.ready_at.is_some() => {
-                    let var = graph.refs[*r].var;
-                    let occs = state.occ_parent[var].len();
-                    indexed_eq(docs[var_doc[var]].doc, state, *r, occs, lit)
-                }
-                _ => None,
-            })
-            .collect();
-        plans.insert(std::ptr::from_ref(block), BlockExec { joins, indexed });
-        if let Output::Document(tpl) = &block.output {
-            push_template_blocks(tpl, &mut stack);
+/// Every block of `graph`, each exactly once, in document order (the
+/// root block first, then the blocks nested in its constructor).
+fn blocks(graph: &QueryGraph) -> Vec<&Block> {
+    fn block<'g>(b: &'g Block, out: &mut Vec<&'g Block>) {
+        out.push(b);
+        if let Output::Document(tpl) = &b.output {
+            template(tpl, out);
         }
     }
-    plans
+    fn template<'g>(tpl: &'g Template, out: &mut Vec<&'g Block>) {
+        for item in &tpl.content {
+            match item {
+                TplItem::Block(b) => block(b, out),
+                TplItem::Element(e) => template(e, out),
+                TplItem::Copy(_) => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    block(&graph.block, &mut out);
+    out
+}
+
+/// The planner pass: builds every planned join edge's table from the
+/// [`Planner`]'s decisions, and resolves `Eq` filters through persistent
+/// value indexes as point lookups where possible.
+fn plan_execution(planner: &Planner<'_>, trace: Option<vx_obs::TraceId>) -> ExecPlans {
+    let graph = planner.graph;
+    blocks(graph)
+        .into_iter()
+        .map(|block| {
+            let joins = block
+                .joins
+                .iter()
+                .map(|join| {
+                    let edge = planner.edge(block, join)?;
+                    if vx_obs::log_enabled() {
+                        let probe_label = ref_label(graph, edge.probe.r);
+                        let build_label = ref_label(graph, edge.build.r);
+                        let trace_str = trace.map(|t| t.to_string());
+                        let mut fields: Vec<(&str, vx_obs::Value<'_>)> = vec![
+                            ("probe", vx_obs::Value::Str(&probe_label)),
+                            ("build", vx_obs::Value::Str(&build_label)),
+                            ("access", vx_obs::Value::Str(edge.access().label())),
+                            ("probe_values", vx_obs::Value::U64(edge.probe.values)),
+                            ("build_values", vx_obs::Value::U64(edge.build.values)),
+                        ];
+                        if let Some(t) = &trace_str {
+                            fields.push(("trace", vx_obs::Value::Str(t)));
+                        }
+                        vx_obs::event("engine.join", &fields);
+                    }
+                    Some(JoinTable::build(planner.state, &edge))
+                })
+                .collect();
+            let indexed = block
+                .filters
+                .iter()
+                .map(|filter| planner.indexed_eq(filter))
+                .collect();
+            (std::ptr::from_ref(block), BlockExec { joins, indexed })
+        })
+        .collect()
 }
 
 /// Renders a step path as `/a//b/*`.
@@ -1599,40 +1619,24 @@ fn ref_label(graph: &QueryGraph, r: usize) -> String {
 }
 
 /// Builds the [`Plan`] for `graph` over `docs`: runs collection (the
-/// one skeleton pass — enumeration never starts), then reports exactly
-/// the strategy the planner would pick per join edge and which literal
-/// filters resolve through value indexes.
+/// one skeleton pass — enumeration never starts), then renders the
+/// [`Planner`]'s decisions — exactly those execution would use — per
+/// join edge and literal filter.
 pub(crate) fn explain_with(
     graph: &QueryGraph,
     docs: &[DocBinding<'_>],
     options: &RunOptions,
 ) -> Result<Plan> {
-    let Layout {
-        var_doc,
-        var_children,
-        refs_of_var,
-    } = layout(graph, docs)?;
-    let mut state = State::new(graph);
-    let mut tally = WalkTally::default();
+    let layout = layout(graph, docs)?;
     let struct_enabled = struct_index_enabled(options);
-    let referenced: Vec<usize> = (0..docs.len()).filter(|i| var_doc.contains(i)).collect();
-    for &doc_idx in &referenced {
-        collect_doc(
-            graph,
-            docs[doc_idx].doc,
-            docs[doc_idx].index,
-            doc_idx,
-            &var_doc,
-            &var_children,
-            &refs_of_var,
-            &mut state,
-            &mut tally,
-            struct_enabled,
-        )?;
-    }
-    state.flatten_values();
-
-    let forced = forced_strategy(options);
+    let (state, _) = collect(graph, docs, &layout, struct_enabled, false, None)?;
+    let planner = Planner {
+        graph,
+        docs,
+        var_doc: &layout.var_doc,
+        state: &state,
+        use_indexes: options.use_indexes,
+    };
 
     let variables = graph
         .vars
@@ -1662,91 +1666,35 @@ pub(crate) fn explain_with(
 
     let mut joins = Vec::new();
     let mut filters = Vec::new();
-    let mut stack: Vec<&Block> = vec![&graph.block];
-    while let Some(block) = stack.pop() {
+    for block in blocks(graph) {
         for join in &block.joins {
-            match join.ready_at {
-                None => joins.push(PlanJoin {
+            joins.push(match planner.edge(block, join) {
+                Some(edge) => PlanJoin {
+                    probe: ref_label(graph, edge.probe.r),
+                    build: ref_label(graph, edge.build.r),
+                    access: Some(edge.access()),
+                    probe_values: edge.probe.values,
+                    build_values: edge.build.values,
+                },
+                None => PlanJoin {
                     probe: ref_label(graph, join.left),
                     build: ref_label(graph, join.right),
-                    strategy: JoinStrategy::Hash,
-                    index: IndexSource::None,
+                    access: None,
                     probe_values: 0,
                     build_values: 0,
-                    planned: false,
-                }),
-                Some(pos) => {
-                    let (build, probe) = join_sides(graph, block, join, pos);
-                    let build_var = graph.refs[build].var;
-                    let probe_var = graph.refs[probe].var;
-                    let build_doc = docs[var_doc[build_var]].doc;
-                    let probe_doc = docs[var_doc[probe_var]].doc;
-                    let build_occs = state.occ_parent[build_var].len();
-                    let probe_occs = state.occ_parent[probe_var].len();
-                    let build_values = ref_value_count(&state, build, build_occs);
-                    let probe_values = ref_value_count(&state, probe, probe_occs);
-                    let build_persistent =
-                        persistent_vector_of(build_doc, &state, build, build_occs).is_some();
-                    let strategy = choose_strategy(
-                        forced,
-                        options.use_indexes,
-                        build_persistent,
-                        probe_values,
-                        build_values,
-                    );
-                    let index = match strategy {
-                        JoinStrategy::Hash => IndexSource::None,
-                        JoinStrategy::IndexNestedLoop => {
-                            if options.use_indexes && build_persistent {
-                                IndexSource::Persistent
-                            } else {
-                                IndexSource::QuerySort
-                            }
-                        }
-                        JoinStrategy::SortMerge => {
-                            let probe_persistent =
-                                persistent_vector_of(probe_doc, &state, probe, probe_occs)
-                                    .is_some();
-                            if options.use_indexes && build_persistent && probe_persistent {
-                                IndexSource::Persistent
-                            } else {
-                                IndexSource::QuerySort
-                            }
-                        }
-                    };
-                    joins.push(PlanJoin {
-                        probe: ref_label(graph, probe),
-                        build: ref_label(graph, build),
-                        strategy,
-                        index,
-                        probe_values,
-                        build_values,
-                        planned: true,
-                    });
-                }
-            }
+                },
+            });
         }
         for filter in &block.filters {
-            let (test, indexed) = match &filter.test {
-                FilterTest::Exists(r) => (format!("exists({})", ref_label(graph, *r)), false),
-                FilterTest::Eq(r, lit) => {
-                    let var = graph.refs[*r].var;
-                    let doc = docs[var_doc[var]].doc;
-                    let occs = state.occ_parent[var].len();
-                    let indexed = filter.ready_at.is_some()
-                        && options.use_indexes
-                        && persistent_vector_of(doc, &state, *r, occs).is_some();
-                    (format!("{} = {lit:?}", ref_label(graph, *r)), indexed)
+            let test = match &filter.test {
+                FilterTest::Exists(r) => format!("exists({})", ref_label(graph, *r)),
+                FilterTest::Eq(r, lit) => format!("{} = {lit:?}", ref_label(graph, *r)),
+                FilterTest::PathPair(a, b) => {
+                    format!("{} = {}", ref_label(graph, *a), ref_label(graph, *b))
                 }
-                FilterTest::PathPair(a, b) => (
-                    format!("{} = {}", ref_label(graph, *a), ref_label(graph, *b)),
-                    false,
-                ),
             };
+            let indexed = planner.indexed_eq(filter).is_some();
             filters.push(PlanFilter { test, indexed });
-        }
-        if let Output::Document(tpl) = &block.output {
-            push_template_blocks(tpl, &mut stack);
         }
     }
 
@@ -1759,21 +1707,6 @@ pub(crate) fn explain_with(
             Output::Document(_) => "document",
         },
     })
-}
-
-fn push_template_blocks<'g>(tpl: &'g Template, stack: &mut Vec<&'g Block>) {
-    for item in &tpl.content {
-        match item {
-            TplItem::Block(b) => {
-                stack.push(b);
-                if let Output::Document(inner) = &b.output {
-                    push_template_blocks(inner, stack);
-                }
-            }
-            TplItem::Element(e) => push_template_blocks(e, stack),
-            TplItem::Copy(_) => {}
-        }
-    }
 }
 
 impl Eval<'_> {

@@ -5,19 +5,61 @@
 //! outputs compare by serialized XML after reconstructing the engine's
 //! vectorized result.
 
-use vx_core::{reconstruct, vectorize, VecDoc};
-use vx_engine::{
-    naive_eval, EngineError, JoinStrategy, NaiveOutput, Query, QueryOutput, RunOptions,
-};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use vx_core::{reconstruct, vectorize, Compaction, Store, StoreHandle, VecDoc};
+use vx_engine::{naive_eval, EngineError, NaiveOutput, Query, QueryOutput, RunOptions};
 use vx_xml::{parse, write_document, Document, WriteOptions};
 
-/// Every join strategy the planner can pick; the suite forces each in
-/// turn and demands byte-identical output.
-const STRATEGIES: [JoinStrategy; 3] = [
-    JoinStrategy::Hash,
-    JoinStrategy::IndexNestedLoop,
-    JoinStrategy::SortMerge,
-];
+/// Documents saved as stores with `Compaction::Auto` — join-key vectors
+/// of at least 64 records get version-3 sorted runs, which in-memory
+/// documents never have — and reopened as handles. The stores live in a
+/// fresh temporary directory, removed on drop.
+struct Stores {
+    dir: PathBuf,
+    handles: Vec<StoreHandle>,
+}
+
+impl Stores {
+    fn save(docs: &[(&str, &VecDoc)]) -> Stores {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "vx-diff-stores-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handles = docs
+            .iter()
+            .map(|&(name, doc)| {
+                Store::save(&dir.join(name), doc, Compaction::Auto).unwrap();
+                StoreHandle::open(&dir.join(name)).unwrap()
+            })
+            .collect();
+        Stores { dir, handles }
+    }
+
+    /// Runs `query` over the stores with persistent value indexes on and
+    /// off (off sorts every join side at query time) and demands
+    /// `expected` byte-for-byte from both.
+    fn assert_agree(&self, query: &Query, expected: &QueryOutput, src: &str) {
+        for use_indexes in [true, false] {
+            let options = RunOptions {
+                use_indexes,
+                ..RunOptions::default()
+            };
+            let got = query.run_with(&self.handles, &options).expect(src).output;
+            let label = format!("store use_indexes={use_indexes}");
+            assert_outputs_identical(expected, &got, src, &label);
+        }
+    }
+}
+
+impl Drop for Stores {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
 
 fn xml_of(doc: &VecDoc) -> String {
     write_document(&reconstruct(doc).unwrap(), &WriteOptions::compact())
@@ -28,16 +70,16 @@ fn xml_of(doc: &VecDoc) -> String {
 fn assert_outputs_identical(a: &QueryOutput, b: &QueryOutput, src: &str, label: &str) {
     match (a, b) {
         (QueryOutput::Values(x), QueryOutput::Values(y)) => {
-            assert_eq!(x, y, "strategy {label} changed values for {src}");
+            assert_eq!(x, y, "{label} changed values for {src}");
         }
         (QueryOutput::Document(x), QueryOutput::Document(y)) => {
             assert_eq!(
                 xml_of(x),
                 xml_of(y),
-                "strategy {label} changed the document for {src}"
+                "{label} changed the document for {src}"
             );
         }
-        _ => panic!("strategy {label} changed the output shape for {src}"),
+        _ => panic!("{label} changed the output shape for {src}"),
     }
 }
 
@@ -52,6 +94,7 @@ const SHOP: &str = "<shop>\
 
 struct Corpus {
     docs: Vec<(String, Document, VecDoc)>,
+    stores: Stores,
 }
 
 impl Corpus {
@@ -68,7 +111,9 @@ impl Corpus {
             let vec = vectorize(&dom).unwrap();
             docs.push((name, dom, vec));
         }
-        Corpus { docs }
+        let vecs: Vec<(&str, &VecDoc)> = docs.iter().map(|(n, _, v)| (n.as_str(), v)).collect();
+        let stores = Stores::save(&vecs);
+        Corpus { docs, stores }
     }
 
     fn doms(&self) -> Vec<(&str, &Document)> {
@@ -79,10 +124,10 @@ impl Corpus {
         self.docs.iter().map(|(n, _, v)| (n.as_str(), v)).collect()
     }
 
-    /// Runs one query against the oracle under the default plan, then
-    /// re-runs it with every forced join strategy and demands the
-    /// planner's answer byte-for-byte. Returns the engine output for
-    /// additional shape assertions.
+    /// Runs one query in memory against the oracle, then over the saved
+    /// stores with value indexes on and off, demanding the in-memory
+    /// answer byte-for-byte. Returns the engine output for additional
+    /// shape assertions.
     fn check(&self, src: &str) -> QueryOutput {
         let parsed = vx_xquery::parse_query(src).expect(src);
         let expected = naive_eval(&parsed, &self.doms()).expect(src);
@@ -104,14 +149,7 @@ impl Corpus {
             }
             _ => panic!("output shape mismatch for {src}"),
         }
-        for strategy in STRATEGIES {
-            let options = RunOptions {
-                strategy: Some(strategy),
-                ..RunOptions::default()
-            };
-            let forced = query.run_with(&vecs, &options).expect(src).output;
-            assert_outputs_identical(&got, &forced, src, strategy.name());
-        }
+        self.stores.assert_agree(&query, &got, src);
         got
     }
 
@@ -380,6 +418,7 @@ fn workload_queries_agree_with_oracle_and_are_nonempty() {
     }
     let doms: Vec<(&str, &Document)> = docs.iter().map(|(n, d, _)| (*n, d)).collect();
     let vecs: Vec<(&str, &VecDoc)> = docs.iter().map(|(n, _, v)| (*n, v)).collect();
+    let stores = Stores::save(&vecs);
     for spec in vx_data::workload() {
         let parsed = vx_xquery::parse_query(spec.xq).expect(spec.name);
         let expected = naive_eval(&parsed, &doms).expect(spec.name);
@@ -388,14 +427,7 @@ fn workload_queries_agree_with_oracle_and_are_nonempty() {
             .run_with(&vecs, &RunOptions::default())
             .expect(spec.name)
             .output;
-        for strategy in STRATEGIES {
-            let options = RunOptions {
-                strategy: Some(strategy),
-                ..RunOptions::default()
-            };
-            let forced = query.run_with(&vecs, &options).expect(spec.name).output;
-            assert_outputs_identical(&got, &forced, spec.xq, strategy.name());
-        }
+        stores.assert_agree(&query, &got, spec.xq);
         let cardinality = match (&got, &expected) {
             (QueryOutput::Values(g), NaiveOutput::Values(e)) => {
                 assert_eq!(g, e, "value mismatch for {}", spec.name);
@@ -483,29 +515,22 @@ fn unknown_documents_are_reported() {
 /// The persistent-index path: save the corpora with `Compaction::Auto`
 /// (join-key vectors get version-3 value indexes), reopen as handles,
 /// and demand that SQ3's self-join and the XMark id-reference join give
-/// the same bytes as the in-memory run — under the default plan, every
-/// forced strategy, and with indexes disabled outright.
+/// the same bytes as the in-memory run, with indexes on and off, and
+/// that explain reports the persistent runs the indexed run reads.
 #[test]
-fn store_backed_joins_agree_across_strategies() {
-    use vx_core::{Compaction, Store, StoreHandle};
-
-    let ss = vectorize(&vx_data::skyserver(3, 80)).unwrap();
+fn store_backed_joins_agree_with_and_without_indexes() {
+    // 200 rows: more distinct `objID`s than a dictionary vector holds,
+    // so the key vector is saved with a version-3 sorted run.
+    let ss = vectorize(&vx_data::skyserver(3, 200)).unwrap();
     let xk = vectorize(&vx_data::xmark(11, 48)).unwrap();
-    let base = std::env::temp_dir().join(format!("vx-diff-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    for (name, doc) in [("ss", &ss), ("xk", &xk)] {
-        Store::save(&base.join(name), doc, Compaction::Auto).unwrap();
-    }
-    let handles = vec![
-        StoreHandle::open(&base.join("ss")).unwrap(),
-        StoreHandle::open(&base.join("xk")).unwrap(),
-    ];
     let vecs: Vec<(&str, &VecDoc)> = vec![("ss", &ss), ("xk", &xk)];
+    let stores = Stores::save(&vecs);
+    let sq3 = r#"for $a in doc("ss")//PhotoObj, $b in doc("ss")//PhotoObj
+           where $a/objID = $b/objID
+           return $b/ra"#;
     for src in [
         // SQ3's shape: the large×large self-join behind the Table 3 cliff.
-        r#"for $a in doc("ss")//PhotoObj, $b in doc("ss")//PhotoObj
-           where $a/objID = $b/objID
-           return $b/ra"#,
+        sq3,
         // XMark id-reference join with a literal filter on the build side.
         r#"for $p in doc("xk")/site/people/person,
                $o in doc("xk")/site/open_auctions/open_auction
@@ -521,27 +546,23 @@ fn store_backed_joins_agree_across_strategies() {
             .run_with(&vecs, &RunOptions::default())
             .expect(src)
             .output;
-        let over_store = query
-            .run_with(&handles, &RunOptions::default())
-            .expect(src)
-            .output;
-        assert_outputs_identical(&expected, &over_store, src, "default-plan");
-        for strategy in STRATEGIES {
-            let options = RunOptions {
-                strategy: Some(strategy),
-                ..RunOptions::default()
-            };
-            let forced = query.run_with(&handles, &options).expect(src).output;
-            assert_outputs_identical(&expected, &forced, src, strategy.name());
-        }
-        let no_index = RunOptions {
-            use_indexes: false,
+        stores.assert_agree(&query, &expected, src);
+    }
+    let query = Query::new(sq3).unwrap();
+    for (use_indexes, access) in [(true, "persistent-index"), (false, "query-sort")] {
+        let options = RunOptions {
+            use_indexes,
             ..RunOptions::default()
         };
-        let plain = query.run_with(&handles, &no_index).expect(src).output;
-        assert_outputs_identical(&expected, &plain, src, "indexes-off");
+        let plan = query.explain_with(&stores.handles, &options).unwrap();
+        let rendered = plan.render();
+        assert!(
+            rendered.contains(&format!("access={access} ")),
+            "use_indexes={use_indexes}: {rendered}"
+        );
     }
-    let _ = std::fs::remove_dir_all(&base);
+    let in_memory = query.explain(&vecs).unwrap().render();
+    assert!(in_memory.contains("access=query-sort "), "{in_memory}");
 }
 
 /// TQ3's shape: a value join whose `$b/NP/NN` reference spans several
@@ -560,38 +581,32 @@ const MQ2_SHAPED: &str = r#"for $a in doc("ml")//MedlineCitation,
 /// The join shapes that used to scan every build occurrence per probe:
 /// TQ3's multi-vector reference and MQ2's `Year` key, which has no
 /// sorted run (in memory there are none; in a store the vector is
-/// dictionary-coded). Under every strategy, in memory and over a store,
-/// each must give the oracle's answer, and `bind` may examine at most
+/// dictionary-coded). In memory and over a store with value indexes on
+/// and off, each must give the oracle's answer, and `bind` may examine at most
 /// two candidates per probe occurrence and emitted tuple
 /// (`enum.candidates`) — a count guard a per-probe scan cannot pass.
 #[test]
 fn multi_vector_and_unsorted_key_joins_stay_linear() {
-    use vx_core::{Compaction, Store, StoreHandle};
-
     let c = Corpus::new();
-    let base = std::env::temp_dir().join(format!("vx-diff-linear-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let mut handles = Vec::new();
-    for (name, _, doc) in c.docs.iter().filter(|(n, _, _)| n == "tb" || n == "ml") {
-        Store::save(&base.join(name), doc, Compaction::Auto).unwrap();
-        handles.push(StoreHandle::open(&base.join(name)).unwrap());
-    }
     let vecs = c.vecs();
     for src in [TQ3_SHAPED, MQ2_SHAPED] {
         let expected = c.values(src);
         assert!(!expected.is_empty(), "degenerate corpus for {src}");
         let query = Query::new(src).expect(src);
-        for strategy in STRATEGIES {
+        for use_indexes in [true, false] {
             let options = RunOptions {
-                strategy: Some(strategy),
+                use_indexes,
                 profile: true,
                 ..RunOptions::default()
             };
             for (target, outcome) in [
                 ("memory", query.run_with(&vecs, &options).expect(src)),
-                ("store", query.run_with(&handles, &options).expect(src)),
+                (
+                    "store",
+                    query.run_with(&c.stores.handles, &options).expect(src),
+                ),
             ] {
-                let label = format!("{} over {target}", strategy.name());
+                let label = format!("use_indexes={use_indexes} over {target}");
                 assert_eq!(outcome.output.strings(), expected, "{label}: {src}");
                 let profile = outcome.profile.expect("profile requested");
                 let probes = profile
@@ -609,21 +624,55 @@ fn multi_vector_and_unsorted_key_joins_stay_linear() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Child half of `vx_plan_env_is_honored`: runs only when re-executed
-/// with `VX_PLAN` set, and routes SQ3-, XMark-, TQ3- and MQ2-shaped
-/// joins through `check` so the env-forced default plan is held to the
-/// oracle and to every explicitly forced strategy.
+/// Nested occurrences share vector positions: under `//S` with `S`
+/// inside `S`, `$a//NN` reaches the inner `S`'s values from the outer
+/// one too. The key vector has 200 distinct values, so the store saves
+/// it with a version-3 sorted run, and both the join over persistent
+/// runs and the indexed point lookup must credit every occurrence.
 #[test]
-#[ignore = "child process of vx_plan_env_is_honored; needs VX_PLAN set"]
-fn vx_plan_child() {
-    let plan = std::env::var("VX_PLAN").expect("run via vx_plan_env_is_honored");
-    assert!(
-        JoinStrategy::parse(&plan).is_some(),
-        "parent must set a valid VX_PLAN, got {plan:?}"
-    );
+fn nested_occurrences_sharing_values_agree_over_stores() {
+    let mut xml = String::from("<r>");
+    for i in 0..200 {
+        xml.push_str(&format!("<S><S><NN>v{i:03}</NN></S></S>"));
+    }
+    xml.push_str("</r>");
+    let dom = parse(&xml).unwrap();
+    let vec = vectorize(&dom).unwrap();
+    let stores = Stores::save(&[("d", &vec)]);
+    for src in [
+        r#"for $a in doc("d")//S, $b in doc("d")//S where $a//NN = $b//NN return $b//NN"#,
+        r#"for $a in doc("d")//S where $a//NN = "v007" return $a//NN"#,
+    ] {
+        let parsed = vx_xquery::parse_query(src).expect(src);
+        let NaiveOutput::Values(expected) = naive_eval(&parsed, &[("d", &dom)]).expect(src) else {
+            panic!("values expected for {src}");
+        };
+        let query = Query::new(src).expect(src);
+        let got = query
+            .run_with(&vec, &RunOptions::default())
+            .expect(src)
+            .output;
+        assert_outputs_identical(&QueryOutput::Values(expected), &got, src, "in memory");
+        stores.assert_agree(&query, &got, src);
+    }
+    let plan = Query::new(
+        r#"for $a in doc("d")//S, $b in doc("d")//S where $a//NN = $b//NN return $b//NN"#,
+    )
+    .unwrap()
+    .explain(&stores.handles)
+    .unwrap()
+    .render();
+    assert!(plan.contains("access=persistent-index "), "{plan}");
+}
+
+/// The four join shapes behind the workload's planned edges — SQ3's
+/// self-join, XMark's id reference, TQ3's multi-vector key and MQ2's
+/// low-cardinality key — each held to the oracle in memory and over
+/// stores with value indexes on and off.
+#[test]
+fn workload_join_shapes_agree_in_memory_and_over_stores() {
     let c = Corpus::new();
     c.check(
         r#"for $a in doc("sky")//PhotoObj, $b in doc("sky")//PhotoObj
@@ -638,27 +687,6 @@ fn vx_plan_child() {
     );
     c.check(TQ3_SHAPED);
     c.check(MQ2_SHAPED);
-}
-
-/// `VX_PLAN=hash|inl|merge` forces the strategy process-wide; each value
-/// must leave the differential answers untouched. Runs the child test in
-/// a subprocess because environment variables are process-global.
-#[test]
-fn vx_plan_env_is_honored() {
-    let exe = std::env::current_exe().unwrap();
-    for plan in ["hash", "inl", "merge"] {
-        let out = std::process::Command::new(&exe)
-            .args(["--exact", "vx_plan_child", "--ignored"])
-            .env("VX_PLAN", plan)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "VX_PLAN={plan} child failed\nstdout:\n{}\nstderr:\n{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
 }
 
 #[test]

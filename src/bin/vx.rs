@@ -4,7 +4,7 @@
 //! vx ingest <xml-file> <store-dir> [--auto] [--dom] [--drop-misc] [--frames N]
 //! vx stats <store-dir>
 //! vx query <store-dir> <xquery> [--out values|xml]
-//! vx explain <store-dir> <xquery> [--plan hash|inl|merge] [--no-indexes]
+//! vx explain <store-dir> <xquery> [--no-indexes]
 //! vx reconstruct <store-dir> [--out <file>]
 //! vx serve <store-dir>... [--addr HOST:PORT] [--threads N]
 //! ```
@@ -18,12 +18,12 @@
 //! reduces it against the store's `VEC(T)`; `reconstruct` regenerates
 //! the original document text (byte-identical to the compact writer's
 //! serialization of the ingested XML). `explain` renders the planner's
-//! decisions — exact cardinalities, the join strategy per equality edge,
-//! and which literal filters resolve through the store's persistent
-//! value indexes — without enumerating a single tuple. `serve` opens
-//! each store once
-//! into a shared [`xmlvec::core::StoreHandle`] and answers HTTP/1.1 +
-//! JSON queries from a worker-thread pool (see `xmlvec::serve`).
+//! decisions — exact cardinalities, where each equality edge's sorted
+//! runs come from, and which literal filters resolve through the store's
+//! persistent value indexes — without enumerating a single tuple.
+//! `serve` opens each store once into a shared
+//! [`xmlvec::core::StoreHandle`] and answers HTTP/1.1 + JSON queries
+//! from a worker-thread pool (see `xmlvec::serve`).
 //!
 //! Exit codes are part of the interface and pinned by `tests/cli.rs`:
 //! `0` success, `1` operational failure (missing or damaged store, query
@@ -43,7 +43,7 @@ const USAGE: &str = "usage:
   vx compact <store-dir> [--auto]
   vx stats <store-dir> [--metrics]
   vx query <store-dir> <xquery> [--out values|xml] [--profile | --profile-json]
-  vx explain <store-dir> <xquery> [--plan hash|inl|merge] [--no-indexes]
+  vx explain <store-dir> <xquery> [--no-indexes]
   vx reconstruct <store-dir> [--out <file>]
   vx serve <store-dir>... [--addr HOST:PORT] [--threads N] [--slow-ms N]
 
@@ -76,7 +76,6 @@ query options:
   --profile-json same, as a JSON object
 
 explain options:
-  --plan S       force one join strategy for every edge (hash, inl, merge)
   --no-indexes   plan as if the store had no persistent value indexes
 
 reconstruct options:
@@ -643,27 +642,12 @@ fn query(args: &[String]) {
 fn explain(args: &[String]) {
     let mut positional: Vec<&String> = Vec::new();
     let mut options = xmlvec::engine::RunOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--plan" => {
-                i += 1;
-                let value = args
-                    .get(i)
-                    .unwrap_or_else(|| fail_usage("explain: --plan needs a value"));
-                options.strategy = Some(xmlvec::engine::JoinStrategy::parse(value).unwrap_or_else(
-                    || {
-                        fail_usage(format!(
-                            "explain: --plan must be `hash`, `inl`, or `merge`, got `{value}`"
-                        ))
-                    },
-                ));
-            }
+    for arg in args {
+        match arg.as_str() {
             "--no-indexes" => options.use_indexes = false,
             flag if flag.starts_with('-') => fail_usage(format!("explain: unknown flag `{flag}`")),
-            _ => positional.push(&args[i]),
+            _ => positional.push(arg),
         }
-        i += 1;
     }
     let [dir, xq] = positional[..] else {
         fail_usage("explain: expected <store-dir> <xquery>");

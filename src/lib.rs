@@ -56,7 +56,7 @@ pub use vx_wal as wal;
 pub use vx_xml as xml;
 pub use vx_xquery as xquery;
 
-pub use vx_engine::{JoinStrategy, Plan, Query, QueryOutput, RunOptions, RunOutcome};
+pub use vx_engine::{Plan, Query, QueryOutput, RunOptions, RunOutcome};
 
 use std::fmt;
 

@@ -39,7 +39,7 @@
 //! **Slow-query flight recorder.** Requests slower than `VX_SLOW_MS`
 //! milliseconds (default 100, overridable per server via
 //! [`ServeOptions`]) are captured into a fixed-size [`vx_obs::Ring`]:
-//! full profile, rendered plan, chosen join strategies, and trace id.
+//! full profile, rendered plan (each join edge's access), and trace id.
 //! `GET /debug/slow` exposes the ring; a graceful shutdown dumps it to
 //! stderr so a post-mortem still sees the tail. Capturing the plan
 //! re-runs collection (enumeration never starts), a deliberate trade:
@@ -228,10 +228,6 @@ struct AppState {
     connections: AtomicU64,
     /// Requests currently inside `handle`.
     inflight: AtomicU64,
-    /// Requests refused by admission control. Always 0 today — the
-    /// gauge/counter pair exists so the upcoming backpressure work lands
-    /// into an already-scraped metric.
-    rejected: AtomicU64,
     /// Process totals of every per-request engine profile: the sum over
     /// requests of their deterministic counter deltas.
     engine_totals: Mutex<Counters>,
@@ -331,7 +327,6 @@ impl Server {
                 reloads: AtomicU64::new(0),
                 connections: AtomicU64::new(0),
                 inflight: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
                 engine_totals: Mutex::new(Counters::new()),
                 slow_log: Ring::new(options.slow_log_capacity),
                 slow_ms: options.slow_ms,
@@ -943,10 +938,11 @@ fn handle_query(request: &Request, state: &Arc<AppState>, trace: TraceId) -> Rep
 }
 
 /// Captures one slow request into the flight recorder: profile, rendered
-/// plan, join strategies, trace id. The plan is reconstructed with
-/// `explain` (collection re-runs; enumeration never starts) — acceptable
-/// for requests that already crossed the slow threshold, and the only
-/// way to attach a plan without paying for it on every fast request.
+/// plan (with each join edge's access), trace id. The plan is
+/// reconstructed with `explain` (collection re-runs; enumeration never
+/// starts) — acceptable for requests that already crossed the slow
+/// threshold, and the only way to attach a plan without paying for it on
+/// every fast request.
 #[allow(clippy::too_many_arguments)]
 fn record_slow_query(
     state: &AppState,
@@ -958,16 +954,9 @@ fn record_slow_query(
     trace: TraceId,
     elapsed_secs: f64,
 ) {
-    let (plan_text, strategies) = match query.explain(targets) {
-        Ok(plan) => {
-            let strategies: Vec<Json> = plan
-                .joins
-                .iter()
-                .map(|j| Json::Str(j.strategy.name().to_string()))
-                .collect();
-            (Json::Str(plan.render()), Json::Array(strategies))
-        }
-        Err(_) => (Json::Null, Json::Array(Vec::new())),
+    let plan_text = match query.explain(targets) {
+        Ok(plan) => Json::Str(plan.render()),
+        Err(_) => Json::Null,
     };
     let entry = Json::Object(vec![
         ("trace".into(), Json::Str(trace.to_string())),
@@ -975,7 +964,6 @@ fn record_slow_query(
         ("query".into(), Json::Str(query_text.to_string())),
         ("elapsed_ms".into(), Json::Num(elapsed_secs * 1e3)),
         ("plan".into(), plan_text),
-        ("strategies".into(), strategies),
         ("profile".into(), crate::bench::profile_json(profile)),
     ]);
     state.slow_log.push(entry);
@@ -1071,10 +1059,6 @@ fn stats_json(state: &AppState) -> String {
             Json::Num(state.inflight.load(Ordering::Relaxed) as f64),
         ),
         ("queue_depth".into(), Json::Num(queue_depth(state) as f64)),
-        (
-            "rejected".into(),
-            Json::Num(state.rejected.load(Ordering::Relaxed) as f64),
-        ),
         (
             "endpoints".into(),
             Json::Object(vec![
@@ -1174,12 +1158,6 @@ fn metrics_text(state: &AppState) -> String {
         "HTTP requests answered with status >= 400.",
         &[],
         state.errors.load(Ordering::Relaxed),
-    );
-    reg.counter(
-        "vx_serve_rejected_total",
-        "Requests refused by admission control (reserved; always 0 until backpressure lands).",
-        &[],
-        state.rejected.load(Ordering::Relaxed),
     );
     reg.counter(
         "vx_serve_reloads_total",

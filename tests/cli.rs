@@ -212,11 +212,11 @@ fn query_matches_in_process_engine() {
     );
 }
 
-/// `vx explain` output is a stable, golden-checked surface: the planner
-/// must pick sort-merge over the persistent value index for the
-/// SQ3-shaped self-join, honor `--plan` forcing, fall back to the hash
-/// strategy under `--no-indexes`, and route selective literal filters
-/// through the value index. Byte-exact so downstream tooling can parse it.
+/// `vx explain` output is a stable, golden-checked surface: the
+/// SQ3-shaped self-join must read both sides' persistent value indexes,
+/// sort at query time under `--no-indexes`, and selective literal
+/// filters must route through the value index. Byte-exact so downstream
+/// tooling can parse it.
 #[test]
 fn explain_golden_plan_is_stable() {
     let scratch = Scratch::new("explain");
@@ -242,13 +242,13 @@ fn explain_golden_plan_is_stable() {
     let store_arg = store.to_str().unwrap();
 
     let sq3 = r#"for $a in doc("sky-store")//PhotoObj, $b in doc("sky-store")//PhotoObj where $a/objID = $b/objID return $b/ra"#;
-    let join_plan = |strategy: &str, access: &str| {
+    let join_plan = |access: &str| {
         format!(
             "variables:\n  \
                $a := doc(\"sky-store\")//PhotoObj  occurrences=200 match=summary\n  \
                $b := doc(\"sky-store\")//PhotoObj  occurrences=200 match=summary\n\
              joins:\n  \
-               $a/objID = $b/objID  strategy={strategy} access={access} probe_values=200 build_values=200\n\
+               $a/objID = $b/objID  access={access} probe_values=200 build_values=200\n\
              output: values\n"
         )
     };
@@ -256,15 +256,11 @@ fn explain_golden_plan_is_stable() {
     for (args, expected) in [
         (
             vec!["explain", store_arg, sq3],
-            join_plan("merge", "persistent-index"),
-        ),
-        (
-            vec!["explain", store_arg, sq3, "--plan", "inl"],
-            join_plan("inl", "persistent-index"),
+            join_plan("persistent-index"),
         ),
         (
             vec!["explain", store_arg, sq3, "--no-indexes"],
-            join_plan("hash", "none"),
+            join_plan("query-sort"),
         ),
         (
             vec![
@@ -282,6 +278,29 @@ fn explain_golden_plan_is_stable() {
         assert_code(&out, 0, &format!("{args:?}"));
         assert_eq!(stdout(&out), expected, "plan drifted for {args:?}");
     }
+}
+
+/// A join and a filter inside a block nested two constructors deep are
+/// each one planned decision, so `vx explain` lists each exactly once.
+#[test]
+fn explain_lists_each_nested_edge_once() {
+    let scratch = Scratch::new("explain-nested");
+    let (_, store) = ingest(&scratch, "ml", &xmlvec::data::medline(3, 20), &[]);
+    let query = r#"for $c in doc("ml")//MedlineCitation return <r>{$c/PMID}<as>{for $a in $c//Author return <a>{for $b in doc("ml")//MedlineCitation where $b/PMID = $c/PMID and $b/Language = "FRE" return $b/PMID}</a>}</as></r>"#;
+    let out = run(&["explain", store.to_str().unwrap(), query]);
+    assert_code(&out, 0, "explain nested");
+    assert_eq!(
+        stdout(&out),
+        "variables:\n  \
+           $c := doc(\"ml\")//MedlineCitation  occurrences=20 match=summary\n  \
+           $a := $c//Author  occurrences=50 match=summary\n  \
+           $b := doc(\"ml\")//MedlineCitation  occurrences=20 match=summary\n\
+         joins:\n  \
+           $c/PMID = $b/PMID  access=query-sort probe_values=20 build_values=20\n\
+         filters:\n  \
+           $b/Language = \"FRE\"  access=scan\n\
+         output: document\n"
+    );
 }
 
 /// Missing stores are operational failures: exit 1, a `vx:` message on
@@ -351,17 +370,17 @@ fn damaged_store_is_refused_whole() {
 #[test]
 fn bad_arguments_exit_2_with_usage() {
     let cases: Vec<Vec<&str>> = vec![
-        vec![],                                        // no command
-        vec!["frobnicate"],                            // unknown command
-        vec!["ingest", "only-one-arg"],                // missing operand
-        vec!["stats"],                                 // missing operand
-        vec!["stats", "a", "--wat"],                   // unknown flag
-        vec!["query", "store-only"],                   // missing query
-        vec!["query", "s", "q", "--out", "csv"],       // bad --out mode
-        vec!["explain", "store-only"],                 // missing query
-        vec!["explain", "s", "q", "--plan", "zigzag"], // unknown strategy
-        vec!["reconstruct"],                           // missing operand
-        vec!["reconstruct", "s", "--out"],             // --out without value
+        vec![],                                       // no command
+        vec!["frobnicate"],                           // unknown command
+        vec!["ingest", "only-one-arg"],               // missing operand
+        vec!["stats"],                                // missing operand
+        vec!["stats", "a", "--wat"],                  // unknown flag
+        vec!["query", "store-only"],                  // missing query
+        vec!["query", "s", "q", "--out", "csv"],      // bad --out mode
+        vec!["explain", "store-only"],                // missing query
+        vec!["explain", "s", "q", "--plan", "merge"], // unknown flag
+        vec!["reconstruct"],                          // missing operand
+        vec!["reconstruct", "s", "--out"],            // --out without value
     ];
     for args in cases {
         let out = run(&args);

@@ -1,6 +1,10 @@
 //! Randomized differential fuzzer: seeded query generation driven by
 //! each store's *actual* path summary, checked against the DOM oracle
-//! under every join strategy × structural-index mode.
+//! over two targets — the in-memory documents, and the same documents
+//! saved as stores with `Compaction::Auto` and reopened as handles with
+//! value indexes on and off — × structural-index mode. The store target
+//! is what exercises the persistent sorted-run join path: in-memory
+//! documents have no runs, so their joins always sort at query time.
 //!
 //! Every generated query is valid XQ[*,//] by construction — steps are
 //! derived from real root-to-text tag paths reported by the path
@@ -20,18 +24,12 @@
 //! full query text — replaying is `VX_FUZZ_SEED=<seed> cargo test -q
 //! --test fuzz_queries`.
 
-use xmlvec::core::{reconstruct, vectorize, VecDoc};
+use xmlvec::core::{reconstruct, vectorize, Compaction, Store, StoreHandle, VecDoc};
 use xmlvec::data::Rng;
 use xmlvec::engine::{naive_eval, NaiveOutput};
 use xmlvec::skeleton::PathIndex;
 use xmlvec::xml::{write_document, Document, WriteOptions};
-use xmlvec::{JoinStrategy, Query, QueryOutput, RunOptions};
-
-const STRATEGIES: [JoinStrategy; 3] = [
-    JoinStrategy::Hash,
-    JoinStrategy::IndexNestedLoop,
-    JoinStrategy::SortMerge,
-];
+use xmlvec::{Query, QueryOutput, RunOptions};
 
 struct FuzzDoc {
     name: &'static str,
@@ -230,12 +228,27 @@ fn generated_queries_agree_with_the_oracle_under_every_mode() {
     let cases = env_u64("VX_FUZZ_CASES", 200);
     let docs = vec![
         FuzzDoc::new("ml", xmlvec::data::medline(11, 24)),
-        FuzzDoc::new("sky", xmlvec::data::skyserver(23, 30)),
+        // 160 rows: more distinct `objID`/`ra` values than a dictionary
+        // vector holds, so the store target saves them with version-3
+        // sorted runs and their joins take the persistent-index path.
+        FuzzDoc::new("sky", xmlvec::data::skyserver(23, 160)),
         FuzzDoc::new("xk", xmlvec::data::xmark(7, 16)),
         FuzzDoc::new("tb", xmlvec::data::treebank(5, 24)),
     ];
     let doms: Vec<(&str, &Document)> = docs.iter().map(|d| (d.name, &d.dom)).collect();
     let vecs: Vec<(&str, &VecDoc)> = docs.iter().map(|d| (d.name, &d.vec)).collect();
+    let store_dir = std::env::temp_dir().join(format!("vx-fuzz-stores-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let handles: Vec<StoreHandle> = docs
+        .iter()
+        .map(|d| {
+            let dir = store_dir.join(d.name);
+            Store::save(&dir, &d.vec, Compaction::Auto).expect(d.name);
+            StoreHandle::open(&dir).expect(d.name)
+        })
+        .collect();
+    // Joins whose indexed store plan reads persistent runs on both sides.
+    let mut persistent_joins = 0;
 
     let mut rng = Rng::new(seed);
     for primary in 0..docs.len() {
@@ -250,24 +263,38 @@ fn generated_queries_agree_with_the_oracle_under_every_mode() {
             let expected =
                 naive_eval(&parsed, &doms).unwrap_or_else(|e| panic!("oracle failed: {e} [{tag}]"));
             let query = Query::new(&src).unwrap_or_else(|e| panic!("compile failed: {e} [{tag}]"));
-            for strategy in STRATEGIES {
-                for struct_index in [true, false] {
+            for struct_index in [true, false] {
+                for (target, use_indexes) in [("memory", true), ("store", true), ("store", false)] {
                     let options = RunOptions {
-                        strategy: Some(strategy),
+                        use_indexes,
                         struct_index: Some(struct_index),
                         ..RunOptions::default()
                     };
                     let label = format!(
-                        "{tag} strategy={} struct_index={struct_index}",
-                        strategy.name()
+                        "{tag} target={target} use_indexes={use_indexes} struct_index={struct_index}"
                     );
-                    let got = query
-                        .run_with(&vecs, &options)
+                    let outcome = if target == "memory" {
+                        query.run_with(&vecs, &options)
+                    } else {
+                        query.run_with(&handles, &options)
+                    };
+                    let got = outcome
                         .unwrap_or_else(|e| panic!("engine failed: {e} [{label}]"))
                         .output;
                     assert_matches_oracle(&got, &expected, &label);
                 }
             }
+            let plan = query
+                .explain(&handles)
+                .unwrap_or_else(|e| panic!("explain failed: {e} [{tag}]"));
+            if plan.render().contains("access=persistent-index") {
+                persistent_joins += 1;
+            }
         }
     }
+    let _ = std::fs::remove_dir_all(&store_dir);
+    assert!(
+        persistent_joins > 0,
+        "seed={seed}: no generated join read persistent sorted runs"
+    );
 }

@@ -499,7 +499,8 @@ fn concurrent_traces_are_distinct_and_counters_sum_to_totals() {
 
 /// The slow-query flight recorder: with the threshold at 0 every query
 /// is "slow", so `/debug/slow` must show the query with its rendered
-/// plan, join strategies, profile, and the same trace id the client saw.
+/// plan (each join edge's access), profile, and the same trace id the
+/// client saw.
 #[test]
 fn slow_queries_enter_the_flight_recorder_with_plan_and_profile() {
     let dir = temp_store("slowlog");
@@ -537,10 +538,8 @@ fn slow_queries_enter_the_flight_recorder_with_plan_and_profile() {
         !counter_map(profile.get("counters").expect("counters")).is_empty(),
         "profile counters present"
     );
-    let strategies = entry.get("strategies").and_then(Json::as_array).unwrap();
-    // The single-variable projection has no join edge; the field must
-    // still be present (empty) so dashboards can rely on the shape.
-    assert!(strategies.is_empty(), "no joins in {QUERY}");
+    // The single-variable projection has no join edge.
+    assert!(!plan.contains("joins:"), "no joins in {QUERY}: {plan}");
 
     // Ring bound: run more queries than the capacity holds, confirm the
     // recorder keeps the most recent `capacity` and counts the rest.
@@ -561,7 +560,7 @@ fn slow_queries_enter_the_flight_recorder_with_plan_and_profile() {
     );
     assert_eq!(parsed.get("recorded").and_then(Json::as_u64), Some(13));
 
-    // A join query records its chosen strategies.
+    // A join query records its edge with the access the executor used.
     let join = r#"for $a in doc("xk")/site/people/person,
                       $b in doc("xk")/site/people/person
                   where $a/@id = $b/@id
@@ -573,11 +572,17 @@ fn slow_queries_enter_the_flight_recorder_with_plan_and_profile() {
     let parsed = json::parse(&slow).unwrap();
     let entries = parsed.get("entries").and_then(Json::as_array).unwrap();
     let last = entries.last().expect("join entry recorded");
-    let strategies = last.get("strategies").and_then(Json::as_array).unwrap();
-    assert_eq!(strategies.len(), 1, "one join edge: {slow}");
+    let plan = last.get("plan").and_then(Json::as_str).expect("plan text");
+    let edges: Vec<&str> = plan
+        .lines()
+        .filter(|l| l.starts_with("  $a/@id = $b/@id  access="))
+        .collect();
+    assert_eq!(edges.len(), 1, "one join edge: {plan}");
     assert!(
-        ["hash", "inl", "merge"].contains(&strategies[0].as_str().expect("strategy name")),
-        "strategy is one of the planner's: {slow}"
+        ["access=persistent-index ", "access=query-sort "]
+            .iter()
+            .any(|access| edges[0].contains(access)),
+        "edge renders a planner access: {plan}"
     );
 
     shutdown(addr, worker);
