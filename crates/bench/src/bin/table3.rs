@@ -11,9 +11,8 @@
 //! the repetitions per query. Every repetition re-opens the store from
 //! disk, so no decoded skeleton or vector state survives between runs —
 //! "process-cold". Only the VX engine is timed: the paper's four
-//! comparison systems exist here as interface stubs (`vx-baselines`),
-//! so the comparative rows of the paper's table are out of scope until
-//! those stand-ins are rebuilt (see ROADMAP.md).
+//! comparison systems are not built here, so the comparative rows of
+//! the paper's table are out of scope (see ROADMAP.md).
 
 use std::path::PathBuf;
 use std::process::exit;

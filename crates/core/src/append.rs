@@ -6,16 +6,19 @@
 //! those files; instead:
 //!
 //! * [`Store::append_stream`] / [`Store::append_batch`] validate each
-//!   appended document (well-formed XML, root tag equal to the store's
-//!   root, no root attributes, representable content) and journal its
+//!   appended document (well-formed UTF-8 XML, root tag equal to the
+//!   store's root, no root attributes, representable content — checked
+//!   by the same splice replay runs) and journal its
 //!   raw bytes to the checksummed WAL (`wal/seg-*.wal`, see `vx-wal`),
 //!   group-committed with one `fdatasync`.
-//! * [`Store::open`] replays the WAL tail: every record newer than the
-//!   manifest's `wal_applied` is parsed and its root's children are
-//!   spliced after the base document's, then the combined document is
-//!   re-vectorized — the **log-backed overlay**. New tag paths appearing
-//!   only in appended documents extend the catalog and (through
-//!   `StoreHandle`) the `PathIndex` in place.
+//! * [`Store::open`] replays the WAL tail: the base document's root is
+//!   reopened in the vectorizer ([`vx_ingest::Pipeline::resume`]) and
+//!   the events of every record newer than the manifest's `wal_applied`
+//!   are fed under it, so the appended root children are consed into
+//!   the base DAG after the existing ones — the **log-backed overlay**,
+//!   built in time proportional to the appended documents. New tag
+//!   paths appearing only in appended documents extend the catalog and
+//!   (through `StoreHandle`) the `PathIndex` in place.
 //! * [`Store::compact`] folds the overlay into a fresh
 //!   `gen-NNNN/` directory holding a complete, self-contained store —
 //!   byte-identical to a from-scratch ingest of the combined document —
@@ -34,14 +37,15 @@
 use crate::json::{self, Json};
 use crate::store::{Catalog, CatalogEntry, Compaction, Store};
 use crate::vecdoc::VecDoc;
-use crate::vectorize::{vectorize_with, VectorizeOptions};
 use crate::{CoreError, Result};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
+use vx_ingest::{Pipeline, PipelineOptions};
 use vx_skeleton::format as skformat;
 use vx_wal::{Record, SyncMode, Wal, FLAG_DROP_UNREPRESENTABLE, KIND_APPEND_DOC};
+use vx_xml::{Event, Events};
 
 /// Name of the generation manifest file.
 pub const CURRENT_FILE: &str = "CURRENT";
@@ -191,7 +195,7 @@ pub struct OpenReport {
     pub cleaned: Vec<String>,
     /// The persisted structural self-index (`index.vxpi`), when present,
     /// valid for [`OpenReport::doc`]'s skeleton, and no WAL overlay was
-    /// merged (replay builds a fresh arena the persisted ids cannot
+    /// merged (replay conses a new root the persisted index does not
     /// describe). `None` means "rebuild from the skeleton".
     pub structural: Option<vx_skeleton::StructIndex>,
 }
@@ -286,7 +290,7 @@ impl Store {
             (doc, catalog, structural)
         } else {
             status.applied_seq = pending.iter().map(|r| r.seq).max().unwrap_or(0);
-            let merged = merge_pending(&doc, &pending)?;
+            let merged = merge_pending(doc, &pending)?;
             let catalog = overlay_catalog(&base_catalog, &merged);
             if vx_obs::log_enabled() {
                 vx_obs::event(
@@ -301,9 +305,8 @@ impl Store {
                     ],
                 );
             }
-            // Replay re-vectorizes into a fresh arena whose node ids
-            // have nothing to do with the base generation's — the
-            // persisted index is stale for the merged document.
+            // Replay conses a new root (and new nodes) into the base
+            // arena; the persisted index describes the base root only.
             (merged, catalog, None)
         };
 
@@ -348,29 +351,13 @@ impl Store {
             return Err(CoreError::Unsupported("append of zero documents".into()));
         }
         let layout = resolve_layout(dir)?;
-        let base = layout.base();
-        let root_name = store_root_name(&base)?;
-        let vectorize_options = VectorizeOptions {
-            drop_unrepresentable: options.drop_unrepresentable,
-        };
+        let root_name = store_root_name(&layout.base())?;
+        // The splice replay will run, over an empty root instead of the
+        // base: a journaled record can never fail replay.
+        let mut check = Pipeline::new(VecDoc::default(), PipelineOptions::default());
+        check.start(&root_name)?;
         for bytes in docs {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| CoreError::Unsupported("appended document is not UTF-8".into()))?;
-            let parsed = vx_xml::parse(text)?;
-            if parsed.root.name != root_name {
-                return Err(CoreError::Unsupported(format!(
-                    "appended document root `{}` does not match store root `{root_name}`",
-                    parsed.root.name
-                )));
-            }
-            if !parsed.root.attributes.is_empty() {
-                return Err(CoreError::Unsupported(
-                    "appended document root must not carry attributes".into(),
-                ));
-            }
-            // Full vectorization validates representability (comments,
-            // PIs) with exactly the replay-time options.
-            vectorize_with(&parsed, &vectorize_options)?;
+            splice(&mut check, &root_name, bytes, options.drop_unrepresentable)?;
         }
 
         let sync = options.sync.unwrap_or_else(SyncMode::from_env);
@@ -509,42 +496,84 @@ fn store_root_name(base: &Path) -> Result<String> {
     }
     let bytes = fs::read(base.join("skeleton.vxsk"))?;
     let (skeleton, root) = skformat::read(&bytes)?;
-    let name_id = skeleton
-        .node(root)
-        .name
-        .ok_or_else(|| CoreError::Corrupt("store root is a text node".into()))?;
-    Ok(skeleton.name(name_id).to_string())
+    root_tag(&skeleton, Some(root))
 }
 
-/// Splices the pending appended documents after the base document's
-/// root children and re-vectorizes the combination. This *is* the
-/// recovery semantics: the overlay is exactly `VEC` of the document a
-/// from-scratch ingest of base + appends would build, so query results
-/// and a later compaction agree byte-for-byte.
-fn merge_pending(base: &VecDoc, pending: &[&Record]) -> Result<VecDoc> {
-    let mut dom = crate::reconstruct::reconstruct(base)?;
-    let mut drop_unrepresentable = false;
+fn root_tag(skeleton: &vx_skeleton::Skeleton, root: Option<vx_skeleton::NodeId>) -> Result<String> {
+    root.and_then(|root| skeleton.node(root).name)
+        .map(|name| skeleton.name(name).to_string())
+        .ok_or_else(|| CoreError::Corrupt("store root is not an element".into()))
+}
+
+/// Resumes the base document and feeds every pending record under its
+/// root. This *is* the recovery semantics: the overlay is exactly `VEC`
+/// of the document a from-scratch ingest of base + appends would build —
+/// the same pipeline consing the same events — so query results and a
+/// later compaction agree byte-for-byte. Each record is replayed under
+/// its own `FLAG_DROP_UNREPRESENTABLE`.
+fn merge_pending(base: VecDoc, pending: &[&Record]) -> Result<VecDoc> {
+    let root_name = root_tag(&base.skeleton, base.root)?;
+    let mut pipeline = crate::builder::resume(base)?;
     for record in pending {
-        let text = std::str::from_utf8(&record.body).map_err(|_| {
-            CoreError::Corrupt(format!("WAL record {}: body is not UTF-8", record.seq))
-        })?;
-        let appended = vx_xml::parse(text)
-            .map_err(|e| CoreError::Corrupt(format!("WAL record {}: {e}", record.seq)))?;
-        if appended.root.name != dom.root.name {
-            return Err(CoreError::Corrupt(format!(
-                "WAL record {}: root `{}` does not match store root `{}`",
-                record.seq, appended.root.name, dom.root.name
-            )));
-        }
-        dom.root.children.extend(appended.root.children);
-        drop_unrepresentable |= record.flags & FLAG_DROP_UNREPRESENTABLE != 0;
-    }
-    vectorize_with(
-        &dom,
-        &VectorizeOptions {
+        let drop_unrepresentable = record.flags & FLAG_DROP_UNREPRESENTABLE != 0;
+        splice(
+            &mut pipeline,
+            &root_name,
+            &record.body,
             drop_unrepresentable,
-        },
-    )
+        )
+        .map_err(|e| CoreError::Corrupt(format!("WAL record {}: {e}", record.seq)))?;
+    }
+    pipeline.end()?;
+    Ok(pipeline.finish()?)
+}
+
+/// Feeds one appended document into `pipeline`, whose root element
+/// (named `root_name`) is open: the document must be UTF-8, well-formed,
+/// rooted at `root_name` with no attributes, and representable under
+/// `drop_unrepresentable`; its root's children become the open root's
+/// next children. Prolog and epilog misc is ignored, as in an ingest.
+fn splice(
+    pipeline: &mut Pipeline<VecDoc>,
+    root_name: &str,
+    bytes: &[u8],
+    drop_unrepresentable: bool,
+) -> Result<()> {
+    std::str::from_utf8(bytes)
+        .map_err(|_| CoreError::Unsupported("appended document is not UTF-8".into()))?;
+    pipeline.set_options(PipelineOptions {
+        drop_unrepresentable,
+    });
+    // Depth inside the appended document; 0 = prolog/epilog, 1 = its root.
+    let mut depth = 0usize;
+    for event in Events::new(bytes) {
+        match (depth, event?) {
+            (0, Event::Start(name)) => {
+                if name != root_name {
+                    return Err(CoreError::Unsupported(format!(
+                        "appended document root `{name}` does not match store root `{root_name}`"
+                    )));
+                }
+                depth = 1;
+            }
+            (0, _) => {}
+            (1, Event::Attr { .. }) => {
+                return Err(CoreError::Unsupported(
+                    "appended document root must not carry attributes".into(),
+                ));
+            }
+            (1, Event::End(_)) => depth = 0,
+            (_, event) => {
+                match event {
+                    Event::Start(_) => depth += 1,
+                    Event::End(_) => depth -= 1,
+                    _ => {}
+                }
+                pipeline.feed(event)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Synthesizes the catalog of a merged (overlay) document: untouched
@@ -582,21 +611,21 @@ fn overlay_catalog(base: &Catalog, doc: &VecDoc) -> Catalog {
     }
 }
 
-/// Removes crash leftovers before a strict open: orphaned temp files
-/// from interrupted atomic writes, the streaming-ingest spill file, and
-/// storage superseded by the `CURRENT` manifest (old generations, stale
-/// flat files). Generations *newer* than `CURRENT` are left alone — an
-/// in-flight compaction owns them. Best-effort: cleanup failures never
 /// Best-effort load of the persisted structural index. Absent, damaged,
 /// or stale (`matches` fails) files all mean "rebuild from the
 /// skeleton"; a broken `.vxpi` is never an open failure, mirroring how
 /// `.vec` salvage degrades instead of refusing.
-fn load_structural(base: &Path, doc: &crate::vecdoc::VecDoc) -> Option<vx_skeleton::StructIndex> {
+fn load_structural(base: &Path, doc: &VecDoc) -> Option<vx_skeleton::StructIndex> {
     let bytes = fs::read(base.join("index.vxpi")).ok()?;
     let index = vx_skeleton::read_index(&bytes).ok()?;
     index.matches(&doc.skeleton, doc.root?).then_some(index)
 }
 
+/// Removes crash leftovers before a strict open: orphaned temp files
+/// from interrupted atomic writes, the streaming-ingest spill file, and
+/// storage superseded by the `CURRENT` manifest (old generations, stale
+/// flat files). Generations *newer* than `CURRENT` are left alone — an
+/// in-flight compaction owns them. Best-effort: cleanup failures never
 /// fail the open.
 fn cleanup_stale(layout: &StoreLayout) -> Vec<String> {
     fn remove_file(cleaned: &mut Vec<String>, path: PathBuf) {
@@ -676,6 +705,10 @@ mod tests {
     const BASE: &str = "<lib><book><title>T1</title><author>A</author></book></lib>";
     const ADD1: &str = "<lib><book><title>T2</title><author>B</author></book></lib>";
     const ADD2: &str = "<lib><book><title>T3</title><year>2005</year></book></lib>";
+    /// A subtree identical to the base's book (consed to the same node),
+    /// a new tag name, and a new attribute path.
+    const ADD3: &str = "<lib><book><title>T4</title><author>C</author></book>\
+                        <shelf><book isbn=\"9\"><title>T5</title></book></shelf></lib>";
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("vx-append-{}-{name}", std::process::id()));
@@ -757,17 +790,29 @@ mod tests {
         let dir = temp_dir("compact");
         save_fresh(&dir, BASE);
         Store::append_batch(&dir, &[ADD1.into()], &AppendOptions::default()).unwrap();
-        Store::append_batch(&dir, &[ADD2.into()], &AppendOptions::default()).unwrap();
+        Store::append_batch(&dir, &[ADD2.into(), ADD3.into()], &AppendOptions::default()).unwrap();
+        // Replay conses into the base arena: still no duplicate node,
+        // and the served document counts only the reachable DAG.
+        let dom = combined(&[BASE, ADD1, ADD2, ADD3]);
+        let fresh_doc = vectorize(&dom).unwrap();
+        let open = Store::open_report(&dir).unwrap();
+        assert_eq!(open.doc.skeleton.duplicate_nodes(), 0);
+        assert_eq!(open.doc.vectors(), fresh_doc.vectors());
+        assert_eq!(open.catalog.node_count, fresh_doc.node_count());
+        let root = open.doc.root.unwrap();
+        assert_eq!(
+            open.doc.skeleton.dag_size(root),
+            fresh_doc.skeleton.dag_size(fresh_doc.root.unwrap())
+        );
         let report = Store::compact(&dir, Compaction::None).unwrap();
         assert!(report.compacted);
         assert_eq!(report.generation, 1);
-        assert_eq!(report.records_applied, 2);
+        assert_eq!(report.records_applied, 3);
 
         // gen-0001 must be byte-identical to a from-scratch save of the
         // combined document.
         let fresh = temp_dir("compact-fresh");
-        let dom = combined(&[BASE, ADD1, ADD2]);
-        Store::save(&fresh, &vectorize(&dom).unwrap(), Compaction::None).unwrap();
+        Store::save(&fresh, &fresh_doc, Compaction::None).unwrap();
         assert_eq!(dir_bytes(&report.gen_dir), dir_bytes(&fresh));
 
         // The flat files are gone, the WAL is purged, and a reopen sees
@@ -783,7 +828,7 @@ mod tests {
         Store::append_batch(&dir, &[ADD1.into()], &AppendOptions::default()).unwrap();
         let open = Store::open_report(&dir).unwrap();
         assert_eq!(open.wal.pending_records, 1);
-        assert_eq!(open.wal.applied_seq, 3);
+        assert_eq!(open.wal.applied_seq, 4);
         let report = Store::compact(&dir, Compaction::None).unwrap();
         assert_eq!(report.generation, 2);
         assert!(!dir.join(generation_dir_name(1)).exists());
@@ -831,8 +876,25 @@ mod tests {
             },
         )
         .unwrap();
+        // A strict record after it: each record replays under its own
+        // flag, to the document a fresh ingest of the parts builds.
+        Store::append_batch(&dir, &[ADD1.into()], &AppendOptions::default()).unwrap();
         let open = Store::open_report(&dir).unwrap();
-        assert_eq!(open.wal.pending_docs, 1);
+        assert_eq!(open.wal.pending_docs, 2);
+        let dropped = "<lib><book><title>T4</title></book></lib>";
+        let dom = combined(&[BASE, dropped, ADD1]);
+        assert_eq!(reconstruct(&open.doc).unwrap().root, dom.root);
+        assert_eq!(open.doc.vectors(), vectorize(&dom).unwrap().vectors());
+
+        // The flags are not pooled: a strict record holding a comment
+        // fails replay even next to a record that drops them. (Append
+        // never journals one; write it to the WAL directly.)
+        let wal = vx_wal::Wal::with_sync(&dir, SyncMode::Off);
+        let strict = "<lib><book><!-- note --></book></lib>";
+        wal.append(1, &[(KIND_APPEND_DOC, 0, strict.as_bytes())])
+            .unwrap();
+        let err = Store::open_report(&dir).unwrap_err().to_string();
+        assert!(err.contains("WAL record 3"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,132 +1,68 @@
-//! Streaming construction of a [`VecDoc`] — `(S, V)` built from events.
+//! [`VecDoc`] as a [`ValueSink`]: the in-memory `(S, V)` built by the
+//! one vectorizer, [`vx_ingest::Pipeline`].
 //!
-//! The query engine's element construction emits result documents as a
-//! stream of `begin_element` / `text` / `end_element` events, never
-//! materializing a DOM. The builder hash-conses the output skeleton
-//! bottom-up exactly like [`crate::vectorize`] does for parsed input, and
-//! appends each text value to the vector of its root-to-text tag path, so
-//! the emitted document obeys every `VecDoc` invariant (vectors in
-//! first-occurrence document order, values in document order, shared
-//! subtrees collapsed, consecutive repeats run-length encoded).
+//! Every in-memory document is built this way: [`crate::vectorize`]
+//! walks a DOM into it, the query engine streams constructor output
+//! into it, and WAL replay resumes a loaded store's document with it
+//! ([`Pipeline::resume`]). Values go to the document's
+//! [`crate::PathVector`]s; the pipeline's skeleton becomes its `S` when
+//! the root closes, so every `VecDoc` invariant holds by construction
+//! (vectors in first-occurrence document order, values in document
+//! order, shared subtrees collapsed, consecutive repeats run-length
+//! encoded).
+//!
+//! ```
+//! use vx_core::{Pipeline, PipelineOptions, VecDoc};
+//! let mut b = Pipeline::new(VecDoc::default(), PipelineOptions::default());
+//! b.start("r").unwrap();
+//! for word in ["a", "b"] {
+//!     b.start("e").unwrap();
+//!     b.text(word.as_bytes()).unwrap();
+//!     b.end().unwrap();
+//! }
+//! b.end().unwrap();
+//! let doc = b.finish().unwrap();
+//! assert_eq!(doc.vector("r/e").unwrap().values.len(), 2);
+//! // Both `<e>` subtrees differ only in text: one shared DAG node.
+//! assert_eq!(doc.skeleton.len(), 3); // '#', e, r
+//! ```
 
 use crate::vecdoc::VecDoc;
 use crate::{CoreError, Result};
-use vx_skeleton::arena::{push_child, Edge, NodeId};
+use vx_ingest::{Pipeline, PipelineOptions, PipelineStats, ValueSink};
+use vx_skeleton::{NodeId, Skeleton};
 
-/// An in-progress element: its interned name and the child edges built so
-/// far.
-struct Frame {
-    name_id: vx_skeleton::NameId,
-    edges: Vec<Edge>,
-    /// Length of the builder's path string before this element was
-    /// opened (for truncation on close).
-    parent_path_len: usize,
+impl ValueSink for VecDoc {
+    type Output = VecDoc;
+
+    fn push(&mut self, path: &str, value: &[u8]) -> vx_ingest::Result<()> {
+        self.push_value(path, value.to_vec());
+        Ok(())
+    }
+
+    fn finish(mut self, skeleton: Skeleton, root: NodeId, _: PipelineStats) -> VecDoc {
+        self.skeleton = skeleton;
+        self.root = Some(root);
+        self
+    }
 }
 
-/// Event-driven [`VecDoc`] builder.
-///
-/// ```
-/// use vx_core::VecDocBuilder;
-/// let mut b = VecDocBuilder::new();
-/// b.begin_element("r");
-/// for word in ["a", "b"] {
-///     b.begin_element("e");
-///     b.text(word.as_bytes().to_vec());
-///     b.end_element();
-/// }
-/// b.end_element();
-/// let doc = b.finish().unwrap();
-/// assert_eq!(doc.vector("r/e").unwrap().values.len(), 2);
-/// // Both `<e>` subtrees differ only in text: one shared DAG node.
-/// assert_eq!(doc.skeleton.len(), 3); // '#', e, r
-/// ```
-#[derive(Default)]
-pub struct VecDocBuilder {
-    doc: VecDoc,
-    stack: Vec<Frame>,
-    path: String,
-    root: Option<NodeId>,
-}
-
-impl VecDocBuilder {
-    pub fn new() -> Self {
-        VecDocBuilder::default()
-    }
-
-    /// Current element nesting depth.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Opens an element. Attribute children use the `@name` tag
-    /// convention and must wrap exactly one text value.
-    pub fn begin_element(&mut self, tag: &str) {
-        let name_id = self.doc.skeleton.intern(tag);
-        let parent_path_len = self.path.len();
-        if !self.path.is_empty() {
-            self.path.push('/');
-        }
-        self.path.push_str(tag);
-        self.stack.push(Frame {
-            name_id,
-            edges: Vec::new(),
-            parent_path_len,
-        });
-    }
-
-    /// Appends a text value under the open element.
-    pub fn text(&mut self, value: Vec<u8>) {
-        let text_node = self.doc.skeleton.text_node();
-        match self.stack.last_mut() {
-            Some(frame) => {
-                push_child(&mut frame.edges, text_node);
-            }
-            None => {
-                // Text outside any element cannot be represented; callers
-                // (the engine) never do this, but fail loudly in finish().
-                self.root = Some(text_node);
-                return;
-            }
-        }
-        self.doc.push_value(&self.path, value);
-    }
-
-    /// Closes the innermost open element, hash-consing it into the
-    /// skeleton.
-    pub fn end_element(&mut self) {
-        let frame = self
-            .stack
-            .pop()
-            .expect("end_element without matching begin_element");
-        let node = self.doc.skeleton.cons(frame.name_id, frame.edges);
-        self.path.truncate(frame.parent_path_len);
-        match self.stack.last_mut() {
-            Some(parent) => push_child(&mut parent.edges, node),
-            None => self.root = Some(node),
-        }
-    }
-
-    /// Finishes the document. Exactly one top-level element must have
-    /// been built, and every `begin_element` must have been closed.
-    pub fn finish(self) -> Result<VecDoc> {
-        if !self.stack.is_empty() {
-            return Err(CoreError::Corrupt(format!(
-                "builder finished with {} unclosed element(s)",
-                self.stack.len()
-            )));
-        }
-        let root = self
-            .root
-            .ok_or_else(|| CoreError::Corrupt("builder produced no root element".into()))?;
-        if self.doc.skeleton.node(root).name.is_none() {
-            return Err(CoreError::Corrupt(
-                "builder root is a text node, not an element".into(),
-            ));
-        }
-        let mut doc = self.doc;
-        doc.root = Some(root);
-        Ok(doc)
-    }
+/// A pipeline continuing `doc`: its root element is open again, and
+/// what is fed next is appended after the root's existing children.
+/// Vectors keep their values (and, until they gain one, their
+/// persistent value index); the skeleton extends the same arena.
+pub(crate) fn resume(mut doc: VecDoc) -> Result<Pipeline<VecDoc>> {
+    let root = doc
+        .root
+        .take()
+        .ok_or_else(|| CoreError::Corrupt("document has no root to resume".into()))?;
+    let skeleton = std::mem::take(&mut doc.skeleton);
+    Ok(Pipeline::resume(
+        skeleton,
+        root,
+        doc,
+        PipelineOptions::default(),
+    )?)
 }
 
 #[cfg(test)]
@@ -135,33 +71,32 @@ mod tests {
     use crate::{reconstruct, vectorize};
     use vx_xml::{parse, write_document, WriteOptions};
 
-    /// Replaying a parsed document through the builder must produce the
-    /// same `VecDoc` as `vectorize` (same skeleton shape, same vectors).
+    /// Replaying a parsed document through borrowed pipeline calls (the
+    /// engine's constructor shape: attributes as `@name` elements)
+    /// produces the same `VecDoc` as `vectorize`.
     #[test]
     fn builder_agrees_with_vectorize() {
-        let xml = "<lib><book><t>A</t><a>x</a><a>y</a></book><book><t>B</t></book><n>z</n></lib>";
+        let xml = "<lib><book id=\"1\"><t>A</t><a>x</a><a>y</a></book><book><t>B</t></book><n>z</n></lib>";
         let dom = parse(xml).unwrap();
         let via_vectorize = vectorize(&dom).unwrap();
 
-        fn replay(b: &mut VecDocBuilder, e: &vx_xml::Element) {
-            b.begin_element(&e.name);
+        fn replay(b: &mut Pipeline<VecDoc>, e: &vx_xml::Element) {
+            b.start(&e.name).unwrap();
             for (name, value) in &e.attributes {
-                b.begin_element(&format!("@{name}"));
-                b.text(value.clone().into_bytes());
-                b.end_element();
+                b.start(&format!("@{name}")).unwrap();
+                b.text(value.as_bytes()).unwrap();
+                b.end().unwrap();
             }
             for child in &e.children {
                 match child {
                     vx_xml::Node::Element(c) => replay(b, c),
-                    vx_xml::Node::Text(t) | vx_xml::Node::CData(t) => {
-                        b.text(t.clone().into_bytes())
-                    }
+                    vx_xml::Node::Text(t) | vx_xml::Node::CData(t) => b.text(t.as_bytes()).unwrap(),
                     _ => {}
                 }
             }
-            b.end_element();
+            b.end().unwrap();
         }
-        let mut b = VecDocBuilder::new();
+        let mut b = Pipeline::new(VecDoc::default(), PipelineOptions::default());
         replay(&mut b, &dom.root);
         let via_builder = b.finish().unwrap();
 
@@ -176,13 +111,11 @@ mod tests {
 
     #[test]
     fn builder_round_trips_attributes() {
-        let mut b = VecDocBuilder::new();
-        b.begin_element("r");
-        b.begin_element("@id");
-        b.text(b"7".to_vec());
-        b.end_element();
-        b.text(b"body".to_vec());
-        b.end_element();
+        let mut b = Pipeline::new(VecDoc::default(), PipelineOptions::default());
+        b.start("r").unwrap();
+        b.attr("id", b"7").unwrap();
+        b.text(b"body").unwrap();
+        b.end().unwrap();
         let doc = b.finish().unwrap();
         let back = reconstruct(&doc).unwrap();
         assert_eq!(back.root.attr("id"), Some("7"));
@@ -191,9 +124,35 @@ mod tests {
 
     #[test]
     fn finish_rejects_unbalanced_builds() {
-        let mut b = VecDocBuilder::new();
-        b.begin_element("r");
+        let mut b = Pipeline::new(VecDoc::default(), PipelineOptions::default());
+        b.start("r").unwrap();
         assert!(b.finish().is_err());
-        assert!(VecDocBuilder::new().finish().is_err());
+        assert!(Pipeline::new(VecDoc::default(), PipelineOptions::default())
+            .finish()
+            .is_err());
+        let mut b = Pipeline::new(VecDoc::default(), PipelineOptions::default());
+        assert!(b.text(b"outside").is_err());
+        assert!(b.end().is_err());
+    }
+
+    /// Resuming a document and feeding more children equals vectorizing
+    /// the combined document: same reachable DAG, same vectors.
+    #[test]
+    fn resume_appends_after_the_root_children() {
+        let base = vectorize(&parse("<r><e>a</e><e>b</e></r>").unwrap()).unwrap();
+        let mut b = resume(base).unwrap();
+        b.start("e").unwrap();
+        b.text(b"c").unwrap();
+        b.end().unwrap();
+        b.end().unwrap();
+        let resumed = b.finish().unwrap();
+        let fresh = vectorize(&parse("<r><e>a</e><e>b</e><e>c</e></r>").unwrap()).unwrap();
+        assert_eq!(resumed.vectors(), fresh.vectors());
+        let (root, fresh_root) = (resumed.root.unwrap(), fresh.root.unwrap());
+        assert_eq!(
+            vx_skeleton::format::write(&resumed.skeleton, root),
+            vx_skeleton::format::write(&fresh.skeleton, fresh_root)
+        );
+        assert_eq!(resumed.node_count(), fresh.node_count());
     }
 }

@@ -1,11 +1,12 @@
 //! Streaming store construction: `Store::ingest_stream`.
 //!
-//! This is the bounded-memory twin of `vectorize` + [`Store::save`]. The
-//! reader is consumed through `vx-xml`'s pull parser and `vx-ingest`'s
-//! event pipeline — no [`vx_xml::Document`] ever exists — and the
-//! resulting store directory is **byte-identical** to what the DOM path
-//! produces for the same input and options (`tests/ingest_stream.rs` at
-//! the workspace root pins this differentially).
+//! The reader is consumed through `vx-xml`'s pull parser and `vx-ingest`'s
+//! spilling pipeline ([`vx_ingest::run`]) — no [`vx_xml::Document`]
+//! ever exists. It is the same pipeline [`crate::vectorize`] feeds from a
+//! DOM, so the store directory is **byte-identical** to
+//! `Store::save(dir, &vectorize_with(..)?, ..)` for the same input and
+//! options (`tests/ingest_stream.rs` at the workspace root pins this
+//! differentially, including the two `.vec` encoders).
 //!
 //! Memory model: compressed skeleton DAG + open-element stack + one 8 KiB
 //! tail page per distinct path + the spill pool's frames. Vector values
@@ -31,7 +32,7 @@ pub struct IngestOptions {
     /// Vector compaction on save, as in [`Store::save`].
     pub compaction: Compaction,
     /// Drop comments/PIs inside the tree instead of erroring, as in
-    /// `VectorizeOptions::drop_unrepresentable`.
+    /// [`vx_ingest::PipelineOptions::drop_unrepresentable`].
     pub drop_unrepresentable: bool,
     /// Buffer-pool frames for the spill file — the paging budget of the
     /// whole ingest, independent of document size.
@@ -79,7 +80,8 @@ impl From<vx_ingest::IngestError> for CoreError {
 impl Store {
     /// Ingests XML from `reader` straight into a store directory without
     /// building a DOM. Output is byte-identical to
-    /// `Store::save(dir, &vectorize_with(&parse(..)?, ..)?, ..)`.
+    /// `Store::save(dir, &vectorize_with(&parse(..)?, ..)?, ..)`: both
+    /// run the same pipeline over the same events.
     pub fn ingest_stream<R: Read>(
         dir: &Path,
         reader: R,

@@ -2,9 +2,12 @@
 //!
 //! Implements the paper's §2 end-to-end:
 //!
-//! * [`vectorize`] — `VEC(T) = (S, V)`: one linear pass over the DOM that
-//!   hash-conses the skeleton bottom-up and appends every text value to the
-//!   data vector of its root-to-text tag path (Prop 2.1, `O(|T|)`).
+//! * [`vectorize`] — `VEC(T) = (S, V)` of a parsed document: the DOM is
+//!   walked through [`Pipeline`], the one vectorizer (`vx-ingest`), which
+//!   hash-conses the skeleton bottom-up and appends every text value to
+//!   the data vector of its root-to-text tag path (Prop 2.1, `O(|T|)`).
+//!   [`VecDoc`] is the pipeline's in-memory value sink; the query
+//!   engine's constructor output and WAL replay use the same pipeline.
 //! * [`reconstruct`] — the inverse: one skeleton walk that pulls values
 //!   from per-path cursors in document order (Prop 2.2, `O(|T|)`,
 //!   lossless).
@@ -12,6 +15,9 @@
 //!   `bench_results/stores/`: a directory with `skeleton.vxsk`,
 //!   `v{NNNNNN}.vec`, and `catalog.json`, plus a salvage loader for stores
 //!   damaged by the seed capture's byte-dropping sanitizer.
+//!   [`Store::ingest_stream`] feeds parse events through the same
+//!   pipeline into spilled vectors; appends journal to a WAL that
+//!   [`Store::open`] replays by resuming the base document.
 
 mod append;
 mod builder;
@@ -27,13 +33,13 @@ pub use append::{
     generation_dir_name, resolve_layout, AppendOptions, AppendReport, CompactReport, OpenReport,
     StoreLayout, WalStatus, CURRENT_FILE,
 };
-pub use builder::VecDocBuilder;
 pub use handle::StoreHandle;
 pub use ingest::{IngestOptions, IngestReport};
 pub use reconstruct::{reconstruct, reconstruct_salvage, ReconstructReport};
 pub use store::{Catalog, CatalogEntry, Compaction, SalvageStore, Store};
 pub use vecdoc::{PathVector, VecDoc};
 pub use vectorize::{vectorize, vectorize_with, VectorizeOptions};
+pub use vx_ingest::{IngestError, Pipeline, PipelineOptions, PipelineStats, ValueSink};
 
 use std::fmt;
 

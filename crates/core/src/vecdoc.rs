@@ -59,9 +59,15 @@ impl VecDoc {
         i
     }
 
-    /// Appends a value to the vector of `path`.
+    /// Appends a value to the vector of `path`. A vector that gains a
+    /// value drops its persistent value index: the run no longer covers
+    /// every position, so serving it would lose the new value. Vectors
+    /// that gain nothing keep theirs (a WAL overlay extends only some).
     pub fn push_value(&mut self, path: &str, value: Vec<u8>) {
         let i = self.vector_index(path);
+        if !self.sorted.is_empty() {
+            self.sorted.remove(&i);
+        }
         self.vectors[i].values.push(value);
     }
 

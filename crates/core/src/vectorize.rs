@@ -1,19 +1,13 @@
-//! `VEC(T)`: one linear pass building skeleton + vectors (Prop 2.1).
+//! `VEC(T)` of a parsed document: the DOM walked through the one
+//! vectorizer, [`vx_ingest::Pipeline`] (Prop 2.1).
 
 use crate::vecdoc::VecDoc;
-use crate::{CoreError, Result};
-use vx_skeleton::arena::{push_child, Edge, NodeId};
+use crate::Result;
+use vx_ingest::Pipeline;
 use vx_xml::{Document, Element, Node};
 
-/// Vectorization options.
-#[derive(Debug, Clone, Default)]
-pub struct VectorizeOptions {
-    /// When false (default), comments and processing instructions inside
-    /// the tree are an error — vectorization cannot represent them, and
-    /// silently dropping them would break the lossless-round-trip law.
-    /// When true they are dropped.
-    pub drop_unrepresentable: bool,
-}
+/// Vectorization options: the pipeline's own.
+pub use vx_ingest::PipelineOptions as VectorizeOptions;
 
 /// Vectorizes with default (strict) options.
 pub fn vectorize(doc: &Document) -> Result<VecDoc> {
@@ -27,72 +21,34 @@ pub fn vectorize(doc: &Document) -> Result<VecDoc> {
 /// * Attributes are encoded as leading `@name` child elements, so
 ///   `<a x="1">` contributes path `a/@x`. Reconstruction inverts this.
 /// * The skeleton is hash-consed bottom-up with run-length edges.
+///
+/// The result is exactly what [`crate::Store::ingest_stream`] builds from
+/// the document's text: both feed the same pipeline the same events.
 pub fn vectorize_with(doc: &Document, options: &VectorizeOptions) -> Result<VecDoc> {
-    let mut out = VecDoc::default();
-    let mut path = String::new();
-    let root = vectorize_element(&doc.root, &mut out, &mut path, options)?;
-    out.root = Some(root);
-    Ok(out)
+    let mut pipeline = Pipeline::new(VecDoc::default(), *options);
+    feed_element(&mut pipeline, &doc.root)?;
+    Ok(pipeline.finish()?)
 }
 
-fn vectorize_element(
-    element: &Element,
-    out: &mut VecDoc,
-    path: &mut String,
-    options: &VectorizeOptions,
-) -> Result<NodeId> {
-    // Interning at entry keeps the name table in document pre-order,
-    // matching the surviving stores (root tag first).
-    let name = out.skeleton.intern(&element.name);
-    let parent_len = path.len();
-    if !path.is_empty() {
-        path.push('/');
-    }
-    path.push_str(&element.name);
-
-    let mut edges: Vec<Edge> = Vec::new();
-    for (attr_name, attr_value) in &element.attributes {
-        let attr_tag = format!("@{attr_name}");
-        let attr_name_id = out.skeleton.intern(&attr_tag);
-        let attr_path = format!("{path}/{attr_tag}");
-        out.push_value(&attr_path, attr_value.clone().into_bytes());
-        let text = out.skeleton.text_node();
-        let attr_node = out.skeleton.cons(
-            attr_name_id,
-            vec![Edge {
-                child: text,
-                run: 1,
-            }],
-        );
-        push_child(&mut edges, attr_node);
+fn feed_element(pipeline: &mut Pipeline<VecDoc>, element: &Element) -> Result<()> {
+    pipeline.start(&element.name)?;
+    for (name, value) in &element.attributes {
+        pipeline.attr(name, value.as_bytes())?;
     }
     for child in &element.children {
         match child {
-            Node::Element(e) => {
-                let node = vectorize_element(e, out, path, options)?;
-                push_child(&mut edges, node);
-            }
-            Node::Text(t) | Node::CData(t) => {
-                out.push_value(path, t.clone().into_bytes());
-                push_child(&mut edges, out.skeleton.text_node());
-            }
-            Node::Comment(_) | Node::ProcessingInstruction { .. } => {
-                if !options.drop_unrepresentable {
-                    return Err(CoreError::Unsupported(format!(
-                        "comment/processing instruction under `{path}`; \
-                         vectorization drops these only with drop_unrepresentable"
-                    )));
-                }
-            }
+            Node::Element(e) => feed_element(pipeline, e)?,
+            Node::Text(t) | Node::CData(t) => pipeline.text(t.as_bytes())?,
+            Node::Comment(_) | Node::ProcessingInstruction { .. } => pipeline.misc()?,
         }
     }
-    path.truncate(parent_len);
-    Ok(out.skeleton.cons(name, edges))
+    Ok(pipeline.end()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CoreError;
     use vx_xml::parse;
 
     #[test]

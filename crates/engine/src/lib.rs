@@ -15,8 +15,9 @@
 //!   hash-consed skeleton, per-occurrence value ranges come from the
 //!   per-path cursors (document order makes them contiguous), selections
 //!   mark occurrences before joins probe their join tables, and element
-//!   construction streams into a [`vx_core::VecDocBuilder`] — the result
-//!   of a constructor query is itself a `VEC(T)`, never a DOM.
+//!   construction streams through the vectorizer ([`vx_core::Pipeline`]
+//!   over a [`vx_core::VecDoc`]) — the result of a constructor query is
+//!   itself a `VEC(T)`, never a DOM.
 //! * [`naive_eval`] is the differential oracle: an independent
 //!   nested-loop evaluator over the reconstructed DOM. `reduce` and
 //!   `naive_eval` must agree on every supported query; the engine tests
@@ -120,6 +121,12 @@ impl From<XqError> for EngineError {
 impl From<CoreError> for EngineError {
     fn from(e: CoreError) -> Self {
         EngineError::Core(e)
+    }
+}
+
+impl From<vx_core::IngestError> for EngineError {
+    fn from(e: vx_core::IngestError) -> Self {
+        EngineError::Core(e.into())
     }
 }
 

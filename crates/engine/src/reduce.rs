@@ -24,9 +24,9 @@
 //! decides each edge's and filter's access, for execution and for
 //! [`explain_with`] alike. Binding order is document order, so results
 //! come out in document order without sorting. Output either
-//! projects value bytes or streams element construction into a
-//! [`VecDocBuilder`] — the result of a constructor query is itself a
-//! vectorized document, never a DOM.
+//! projects value bytes or streams element construction through the
+//! vectorizer ([`Pipeline`] over a [`VecDoc`]) — the result of a
+//! constructor query is itself a vectorized document, never a DOM.
 
 use crate::graph::{
     Block, Filter, FilterTest, Join, Output, PatStep, PatTest, QueryGraph, RefKind, Template,
@@ -40,7 +40,7 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
-use vx_core::{VecDoc, VecDocBuilder};
+use vx_core::{Pipeline, PipelineOptions, VecDoc};
 use vx_obs::{Counters, Spans};
 use vx_skeleton::{
     NodeId, PathIndex, PathPattern, PatternStep, PatternTest, Skeleton, StructIndex,
@@ -275,10 +275,10 @@ fn reduce_inner(
             QueryOutput::Values(out)
         }
         Output::Document(_) => {
-            let mut builder = VecDocBuilder::new();
-            builder.begin_element("results");
+            let mut builder = Pipeline::new(VecDoc::default(), PipelineOptions::default());
+            builder.start("results")?;
             eval.run_block(&graph.block, &mut env, &mut Sink::Builder(&mut builder))?;
-            builder.end_element();
+            builder.end()?;
             QueryOutput::Document(builder.finish()?)
         }
     };
@@ -1139,7 +1139,7 @@ impl Walker<'_> {
 
 enum Sink<'b> {
     Values(&'b mut Vec<Vec<u8>>),
-    Builder(&'b mut VecDocBuilder),
+    Builder(&'b mut Pipeline<VecDoc>),
 }
 
 struct Eval<'a> {
@@ -1886,10 +1886,10 @@ impl Eval<'_> {
                     .values
                     .set(self.tally.values.get() + self.state.values(*r, occ).len() as u64);
                 for &(vec, idx) in self.state.values(*r, occ) {
-                    let bytes = doc.vectors()[vec].values[idx].clone();
+                    let bytes = &doc.vectors()[vec].values[idx];
                     match sink {
-                        Sink::Values(out) => out.push(bytes),
-                        Sink::Builder(b) => b.text(bytes),
+                        Sink::Values(out) => out.push(bytes.clone()),
+                        Sink::Builder(b) => b.text(bytes)?,
                     }
                 }
                 Ok(())
@@ -1907,9 +1907,9 @@ impl Eval<'_> {
         &self,
         tpl: &Template,
         env: &mut Vec<usize>,
-        builder: &mut VecDocBuilder,
+        builder: &mut Pipeline<VecDoc>,
     ) -> Result<()> {
-        builder.begin_element(&tpl.tag);
+        builder.start(&tpl.tag)?;
         for item in &tpl.content {
             match item {
                 TplItem::Copy(r) => {
@@ -1934,8 +1934,7 @@ impl Eval<'_> {
                 }
             }
         }
-        builder.end_element();
-        Ok(())
+        Ok(builder.end()?)
     }
 }
 
@@ -1947,7 +1946,7 @@ fn copy_walk(
     node: NodeId,
     path: &mut String,
     cursors: &mut HashMap<String, usize>,
-    builder: &mut VecDocBuilder,
+    builder: &mut Pipeline<VecDoc>,
     values_out: &Cell<u64>,
 ) -> Result<()> {
     let skeleton = &doc.skeleton;
@@ -1955,7 +1954,7 @@ fn copy_walk(
     let name_id = data
         .name
         .ok_or_else(|| EngineError::Corrupt("copy task rooted at a text node".into()))?;
-    builder.begin_element(skeleton.name(name_id));
+    builder.start(skeleton.name(name_id))?;
     for edge in &data.edges {
         let child = skeleton.node(edge.child);
         match child.name {
@@ -1966,11 +1965,11 @@ fn copy_walk(
                 let cursor = cursors.entry(path.clone()).or_insert(0);
                 values_out.set(values_out.get() + edge.run);
                 for _ in 0..edge.run {
-                    let bytes = vector.values.get(*cursor).cloned().ok_or_else(|| {
+                    let bytes = vector.values.get(*cursor).ok_or_else(|| {
                         EngineError::Corrupt(format!("vector {path:?} exhausted during copy"))
                     })?;
                     *cursor += 1;
-                    builder.text(bytes);
+                    builder.text(bytes)?;
                 }
             }
             Some(child_name) => {
@@ -1984,6 +1983,5 @@ fn copy_walk(
             }
         }
     }
-    builder.end_element();
-    Ok(())
+    Ok(builder.end()?)
 }

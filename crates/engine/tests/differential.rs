@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vx_core::{reconstruct, vectorize, Compaction, Store, StoreHandle, VecDoc};
+use vx_core::{reconstruct, vectorize, AppendOptions, Compaction, Store, StoreHandle, VecDoc};
 use vx_engine::{naive_eval, EngineError, NaiveOutput, Query, QueryOutput, RunOptions};
 use vx_xml::{parse, write_document, Document, WriteOptions};
 
@@ -563,6 +563,65 @@ fn store_backed_joins_agree_with_and_without_indexes() {
     }
     let in_memory = query.explain(&vecs).unwrap().render();
     assert!(in_memory.contains("access=query-sort "), "{in_memory}");
+
+    // A pending WAL record extends `objID` and leaves `ra` alone: the
+    // extended vector must drop its sorted run (it no longer covers the
+    // appended value), the untouched one keeps serving its own.
+    let ss_dir = stores.dir.join("ss");
+    let extra = "<PhotoObjAll><PhotoObj><objID>587000000007</objID></PhotoObj></PhotoObjAll>";
+    Store::append_batch(&ss_dir, &[extra.into()], &AppendOptions::default()).unwrap();
+    let handle = StoreHandle::open(&ss_dir).unwrap();
+    assert_eq!(handle.wal().pending_docs, 1);
+    let mut combined = vx_data::skyserver(3, 200);
+    combined
+        .root
+        .children
+        .extend(parse(extra).unwrap().root.children);
+    let src = r#"for $a in doc("ss")//PhotoObj, $b in doc("ss")//PhotoObj, $c in doc("ss")//PhotoObj
+           where $a/objID = $b/objID and $b/ra = $c/ra
+           return $a/objID"#;
+    let NaiveOutput::Values(oracle) =
+        naive_eval(&vx_xquery::parse_query(src).unwrap(), &[("ss", &combined)]).unwrap()
+    else {
+        panic!("expected values for {src}");
+    };
+    let query = Query::new(src).unwrap();
+    for use_indexes in [true, false] {
+        let options = RunOptions {
+            use_indexes,
+            ..RunOptions::default()
+        };
+        let got = query
+            .run_with(std::slice::from_ref(&handle), &options)
+            .unwrap()
+            .output;
+        assert!(
+            matches!(&got, QueryOutput::Values(v) if *v == oracle),
+            "use_indexes={use_indexes}"
+        );
+    }
+    // The appended `objID` equals row 7's, so the extended edge has one
+    // more tuple than the 200 diagonal ones.
+    assert_eq!(oracle.len(), 201);
+    let rendered = query
+        .explain(std::slice::from_ref(&handle))
+        .unwrap()
+        .render();
+    let access = |edge: &str| {
+        let line = rendered
+            .lines()
+            .find(|l| l.contains(edge))
+            .unwrap_or_else(|| panic!("no `{edge}` edge in {rendered}"));
+        line.split("access=")
+            .nth(1)
+            .unwrap()
+            .split(' ')
+            .next()
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(access("$a/objID = $b/objID"), "query-sort", "{rendered}");
+    assert_eq!(access("$b/ra = $c/ra"), "persistent-index", "{rendered}");
 }
 
 /// TQ3's shape: a value join whose `$b/NP/NN` reference spans several

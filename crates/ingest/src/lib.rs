@@ -1,29 +1,20 @@
-//! `vx-ingest` — the streaming, bounded-memory vectorization pipeline.
+//! `vx-ingest` — the vectorizer: the one code path that turns XML
+//! events into `VEC(T) = (S, V)` in one pass, with no tree (Prop 2.1).
 //!
-//! The DOM path (`vx-core::vectorize`) materializes the whole document
-//! tree before building `VEC(T) = (S, V)`, capping ingest at available
-//! memory. This crate builds the same `(S, V)` in **one pass over parse
-//! events** with no tree at all:
-//!
-//! * [`vx_xml::Events`] yields start/attr/text/end events straight off a
-//!   [`std::io::Read`] source;
-//! * [`vx_skeleton::SkeletonBuilder`] hash-conses each subtree bottom-up
-//!   the moment its end tag arrives, run-length-coalescing repeated edges
-//!   on the fly — memory is the compressed DAG plus the open-element
-//!   stack;
-//! * [`vx_vector::SpillVector`] buffers each path's values in one 8 KiB
-//!   page, spilling full pages to a shared temporary file through the
-//!   bounded [`vx_vector::SpillPool`] buffer pool.
-//!
-//! Peak memory is therefore `O(compressed skeleton + open-element stack +
-//! one page per distinct path + pool frames)` — the paper's scenario of
-//! repositories far larger than RAM. The [`Pipeline`] here mirrors the
-//! DOM vectorizer's construction order exactly (name interning at element
-//! entry, `@attr` pseudo-children in attribute order, `#` markers for
-//! text), which is what makes the two paths' on-disk output
-//! byte-identical; `vx-core::Store::ingest_stream` wires this into the
-//! persistent store and the root `tests/ingest_stream.rs` suite pins the
-//! equivalence differentially.
+//! [`Pipeline`] drives [`vx_skeleton::SkeletonBuilder`], which hash-conses
+//! each subtree the moment its end tag arrives, keeps the root-to-node tag
+//! path (attributes as a final `@name` component), applies the comment/PI
+//! rule and the [`PipelineStats`] tallies. Only where a value goes varies,
+//! behind [`ValueSink`]: [`run`] spills each path's values through one
+//! 8 KiB [`vx_vector::SpillVector`] page and the bounded
+//! [`vx_vector::SpillPool`] (store ingest: peak memory `O(compressed
+//! skeleton + open-element stack + one page per path + pool frames)`),
+//! while `vx-core`'s `VecDoc` sink serves DOM vectorization, query result
+//! construction and WAL replay ([`Pipeline::resume`] reopens the root of
+//! an existing `(S, V)`, so appends extend its DAG). One builder behind
+//! every route keeps stream ingest, DOM ingest and compaction of base +
+//! appends byte-identical; the root `tests/ingest_stream.rs` suite pins
+//! it differentially.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -40,7 +31,7 @@ pub enum IngestError {
     Vector(vx_vector::VectorError),
     /// The stream contains a construct vectorization cannot represent
     /// losslessly (comments / processing instructions inside the tree) in
-    /// strict mode. Same wording as the DOM path's error.
+    /// strict mode.
     Unsupported(String),
 }
 
@@ -89,7 +80,8 @@ pub type Result<T> = std::result::Result<T, IngestError>;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineOptions {
     /// When false (default), comments and processing instructions inside
-    /// the tree are an error, exactly as in `vx-core::VectorizeOptions`.
+    /// the tree are an error — vectorization cannot represent them, and
+    /// silently dropping them would break the lossless-round-trip law.
     /// When true they are dropped. Prolog/epilog misc is always ignored.
     pub drop_unrepresentable: bool,
 }
@@ -116,7 +108,21 @@ impl PipelineStats {
     }
 }
 
-/// Everything the pipeline accumulated, ready for the store layer to
+/// Where the pipeline puts each value: the only part of vectorization
+/// that varies between its users.
+pub trait ValueSink {
+    /// What [`Pipeline::finish`] returns.
+    type Output;
+
+    /// Appends `value` to the vector of `path` (created on first use, so
+    /// vectors come out in first-occurrence document order).
+    fn push(&mut self, path: &str, value: &[u8]) -> Result<()>;
+
+    /// Combines the sink with the finished skeleton.
+    fn finish(self, skeleton: Skeleton, root: NodeId, stats: PipelineStats) -> Self::Output;
+}
+
+/// Everything a store ingest accumulated, ready for the store layer to
 /// serialize: the consed skeleton, and one spilled vector per path in
 /// first-occurrence document order (the store's `v{NNNNNN}.vec` order).
 pub struct IngestOutput {
@@ -127,40 +133,18 @@ pub struct IngestOutput {
     pub stats: PipelineStats,
 }
 
-/// The event-to-`(S, V)` driver. Feed it every event of one document,
-/// then [`Pipeline::finish`].
-pub struct Pipeline {
-    builder: SkeletonBuilder,
+/// The store-ingest sink: one [`SpillVector`] per path, spilling through
+/// a shared, bounded pool.
+struct SpillSink {
     pool: SpillPool,
     vectors: Vec<(String, SpillVector)>,
     by_path: HashMap<String, usize>,
-    path: String,
-    parent_lens: Vec<usize>,
-    options: PipelineOptions,
-    stats: PipelineStats,
 }
 
-impl Pipeline {
-    /// A pipeline spilling through `pool`.
-    pub fn new(pool: SpillPool, options: PipelineOptions) -> Self {
-        Pipeline {
-            builder: SkeletonBuilder::new(),
-            pool,
-            vectors: Vec::new(),
-            by_path: HashMap::new(),
-            path: String::new(),
-            parent_lens: Vec::new(),
-            options,
-            stats: PipelineStats::default(),
-        }
-    }
+impl ValueSink for SpillSink {
+    type Output = IngestOutput;
 
-    /// Tallies so far (final values after the last [`Pipeline::feed`]).
-    pub fn stats(&self) -> PipelineStats {
-        self.stats
-    }
-
-    fn push_value(&mut self, path: &str, value: &[u8]) -> Result<()> {
+    fn push(&mut self, path: &str, value: &[u8]) -> Result<()> {
         let idx = match self.by_path.get(path) {
             Some(&i) => i,
             None => {
@@ -174,77 +158,170 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Consumes one parse event.
-    pub fn feed(&mut self, event: Event) -> Result<()> {
-        self.stats.events += 1;
-        match event {
-            Event::Decl(_) => {}
-            Event::Start(name) => {
-                self.stats.elements += 1;
-                self.builder.start_element(&name)?;
-                self.parent_lens.push(self.path.len());
-                if !self.path.is_empty() {
-                    self.path.push('/');
-                }
-                self.path.push_str(&name);
-            }
-            Event::Attr { name, value } => {
-                self.stats.attr_values += 1;
-                self.builder.attribute(&name)?;
-                let attr_path = format!("{}/@{name}", self.path);
-                self.push_value(&attr_path, value.as_bytes())?;
-            }
-            Event::Text(t) | Event::CData(t) => {
-                self.stats.text_values += 1;
-                self.builder.text()?;
-                let path = std::mem::take(&mut self.path);
-                let result = self.push_value(&path, t.as_bytes());
-                self.path = path;
-                result?;
-            }
-            Event::End(_) => {
-                self.builder.end_element()?;
-                let parent_len = self
-                    .parent_lens
-                    .pop()
-                    .expect("builder accepted end_element, so an element was open");
-                self.path.truncate(parent_len);
-            }
-            Event::Comment(_) | Event::Pi { .. } => {
-                // Prolog/epilog misc is ignored by vectorization; inside
-                // the tree it is unrepresentable, same as the DOM path.
-                if self.builder.depth() > 0 && !self.options.drop_unrepresentable {
-                    return Err(IngestError::Unsupported(format!(
-                        "comment/processing instruction under `{}`; \
-                         vectorization drops these only with drop_unrepresentable",
-                        self.path
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Finishes the pass. Errors on an unbalanced or empty stream.
-    pub fn finish(self) -> Result<IngestOutput> {
-        let (skeleton, root) = self.builder.finish()?;
-        Ok(IngestOutput {
+    fn finish(self, skeleton: Skeleton, root: NodeId, stats: PipelineStats) -> IngestOutput {
+        IngestOutput {
             skeleton,
             root,
             vectors: self.vectors,
             pool: self.pool,
-            stats: self.stats,
-        })
+            stats,
+        }
     }
 }
 
-/// Runs a whole event stream through a [`Pipeline`] in one call.
+/// The vectorizer: turns the events of one document into `(S, V)`.
+/// Feed it every event, then call [`Pipeline::finish`].
+pub struct Pipeline<S> {
+    builder: SkeletonBuilder,
+    sink: S,
+    path: String,
+    parent_lens: Vec<usize>,
+    options: PipelineOptions,
+    stats: PipelineStats,
+}
+
+impl<S: ValueSink> Pipeline<S> {
+    /// A pipeline starting a new document, its values going to `sink`.
+    pub fn new(sink: S, options: PipelineOptions) -> Self {
+        Pipeline {
+            builder: SkeletonBuilder::new(),
+            sink,
+            path: String::new(),
+            parent_lens: Vec::new(),
+            options,
+            stats: PipelineStats::default(),
+        }
+    }
+
+    /// A pipeline continuing the document `(skeleton, root)` whose values
+    /// `sink` already holds: the root element is open again, and what is
+    /// fed next becomes its children after the existing ones (see
+    /// [`SkeletonBuilder::resume`]). Work is proportional to what is fed,
+    /// not to the existing document.
+    pub fn resume(
+        skeleton: Skeleton,
+        root: NodeId,
+        sink: S,
+        options: PipelineOptions,
+    ) -> Result<Self> {
+        let path = match skeleton.node(root).name {
+            Some(name) => skeleton.name(name).to_string(),
+            None => String::new(),
+        };
+        let builder = SkeletonBuilder::resume(skeleton, root)?;
+        Ok(Pipeline {
+            builder,
+            sink,
+            path,
+            parent_lens: vec![0],
+            options,
+            stats: PipelineStats::default(),
+        })
+    }
+
+    /// Replaces the policy for the events fed from now on.
+    pub fn set_options(&mut self, options: PipelineOptions) {
+        self.options = options;
+    }
+
+    /// Tallies so far (final values after the last event).
+    pub fn stats(&self) -> PipelineStats {
+        self.stats
+    }
+
+    /// Opens an element.
+    pub fn start(&mut self, name: &str) -> Result<()> {
+        self.stats.elements += 1;
+        self.builder.start_element(name)?;
+        self.parent_lens.push(self.path.len());
+        if !self.path.is_empty() {
+            self.path.push('/');
+        }
+        self.path.push_str(name);
+        Ok(())
+    }
+
+    /// An attribute of the innermost open element: an `@name`
+    /// pseudo-child in the skeleton, its value appended to the vector of
+    /// `path/@name`.
+    pub fn attr(&mut self, name: &str, value: &[u8]) -> Result<()> {
+        self.stats.attr_values += 1;
+        self.builder.attribute(name)?;
+        let len = self.path.len();
+        self.path.push_str("/@");
+        self.path.push_str(name);
+        let result = self.sink.push(&self.path, value);
+        self.path.truncate(len);
+        result
+    }
+
+    /// A text (or CDATA) child of the innermost open element: a `#`
+    /// marker in the skeleton, its value appended to the element's
+    /// vector.
+    pub fn text(&mut self, value: &[u8]) -> Result<()> {
+        self.stats.text_values += 1;
+        self.builder.text()?;
+        self.sink.push(&self.path, value)
+    }
+
+    /// Closes the innermost open element.
+    pub fn end(&mut self) -> Result<()> {
+        self.builder.end_element()?;
+        let parent_len = self
+            .parent_lens
+            .pop()
+            .expect("builder accepted end_element, so an element was open");
+        self.path.truncate(parent_len);
+        Ok(())
+    }
+
+    /// A comment or processing instruction. Prolog/epilog misc is ignored
+    /// by vectorization; inside the tree it is unrepresentable, so it is
+    /// an error unless [`PipelineOptions::drop_unrepresentable`].
+    pub fn misc(&mut self) -> Result<()> {
+        if self.builder.depth() > 0 && !self.options.drop_unrepresentable {
+            return Err(IngestError::Unsupported(format!(
+                "comment/processing instruction under `{}`; \
+                 vectorization drops these only with drop_unrepresentable",
+                self.path
+            )));
+        }
+        Ok(())
+    }
+
+    /// Consumes one parse event.
+    pub fn feed(&mut self, event: Event) -> Result<()> {
+        self.stats.events += 1;
+        match event {
+            Event::Decl(_) => Ok(()),
+            Event::Start(name) => self.start(&name),
+            Event::Attr { name, value } => self.attr(&name, value.as_bytes()),
+            Event::Text(t) | Event::CData(t) => self.text(t.as_bytes()),
+            Event::End(_) => self.end(),
+            Event::Comment(_) | Event::Pi { .. } => self.misc(),
+        }
+    }
+
+    /// Finishes the document. Errors on an unbalanced or empty stream.
+    pub fn finish(self) -> Result<S::Output> {
+        let (skeleton, root) = self.builder.finish()?;
+        Ok(self.sink.finish(skeleton, root, self.stats))
+    }
+}
+
+/// Runs a whole event stream through a [`Pipeline`] whose values spill
+/// through `pool` — the store ingest.
 pub fn run(
     events: impl Iterator<Item = vx_xml::Result<Event>>,
     pool: SpillPool,
     options: PipelineOptions,
 ) -> Result<IngestOutput> {
-    let mut pipeline = Pipeline::new(pool, options);
+    let sink = SpillSink {
+        pool,
+        vectors: Vec::new(),
+        by_path: HashMap::new(),
+    };
+    let mut pipeline = Pipeline::new(sink, options);
     for event in events {
         pipeline.feed(event?)?;
     }

@@ -94,7 +94,9 @@ impl Skeleton {
         &self.names
     }
 
-    /// Number of DAG nodes (including `#`).
+    /// Number of arena nodes (including `#`). An arena extended by
+    /// [`crate::SkeletonBuilder::resume`] also holds superseded roots;
+    /// [`Skeleton::dag_size`] counts only the document's nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -153,6 +155,22 @@ impl Skeleton {
             }
         }
         dups
+    }
+
+    /// Number of distinct DAG nodes reachable from `root` (including `#`
+    /// when the document has text): the document's compressed size.
+    pub fn dag_size(&self, root: NodeId) -> usize {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack = vec![root];
+        let mut count = 0;
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut seen[id.0 as usize], true) {
+                continue;
+            }
+            count += 1;
+            stack.extend(self.node(id).edges.iter().map(|e| e.child));
+        }
+        count
     }
 
     /// Expanded (uncompressed) size in tree nodes of the subtree rooted at

@@ -7,11 +7,12 @@
 //! the compressed DAG plus one pending edge list per *open* element —
 //! never the document tree.
 //!
-//! The construction order is identical to `vx-core`'s DOM vectorizer
-//! (element name interned on entry, then `@attr` pseudo-children in
-//! attribute order, then children in document order), so a builder fed
-//! from a parse-event stream produces an arena whose canonical `.vxsk`
-//! serialization is byte-identical to the DOM path's.
+//! Construction order: element name interned on entry, then `@attr`
+//! pseudo-children in attribute order, then children in document order.
+//! [`SkeletonBuilder::resume`] reopens the root of an existing arena, so
+//! children appended later are consed into the same DAG: the canonical
+//! `.vxsk` serialization of the result is byte-identical to that of a
+//! builder fed the combined document from scratch.
 
 use crate::arena::{push_child, Edge, NodeId, Skeleton, TEXT_NODE};
 use crate::{Result, SkeletonError};
@@ -31,6 +32,28 @@ impl SkeletonBuilder {
     /// An empty builder around a fresh arena.
     pub fn new() -> Self {
         SkeletonBuilder::default()
+    }
+
+    /// Reopens `root` of an existing arena as the one open element, its
+    /// edges so far restored, so further children are appended after the
+    /// last one (run-length merged with it, exactly as in one pass over
+    /// the combined document). Names and nodes already in the arena are
+    /// reused through its `cons` table, so the DAG stays minimal.
+    ///
+    /// Closing the root conses a new root node; the superseded one stays
+    /// in the arena, unreachable from the new root (serialization drops
+    /// it, so nothing may count arena nodes as document nodes).
+    pub fn resume(skeleton: Skeleton, root: NodeId) -> Result<Self> {
+        let data = skeleton.node(root);
+        let name = data
+            .name
+            .ok_or_else(|| SkeletonError::Builder("cannot resume at a text node".to_string()))?;
+        let edges = data.edges.clone();
+        Ok(SkeletonBuilder {
+            skeleton,
+            stack: vec![(name, edges)],
+            root: None,
+        })
     }
 
     /// Number of currently open elements.
@@ -188,6 +211,47 @@ mod tests {
         assert_eq!(s.node(root).edges[0].run, 1000);
         assert_eq!(s.expanded_size(root), 1 + 1000 * 2);
         assert_eq!(s.len(), 3); // '#', r-leaf, root
+    }
+
+    #[test]
+    fn resume_extends_the_root_like_one_pass() {
+        let build = |rows: usize, tail: bool| {
+            let mut b = SkeletonBuilder::new();
+            b.start_element("t").unwrap();
+            for _ in 0..rows {
+                b.start_element("r").unwrap();
+                b.text().unwrap();
+                b.end_element().unwrap();
+            }
+            if tail {
+                b.start_element("s").unwrap();
+                b.end_element().unwrap();
+            }
+            b.end_element().unwrap();
+            b.finish().unwrap()
+        };
+        let (base, base_root) = build(2, false);
+        let mut b = SkeletonBuilder::resume(base, base_root).unwrap();
+        assert_eq!(b.depth(), 1);
+        b.start_element("r").unwrap();
+        b.text().unwrap();
+        b.end_element().unwrap();
+        b.start_element("s").unwrap();
+        b.end_element().unwrap();
+        b.end_element().unwrap();
+        let (resumed, root) = b.finish().unwrap();
+        let (fresh, fresh_root) = build(3, true);
+        // The third row merged into the base run; the old root is left
+        // behind unreachable, so only the reachable DAG compares equal.
+        assert_eq!(resumed.node(root).edges[0].run, 3);
+        assert_eq!(resumed.duplicate_nodes(), 0);
+        assert_eq!(resumed.len(), fresh.len() + 1);
+        assert_eq!(resumed.dag_size(root), fresh.dag_size(fresh_root));
+        assert_eq!(
+            crate::format::write(&resumed, root),
+            crate::format::write(&fresh, fresh_root)
+        );
+        assert!(SkeletonBuilder::resume(Skeleton::new(), crate::arena::TEXT_NODE).is_err());
     }
 
     #[test]

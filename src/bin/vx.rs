@@ -1,29 +1,33 @@
 //! `vx` — command-line front end for the vectorized XML store.
 //!
 //! ```text
-//! vx ingest <xml-file> <store-dir> [--auto] [--dom] [--drop-misc] [--frames N]
-//! vx stats <store-dir>
-//! vx query <store-dir> <xquery> [--out values|xml]
+//! vx ingest <xml-file> <store-dir> [--auto] [--drop-misc] [--frames N] [--metrics]
+//! vx append <store-dir> <xml-file>... [--drop-misc]
+//! vx compact <store-dir> [--auto]
+//! vx stats <store-dir> [--metrics]
+//! vx query <store-dir> <xquery> [--out values|xml] [--profile | --profile-json]
 //! vx explain <store-dir> <xquery> [--no-indexes]
 //! vx reconstruct <store-dir> [--out <file>]
-//! vx serve <store-dir>... [--addr HOST:PORT] [--threads N]
+//! vx serve <store-dir>... [--addr HOST:PORT] [--threads N] [--slow-ms N]
 //! ```
 //!
-//! `ingest` builds a store from an XML file, by default through the
-//! streaming bounded-memory pipeline (`Store::ingest_stream`); `--dom`
-//! forces the parse-then-vectorize path (both produce byte-identical
-//! stores). `stats` summarizes a store from its catalog and skeleton and
-//! refuses stores that fail the integrity gate (every vector file must
-//! decode and agree with the catalog). `query` compiles an XQ query and
-//! reduces it against the store's `VEC(T)`; `reconstruct` regenerates
-//! the original document text (byte-identical to the compact writer's
-//! serialization of the ingested XML). `explain` renders the planner's
-//! decisions — exact cardinalities, where each equality edge's sorted
-//! runs come from, and which literal filters resolve through the store's
-//! persistent value indexes — without enumerating a single tuple.
-//! `serve` opens each store once into a shared
-//! [`xmlvec::core::StoreHandle`] and answers HTTP/1.1 + JSON queries
-//! from a worker-thread pool (see `xmlvec::serve`).
+//! `ingest` builds a store from an XML file through the streaming
+//! bounded-memory pipeline (`Store::ingest_stream`). `append` journals
+//! documents to the store's write-ahead log, validated first; every
+//! open replays them on top of the base store, and `compact` folds them
+//! into a new generation byte-identical to a fresh ingest of the
+//! combined document. `stats` summarizes a store from its catalog and
+//! skeleton and refuses stores that fail the integrity gate (every
+//! vector file must decode and agree with the catalog). `query` compiles
+//! an XQ query and reduces it against the store's `VEC(T)`;
+//! `reconstruct` regenerates the original document text (byte-identical
+//! to the compact writer's serialization of the ingested XML). `explain`
+//! renders the planner's decisions — exact cardinalities, where each
+//! equality edge's sorted runs come from, and which literal filters
+//! resolve through the store's persistent value indexes — without
+//! enumerating a single tuple. `serve` opens each store once into a
+//! shared [`xmlvec::core::StoreHandle`] and answers HTTP/1.1 + JSON
+//! queries from a worker-thread pool (see `xmlvec::serve`).
 //!
 //! Exit codes are part of the interface and pinned by `tests/cli.rs`:
 //! `0` success, `1` operational failure (missing or damaged store, query
@@ -38,7 +42,7 @@ use xmlvec::core::{Compaction, IngestOptions, Store, StoreHandle, VecDoc};
 use xmlvec::{Query, QueryOutput};
 
 const USAGE: &str = "usage:
-  vx ingest <xml-file> <store-dir> [--auto] [--dom] [--drop-misc] [--frames N] [--metrics]
+  vx ingest <xml-file> <store-dir> [--auto] [--drop-misc] [--frames N] [--metrics]
   vx append <store-dir> <xml-file>... [--drop-misc]
   vx compact <store-dir> [--auto]
   vx stats <store-dir> [--metrics]
@@ -50,7 +54,6 @@ const USAGE: &str = "usage:
 ingest options:
   --auto       per-vector encoding choice: value index at >= 64 records,
                dictionary when smaller, else plain (default: plain)
-  --dom        build via the in-memory DOM path instead of streaming
   --drop-misc  drop comments/processing instructions instead of erroring
   --frames N   spill buffer-pool frames for streaming ingest (default: 64)
   --metrics    report per-phase timings, pipeline tallies, and spill-pool stats
@@ -166,13 +169,11 @@ fn positionals_and_out<'a>(
 fn ingest(args: &[String]) {
     let mut positional: Vec<&String> = Vec::new();
     let mut options = IngestOptions::default();
-    let mut use_dom = false;
     let mut metrics = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--auto" => options.compaction = Compaction::Auto,
-            "--dom" => use_dom = true,
             "--drop-misc" => options.drop_unrepresentable = true,
             "--metrics" => metrics = true,
             "--frames" => {
@@ -193,71 +194,46 @@ fn ingest(args: &[String]) {
     let dir = PathBuf::from(store_dir);
 
     let mut out = String::new();
-    let catalog = if use_dom {
-        let timer = xmlvec::obs::Timer::start();
-        let text = std::fs::read_to_string(xml_file)
-            .unwrap_or_else(|e| fail(format!("reading {xml_file}: {e}")));
-        let doc = xmlvec::xml::parse(&text).unwrap_or_else(|e| fail(e));
-        let parse_secs = timer.secs();
-        let vectorize_options = xmlvec::core::VectorizeOptions {
-            drop_unrepresentable: options.drop_unrepresentable,
-        };
-        let timer = xmlvec::obs::Timer::start();
-        let vec_doc =
-            xmlvec::core::vectorize_with(&doc, &vectorize_options).unwrap_or_else(|e| fail(e));
-        let vectorize_secs = timer.secs();
-        let timer = xmlvec::obs::Timer::start();
-        let catalog = Store::save(&dir, &vec_doc, options.compaction).unwrap_or_else(|e| fail(e));
-        if metrics {
-            let _ = writeln!(out, "phase        parse      {parse_secs:.6} s");
-            let _ = writeln!(out, "phase        vectorize  {vectorize_secs:.6} s");
-            let _ = writeln!(out, "phase        write      {:.6} s", timer.secs());
-        }
-        catalog
-    } else {
-        let file =
-            std::fs::File::open(xml_file).unwrap_or_else(|e| fail(format!("{xml_file}: {e}")));
-        let report = Store::ingest_stream(&dir, std::io::BufReader::new(file), &options)
-            .unwrap_or_else(|e| fail(e));
-        if report.spill_pages > 0 {
-            let _ = writeln!(
-                out,
-                "spilled {} pages ({} pool misses, {} evictions)",
-                report.spill_pages, report.pager.misses, report.pager.evictions
-            );
-        }
-        if metrics {
-            let _ = writeln!(out, "phase        pipeline   {:.6} s", report.pipeline_secs);
-            let _ = writeln!(out, "phase        write      {:.6} s", report.write_secs);
-            let _ = writeln!(
-                out,
-                "pipeline     {} events, {} elements, {} values ({} attr, {} text)",
-                report.stats.events,
-                report.stats.elements,
-                report.stats.values(),
-                report.stats.attr_values,
-                report.stats.text_values
-            );
-            let _ = writeln!(
-                out,
-                "spill pool   {} pages, {} hits, {} misses, {} evictions, {} writebacks",
-                report.spill_pages,
-                report.pager.hits,
-                report.pager.misses,
-                report.pager.evictions,
-                report.pager.writebacks
-            );
-        }
-        report.catalog
-    };
+    let file = std::fs::File::open(xml_file).unwrap_or_else(|e| fail(format!("{xml_file}: {e}")));
+    let report = Store::ingest_stream(&dir, std::io::BufReader::new(file), &options)
+        .unwrap_or_else(|e| fail(e));
+    if report.spill_pages > 0 {
+        let _ = writeln!(
+            out,
+            "spilled {} pages ({} pool misses, {} evictions)",
+            report.spill_pages, report.pager.misses, report.pager.evictions
+        );
+    }
+    if metrics {
+        let _ = writeln!(out, "phase        pipeline   {:.6} s", report.pipeline_secs);
+        let _ = writeln!(out, "phase        write      {:.6} s", report.write_secs);
+        let _ = writeln!(
+            out,
+            "pipeline     {} events, {} elements, {} values ({} attr, {} text)",
+            report.stats.events,
+            report.stats.elements,
+            report.stats.values(),
+            report.stats.attr_values,
+            report.stats.text_values
+        );
+        let _ = writeln!(
+            out,
+            "spill pool   {} pages, {} hits, {} misses, {} evictions, {} writebacks",
+            report.spill_pages,
+            report.pager.hits,
+            report.pager.misses,
+            report.pager.evictions,
+            report.pager.writebacks
+        );
+    }
     let _ = writeln!(
         out,
         "ingested {} -> {} ({} paths, {} nodes, {} text bytes)",
         xml_file,
         dir.display(),
-        catalog.vectors.len(),
-        catalog.node_count,
-        catalog.text_bytes
+        report.catalog.vectors.len(),
+        report.catalog.node_count,
+        report.catalog.text_bytes
     );
     let stdout = std::io::stdout();
     write_stdout(&mut stdout.lock(), out.as_bytes());
@@ -432,14 +408,17 @@ fn stats(args: &[String]) {
         }
     }
 
+    // A WAL overlay leaves superseded roots in the arena: count the
+    // nodes the served document reaches, not the arena.
+    let dag_nodes = skeleton.dag_size(root);
     let mut out = String::new();
     let _ = writeln!(out, "store        {}", dir.display());
     let _ = writeln!(
         out,
         "nodes        {} expanded, {} DAG nodes ({:.1}x compression), {} names",
         served.node_count,
-        skeleton.len(),
-        served.node_count as f64 / skeleton.len() as f64,
+        dag_nodes,
+        served.node_count as f64 / dag_nodes as f64,
         skeleton.names().len()
     );
     debug_assert_eq!(skeleton.expanded_size(root), served.node_count);

@@ -21,11 +21,10 @@
 //! | [`vx_storage`] | varints, paged file access |
 //! | [`vx_skeleton`] | hash-consed DAG, `.vxsk` format, path index |
 //! | [`vx_vector`] | `.vec` format, skip index, cursors |
-//! | [`vx_ingest`] | streaming event-to-store pipeline |
+//! | [`vx_ingest`] | the vectorizer: parse events to `(S, V)` |
 //! | [`vx_core`] | vectorize / reconstruct, persistent store |
 //! | [`vx_xquery`] | XQ parsing + desugaring |
 //! | [`vx_engine`] | query graphs, vectorized `reduce`, oracle |
-//! | [`vx_baselines`] | comparison-system interface (stubs) |
 //! | [`vx_data`] | deterministic corpus generators |
 //! | [`vx_bench`] | store size measurement |
 //!
@@ -42,7 +41,6 @@
 
 pub mod serve;
 
-pub use vx_baselines as baselines;
 pub use vx_bench as bench;
 pub use vx_core as core;
 pub use vx_data as data;
@@ -71,7 +69,6 @@ pub enum Error {
     Core(vx_core::CoreError),
     Xq(vx_xquery::XqError),
     Engine(vx_engine::EngineError),
-    Baseline(vx_baselines::BaselineError),
     Io(std::io::Error),
 }
 
@@ -86,7 +83,6 @@ impl fmt::Display for Error {
             Error::Core(e) => write!(f, "{e}"),
             Error::Xq(e) => write!(f, "{e}"),
             Error::Engine(e) => write!(f, "{e}"),
-            Error::Baseline(e) => write!(f, "{e}"),
             Error::Io(e) => write!(f, "{e}"),
         }
     }
@@ -103,7 +99,6 @@ impl std::error::Error for Error {
             Error::Core(e) => Some(e),
             Error::Xq(e) => Some(e),
             Error::Engine(e) => Some(e),
-            Error::Baseline(e) => Some(e),
             Error::Io(e) => Some(e),
         }
     }
@@ -127,7 +122,6 @@ from_error!(Ingest, vx_ingest::IngestError);
 from_error!(Core, vx_core::CoreError);
 from_error!(Xq, vx_xquery::XqError);
 from_error!(Engine, vx_engine::EngineError);
-from_error!(Baseline, vx_baselines::BaselineError);
 from_error!(Io, std::io::Error);
 
 /// Result alias over the unified [`Error`].

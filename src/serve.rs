@@ -1100,7 +1100,7 @@ fn stats_json(state: &AppState) -> String {
                 ("nodes".into(), Json::Num(catalog.node_count as f64)),
                 (
                     "dag_nodes".into(),
-                    Json::Num(handle.skeleton().len() as f64),
+                    Json::Num(handle.skeleton().dag_size(handle.root()) as f64),
                 ),
                 ("text_bytes".into(), Json::Num(catalog.text_bytes as f64)),
                 ("generation".into(), Json::Num(handle.generation() as f64)),

@@ -128,18 +128,26 @@ fn reconstruct_round_trips_all_four_corpora() {
     }
 }
 
-/// The two ingest paths (streaming and `--dom`) yield stores that
-/// reconstruct to the same bytes, with dictionary compaction on either.
+/// Every ingest flag combination yields a store that reconstructs to the
+/// ingested bytes: plain and `--auto` encodings, a one-frame spill pool,
+/// and `--drop-misc` on a document without misc. (That the streaming
+/// store is byte-identical to `Store::save` of the DOM vectorization,
+/// encoders included, is `tests/ingest_stream.rs`'s contract.)
 #[test]
 fn ingest_flags_preserve_reconstruction() {
     let scratch = Scratch::new("flags");
     let doc = xmlvec::data::skyserver(5, 80);
-    let (xml, stream_store) = ingest(&scratch, "stream", &doc, &["--auto"]);
-    let (_, dom_store) = ingest(&scratch, "dom", &doc, &["--dom", "--auto"]);
-    for (label, store) in [("stream", &stream_store), ("dom", &dom_store)] {
+    let variants: [(&str, &[&str]); 4] = [
+        ("plain", &[]),
+        ("auto", &["--auto"]),
+        ("frames", &["--frames", "1", "--auto"]),
+        ("misc", &["--drop-misc"]),
+    ];
+    for (label, flags) in variants {
+        let (xml, store) = ingest(&scratch, label, &doc, flags);
         let out = run(&["reconstruct", store.to_str().unwrap()]);
         assert_code(&out, 0, label);
-        assert_eq!(out.stdout, xml.as_bytes(), "{label} path round trip");
+        assert_eq!(out.stdout, xml.as_bytes(), "{label} round trip");
     }
 }
 
@@ -373,6 +381,8 @@ fn bad_arguments_exit_2_with_usage() {
         vec![],                                       // no command
         vec!["frobnicate"],                           // unknown command
         vec!["ingest", "only-one-arg"],               // missing operand
+        vec!["ingest", "a.xml", "s", "--dom"],        // unknown flag (one ingest path)
+        vec!["ingest", "a.xml", "s", "--dict"],       // unknown flag
         vec!["stats"],                                // missing operand
         vec!["stats", "a", "--wat"],                  // unknown flag
         vec!["query", "store-only"],                  // missing query
