@@ -189,6 +189,9 @@ pub struct OpenReport {
     pub base_dir: PathBuf,
     /// WAL state (all zeros for a store with no `wal/` directory).
     pub wal: WalStatus,
+    /// Wall-clock seconds spent replaying the pending WAL records into
+    /// the base document (0 when nothing was pending).
+    pub replay_secs: f64,
     /// Stale temp files/directories removed before opening (crash
     /// leftovers: `catalog.json.tmp`, `CURRENT.tmp`, `.ingest.spill`,
     /// superseded generations, fully-applied WAL segments).
@@ -285,12 +288,15 @@ impl Store {
             applied_seq: layout.wal_applied,
         };
 
+        let mut replay_secs = 0.0;
         let (doc, catalog, structural) = if pending.is_empty() {
             let catalog = base_catalog.clone();
             (doc, catalog, structural)
         } else {
             status.applied_seq = pending.iter().map(|r| r.seq).max().unwrap_or(0);
+            let replay = std::time::Instant::now();
             let merged = merge_pending(doc, &pending)?;
+            replay_secs = replay.elapsed().as_secs_f64();
             let catalog = overlay_catalog(&base_catalog, &merged);
             if vx_obs::log_enabled() {
                 vx_obs::event(
@@ -317,6 +323,7 @@ impl Store {
             generation: layout.generation,
             base_dir: base,
             wal: status,
+            replay_secs,
             cleaned,
             structural,
         })
@@ -760,6 +767,7 @@ mod tests {
         assert_eq!(open.generation, 0);
         assert_eq!(open.wal.pending_docs, 2);
         assert_eq!(open.wal.applied_seq, 2);
+        assert!(open.replay_secs > 0.0, "replay is timed");
         assert_eq!(
             reconstruct(&open.doc).unwrap().root,
             combined(&[BASE, ADD1, ADD2]).root
@@ -821,6 +829,7 @@ mod tests {
         let open = Store::open_report(&dir).unwrap();
         assert_eq!(open.generation, 1);
         assert_eq!(open.wal.pending_records, 0);
+        assert_eq!(open.replay_secs, 0.0, "nothing pending, nothing replayed");
         assert_eq!(reconstruct(&open.doc).unwrap().root, dom.root);
 
         // Appending after compaction keeps sequences monotonic and a

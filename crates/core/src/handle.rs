@@ -49,6 +49,8 @@ struct StoreInner {
     /// WAL state observed at open time (all zeros for in-memory
     /// handles and stores without a `wal/` directory).
     wal: WalStatus,
+    /// Seconds [`Store::open_report`] spent replaying the WAL tail.
+    replay_secs: f64,
     index: PathIndex,
     /// Whether the structural self-index came from a persisted
     /// `index.vxpi` (false = rebuilt from the skeleton at open).
@@ -88,6 +90,7 @@ impl StoreHandle {
             report.base_catalog,
             report.generation,
             report.wal,
+            report.replay_secs,
             report.structural,
         )
     }
@@ -122,6 +125,7 @@ impl StoreHandle {
             base_catalog,
             0,
             WalStatus::default(),
+            0.0,
             None,
         )
     }
@@ -136,6 +140,7 @@ impl StoreHandle {
         base_catalog: Catalog,
         generation: u32,
         wal: WalStatus,
+        replay_secs: f64,
         structural: Option<StructIndex>,
     ) -> Result<StoreHandle> {
         let root = doc
@@ -185,6 +190,7 @@ impl StoreHandle {
                 base_catalog,
                 generation,
                 wal,
+                replay_secs,
                 index,
                 structural_loaded,
             }),
@@ -245,6 +251,13 @@ impl StoreHandle {
     /// WAL state observed when the handle was opened.
     pub fn wal(&self) -> &WalStatus {
         &self.inner.wal
+    }
+
+    /// Seconds the open spent replaying pending WAL records into the
+    /// base document (0 when none were pending, and for in-memory
+    /// handles).
+    pub fn replay_secs(&self) -> f64 {
+        self.inner.replay_secs
     }
 
     /// The precomputed per-node text layout, shared by every query that

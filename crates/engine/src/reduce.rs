@@ -7,13 +7,19 @@
 //! vectors*: per-occurrence rows holding the parent occurrence, the
 //! vector positions of referenced text values (document order makes each
 //! occurrence's values a run of cursor positions), existence flags, and
-//! copy tasks (a skeleton node plus a cursor snapshot — enough to stream
-//! a deep copy later without having visited it).
+//! copy tasks (a skeleton node, its path id and the cursors of the text
+//! paths below it — enough to stream a deep copy later without having
+//! visited it).
 //!
-//! Subtrees in which no machine is alive are never entered: the memoized
-//! per-node text layout ([`PathIndex::texts_below`]) bulk advances the
-//! per-path cursors across them, so the pass touches only the parts of
-//! the skeleton the query mentions plus `O(paths)` work per skipped
+//! The pass carries a dense path id ([`PathId`]) instead of a path
+//! string: a per-document trie numbers each absolute element path on
+//! first sight and resolves its vector once, and the cursors are a
+//! `Vec` indexed by vector position, so a visit hashes no string and,
+//! once its paths are numbered, allocates nothing. Subtrees in which no
+//! machine is alive are never entered: each `(path id, node)`'s text
+//! layout, resolved once from [`PathIndex::texts_below`], bulk advances
+//! the cursors across them, so the pass touches only the parts of the
+//! skeleton the query mentions plus `O(paths)` integer adds per skipped
 //! subtree.
 //!
 //! Tuple enumeration then runs *selections before joins*: literal
@@ -36,14 +42,16 @@ use crate::plan::{IndexSource, Plan, PlanFilter, PlanJoin, PlanVar, RunOptions};
 use crate::profile::{QueryProfile, VarCardinality};
 use crate::{EngineError, QueryOutput, Result};
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::time::Instant;
 use vx_core::{Pipeline, PipelineOptions, VecDoc};
 use vx_obs::{Counters, Spans};
 use vx_skeleton::{
-    NodeId, PathIndex, PathPattern, PatternStep, PatternTest, Skeleton, StructIndex,
+    NameId, NodeId, PathIndex, PathPattern, PatternStep, PatternTest, Skeleton, StructIndex,
 };
 
 /// One document made available to evaluation: its `doc("…")` name, the
@@ -265,6 +273,7 @@ fn reduce_inner(
         plans,
         profiling,
         tally: EnumTally::default(),
+        copy_cursors: RefCell::new(Vec::new()),
     };
 
     let mut env = vec![usize::MAX; graph.vars.len()];
@@ -351,14 +360,15 @@ fn reduce_inner(
 
 /// A recorded deep copy: enough to stream the subtree later without
 /// having entered it during collection.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CopyTask {
     node: NodeId,
-    /// Absolute tag path of `node` (its own tag included).
-    path: String,
-    /// Per-path cursor positions at the moment the copy root was
-    /// reached; paths absent from the snapshot had position 0.
-    cursors: HashMap<String, usize>,
+    /// The path id of `node` (its own tag included).
+    path: PathId,
+    /// The cursor of each text path below `node` when the copy root was
+    /// reached, in the order of the node's memoised layout
+    /// ([`PathTrie::layout`]).
+    starts: Vec<usize>,
 }
 
 /// Per-reference collected data, indexed `[occurrence of owning var]`.
@@ -378,12 +388,15 @@ struct State {
     occ_parent: Vec<Vec<usize>>,
     /// `[ref]` → per-occurrence data.
     ref_data: Vec<RefData>,
+    /// `[doc]` → the path trie its pass built (copy tasks replay by id).
+    paths: Vec<Option<PathTrie>>,
 }
 
 impl State {
-    fn new(graph: &QueryGraph) -> State {
+    fn new(graph: &QueryGraph, docs: usize) -> State {
         State {
             occ_parent: vec![Vec::new(); graph.vars.len()],
+            paths: (0..docs).map(|_| None).collect(),
             ref_data: graph
                 .refs
                 .iter()
@@ -412,6 +425,7 @@ impl State {
                     std::mem::replace(&mut sub.ref_data[r], RefData::Exists(Vec::new()));
             }
         }
+        self.paths[doc_idx] = sub.paths[doc_idx].take();
     }
 
     fn flatten_values(&mut self) {
@@ -530,7 +544,7 @@ enum Target {
     Ref(usize),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Machine {
     target: Target,
     /// For `Var`: the parent variable's occurrence. For `Ref`: the
@@ -613,6 +627,7 @@ fn pattern_of(steps: &[PatStep], skeleton: &Skeleton) -> Result<PathPattern> {
                 },
             })
             .collect(),
+        skeleton,
     )
     .ok_or_else(|| {
         EngineError::unsupported(
@@ -648,11 +663,11 @@ fn collect(
     let referenced: Vec<usize> = (0..docs.len())
         .filter(|i| layout.var_doc.contains(i))
         .collect();
-    let mut state = State::new(graph);
+    let mut state = State::new(graph, docs.len());
     let mut walk_tally = WalkTally::default();
     if parallel && spans.is_none() && referenced.len() >= 2 && fan_out_enabled() {
         let collect_one = |doc_idx: usize| -> Result<(State, WalkTally)> {
-            let mut sub = State::new(graph);
+            let mut sub = State::new(graph, docs.len());
             let mut tally = WalkTally::default();
             collect_doc(
                 graph,
@@ -800,6 +815,8 @@ fn collect_doc(
         }
     };
 
+    let mut paths = PathTrie::new();
+    let root_path = paths.child(SUPER_ROOT, root_name, doc);
     let mut walker = Walker {
         doc,
         skeleton,
@@ -814,24 +831,176 @@ fn collect_doc(
         refs_of_var,
         state,
         tally,
-        cursors: HashMap::new(),
-        path: String::new(),
+        paths,
+        cursors: vec![0; doc.vectors().len()],
+        machines: Vec::new(),
+        collectors: Vec::new(),
         root,
-        root_path: skeleton.name(root_name).to_string(),
+        root_path,
     };
 
     // The virtual super-root: document-rooted variables spawn here, so a
     // pattern's first step is matched against the root element itself.
-    let mut machines = Vec::new();
-    let mut collectors = Vec::new();
     for (v, var) in graph.vars.iter().enumerate() {
         if var.doc.is_some() && var_doc[v] == doc_idx {
-            walker.spawn(Target::Var(v), 0, None, &mut machines, &mut collectors);
+            walker.spawn(Target::Var(v), 0, None)?;
         }
     }
-    walker.visit(root, &machines)
+    let top = walker.machines.len();
+    walker.visit(root, root_path, 0, top)?;
+    state.paths[doc_idx] = Some(walker.paths);
+    Ok(())
 }
 
+/// A multiply-rotate hasher for the walk's small integer keys: SipHash's
+/// flooding resistance buys nothing for ids the pass numbers itself.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A dense id for one absolute element tag path of a document. Id
+/// [`SUPER_ROOT`] is the virtual super-root above the root element.
+type PathId = u32;
+
+/// The [`PathId`] of the virtual super-root.
+const SUPER_ROOT: PathId = 0;
+
+/// The walk's path summary: a trie numbering every absolute element path
+/// the pass meets as `(parent PathId, NameId) → PathId`, filled lazily
+/// during the document pass. A new id resolves the vector of the text
+/// directly under its path once, through [`VecDoc::vector_position`];
+/// after that no string is built or hashed. The trie also memoises each
+/// `(PathId, NodeId)`'s text layout, and is kept after the pass so copy
+/// tasks can be replayed by id.
+struct PathTrie {
+    ids: IdMap<(PathId, NameId), PathId>,
+    /// `[PathId]` → `(parent, tag)`; the super-root's entry is unused.
+    parent: Vec<(PathId, NameId)>,
+    /// `[PathId]` → the position in [`VecDoc::vectors`] of the text
+    /// values directly under the path, if it has any.
+    vector: Vec<Option<usize>>,
+    /// `(PathId, NodeId)` → the node's text layout, a range of `texts`.
+    layouts: IdMap<(PathId, NodeId), (usize, usize)>,
+    /// Every layout's `(vector position, text count)` entries: one per
+    /// text path below the node, from [`PathIndex::texts_below`].
+    texts: Vec<(usize, u64)>,
+    /// Scratch for spelling out a newly numbered path.
+    spelled: String,
+}
+
+impl PathTrie {
+    fn new() -> PathTrie {
+        PathTrie {
+            ids: IdMap::default(),
+            parent: vec![(SUPER_ROOT, NameId(0))],
+            vector: vec![None],
+            layouts: IdMap::default(),
+            texts: Vec::new(),
+            spelled: String::new(),
+        }
+    }
+
+    /// The id of `parent`'s child path `name`, numbered (and its vector
+    /// resolved) on first sight.
+    fn child(&mut self, parent: PathId, name: NameId, doc: &VecDoc) -> PathId {
+        if let Some(&id) = self.ids.get(&(parent, name)) {
+            return id;
+        }
+        let id = self.parent.len() as PathId;
+        self.parent.push((parent, name));
+        let mut spelled = std::mem::take(&mut self.spelled);
+        spelled.clear();
+        self.spell(id, &doc.skeleton, &mut spelled);
+        self.vector.push(doc.vector_position(&spelled));
+        self.spelled = spelled;
+        self.ids.insert((parent, name), id);
+        id
+    }
+
+    /// The id of `parent`'s child path `name`, if the pass numbered it.
+    fn get(&self, parent: PathId, name: NameId) -> Option<PathId> {
+        self.ids.get(&(parent, name)).copied()
+    }
+
+    /// Appends `id` spelled out as `a/b/c` (the vector key) to `out`.
+    fn spell(&self, id: PathId, skeleton: &Skeleton, out: &mut String) {
+        if id == SUPER_ROOT {
+            return;
+        }
+        let (parent, name) = self.parent[id as usize];
+        self.spell(parent, skeleton, out);
+        if parent != SUPER_ROOT {
+            out.push('/');
+        }
+        out.push_str(skeleton.name(name));
+    }
+
+    /// The vector of the text directly under `id`; a missing one is a
+    /// damaged document.
+    fn text_vector(&self, id: PathId, skeleton: &Skeleton) -> Result<usize> {
+        self.vector[id as usize].ok_or_else(|| {
+            let mut path = String::new();
+            self.spell(id, skeleton, &mut path);
+            EngineError::Corrupt(format!("no vector for text path {path:?}"))
+        })
+    }
+
+    /// The memoised text layout of `node` reached at path `id`: the
+    /// vector position and text count of each text path below it, as a
+    /// range of `texts`. Built once per `(PathId, NodeId)`.
+    fn layout(
+        &mut self,
+        id: PathId,
+        node: NodeId,
+        index: &PathIndex,
+        doc: &VecDoc,
+    ) -> Result<(usize, usize)> {
+        if let Some(&range) = self.layouts.get(&(id, node)) {
+            return Ok(range);
+        }
+        let start = self.texts.len();
+        for (rel, count) in index.texts_below(node) {
+            let mut at = id;
+            for &name in rel {
+                at = self.child(at, name, doc);
+            }
+            let pos = self.text_vector(at, &doc.skeleton)?;
+            self.texts.push((pos, *count));
+        }
+        let range = (start, self.texts.len());
+        self.layouts.insert((id, node), range);
+        Ok(range)
+    }
+
+    fn texts(&self, (lo, hi): (usize, usize)) -> &[(usize, u64)] {
+        &self.texts[lo..hi]
+    }
+}
+
+/// The per-document skeleton pass. Machines live on one stack: a visit's
+/// machines are the slice `[lo, hi)` at its top, the visit advances
+/// them into the space past the end, and truncates back on return.
 struct Walker<'a> {
     doc: &'a VecDoc,
     skeleton: &'a Skeleton,
@@ -848,12 +1017,19 @@ struct Walker<'a> {
     refs_of_var: &'a [Vec<usize>],
     state: &'a mut State,
     tally: &'a mut WalkTally,
-    /// Per-path count of text values already passed, in document order.
-    cursors: HashMap<String, usize>,
-    /// Absolute tag path of the element being visited.
-    path: String,
+    /// Every path met so far, with memoised layouts.
+    paths: PathTrie,
+    /// `[vector position]` → text values already passed, in document
+    /// order.
+    cursors: Vec<usize>,
+    /// The machine stack.
+    machines: Vec<Machine>,
+    /// `Values` collectors of the elements on the current root-to-node
+    /// chain; a visit uses those it pushed itself.
+    collectors: Vec<Collector>,
     root: NodeId,
-    root_path: String,
+    /// The root element's path id.
+    root_path: PathId,
 }
 
 impl Walker<'_> {
@@ -864,35 +1040,23 @@ impl Walker<'_> {
         }
     }
 
-    /// Starts a machine. An empty pattern accepts immediately at the
-    /// spawn point (`at`; `None` is the virtual super-root).
-    fn spawn(
-        &mut self,
-        target: Target,
-        owner: usize,
-        at: Option<NodeId>,
-        machines: &mut Vec<Machine>,
-        collectors: &mut Vec<Collector>,
-    ) {
-        machines.push(Machine {
+    /// Starts a machine on the stack. An empty pattern accepts
+    /// immediately at the spawn point (`at`: the element and its path;
+    /// `None` is the virtual super-root).
+    fn spawn(&mut self, target: Target, owner: usize, at: Option<(NodeId, PathId)>) -> Result<()> {
+        self.machines.push(Machine {
             target,
             owner,
             states: PathPattern::START,
         });
         if self.pattern(target).is_empty() {
-            self.accept(target, owner, at, machines, collectors);
+            self.accept(target, owner, at)?;
         }
+        Ok(())
     }
 
     /// Handles a pattern reaching its accept state at `at`.
-    fn accept(
-        &mut self,
-        target: Target,
-        owner: usize,
-        at: Option<NodeId>,
-        machines: &mut Vec<Machine>,
-        collectors: &mut Vec<Collector>,
-    ) {
+    fn accept(&mut self, target: Target, owner: usize, at: Option<(NodeId, PathId)>) -> Result<()> {
         match target {
             Target::Var(v) => {
                 let occ = self.state.occ_parent[v].len();
@@ -906,10 +1070,10 @@ impl Walker<'_> {
                     }
                 }
                 for &w in self.var_children[v].iter() {
-                    self.spawn(Target::Var(w), occ, at, machines, collectors);
+                    self.spawn(Target::Var(w), occ, at)?;
                 }
                 for &r in self.refs_of_var[v].iter() {
-                    self.spawn(Target::Ref(r), occ, at, machines, collectors);
+                    self.spawn(Target::Ref(r), occ, at)?;
                 }
             }
             Target::Ref(r) => match self.graph.refs[r].kind {
@@ -922,7 +1086,7 @@ impl Walker<'_> {
                     if let RefData::Values(rows) = &mut self.state.ref_data[r] {
                         let group = rows[owner].len();
                         rows[owner].push(Vec::new());
-                        collectors.push(Collector {
+                        self.collectors.push(Collector {
                             r,
                             occ: owner,
                             group,
@@ -930,87 +1094,70 @@ impl Walker<'_> {
                     }
                 }
                 RefKind::Copy => {
-                    let task = match at {
-                        Some(node) => CopyTask {
-                            node,
-                            path: self.path.clone(),
-                            cursors: self.cursors.clone(),
-                        },
-                        // Copying at the super-root copies the document:
-                        // the root element, with pristine cursors.
-                        None => CopyTask {
-                            node: self.root,
-                            path: self.root_path.clone(),
-                            cursors: HashMap::new(),
-                        },
-                    };
+                    // Copying at the super-root copies the document: the
+                    // root element, reached before any text was passed.
+                    let (node, path) = at.unwrap_or((self.root, self.root_path));
+                    let layout = self.paths.layout(path, node, self.index, self.doc)?;
+                    let starts = self
+                        .paths
+                        .texts(layout)
+                        .iter()
+                        .map(|&(pos, _)| self.cursors[pos])
+                        .collect();
                     if let RefData::Copy(rows) = &mut self.state.ref_data[r] {
-                        rows[owner].push(task);
+                        rows[owner].push(CopyTask { node, path, starts });
                     }
                 }
             },
         }
+        Ok(())
     }
 
-    fn visit(&mut self, node: NodeId, machines: &[Machine]) -> Result<()> {
+    /// Visits the element `node` at path `path` with the machines
+    /// `[lo, hi)`, the top of the stack.
+    fn visit(&mut self, node: NodeId, path: PathId, lo: usize, hi: usize) -> Result<()> {
+        debug_assert_eq!(self.machines.len(), hi);
         self.tally.visits += 1;
-        self.tally.nfa_advances += machines.len() as u64;
-        let (name_id, edges) = {
-            let data = self.skeleton.node(node);
-            let name_id = data
-                .name
-                .ok_or_else(|| EngineError::Corrupt("element visit reached a text node".into()))?;
-            (name_id, data.edges.clone())
-        };
-        let name = self.skeleton.name(name_id).to_string();
-        let parent_len = self.path.len();
-        if !self.path.is_empty() {
-            self.path.push('/');
-        }
-        self.path.push_str(&name);
+        self.tally.nfa_advances += (hi - lo) as u64;
+        let skeleton = self.skeleton;
+        let data = skeleton.node(node);
+        let name_id = data
+            .name
+            .ok_or_else(|| EngineError::Corrupt("element visit reached a text node".into()))?;
 
-        // Advance every machine over this element; accepts happen in
-        // machine order, which is parent-occurrence order, so occurrence
-        // lists stay in document order.
-        let mut advanced: Vec<(Machine, bool)> = Vec::with_capacity(machines.len());
-        for m in machines {
-            let pattern = self.pattern(m.target);
-            let states = pattern.advance(m.states, name_id, &name);
-            if states == 0 {
-                continue;
+        // Advance every machine over this element into `[hi, adv_hi)`.
+        for i in lo..hi {
+            let m = self.machines[i];
+            let states = self.pattern(m.target).advance(m.states, name_id);
+            if states != 0 {
+                self.machines.push(Machine { states, ..m });
             }
-            let accepted = pattern.accepts(states);
-            advanced.push((
-                Machine {
-                    target: m.target,
-                    owner: m.owner,
-                    states,
-                },
-                accepted,
-            ));
         }
-        let mut live: Vec<Machine> = Vec::with_capacity(advanced.len());
-        let mut collectors: Vec<Collector> = Vec::new();
-        for (m, accepted) in advanced {
-            if accepted {
+        // Accepts happen in machine order, which is parent-occurrence
+        // order, so occurrence lists stay in document order. Each
+        // machine lands on the live slice after whatever its accept
+        // spawned.
+        let adv_hi = self.machines.len();
+        let own_collectors = self.collectors.len();
+        for i in hi..adv_hi {
+            let m = self.machines[i];
+            if self.pattern(m.target).accepts(m.states) {
                 self.tally.nfa_accepts += 1;
-                self.accept(m.target, m.owner, Some(node), &mut live, &mut collectors);
+                self.accept(m.target, m.owner, Some((node, path)))?;
             }
-            live.push(m);
+            self.machines.push(m);
         }
+        let (live_lo, live_hi) = (adv_hi, self.machines.len());
 
-        for edge in edges {
-            let child_name = self.skeleton.node(edge.child).name;
-            match child_name {
+        for edge in &data.edges {
+            match skeleton.node(edge.child).name {
                 None => {
                     // Text children: their vector is the current path's.
-                    let vec_pos = self.doc.vector_position(&self.path).ok_or_else(|| {
-                        EngineError::Corrupt(format!("no vector for text path {:?}", self.path))
-                    })?;
-                    let start = *self.cursors.entry(self.path.clone()).or_insert(0);
-                    *self.cursors.get_mut(&self.path).expect("just inserted") += edge.run as usize;
+                    let vec_pos = self.paths.text_vector(path, skeleton)?;
+                    let start = self.cursors[vec_pos];
+                    self.cursors[vec_pos] += edge.run as usize;
                     self.tally.values_passed += edge.run;
-                    for c in &collectors {
+                    for c in &self.collectors[own_collectors..] {
                         if let RefData::Values(rows) = &mut self.state.ref_data[c.r] {
                             for k in 0..edge.run as usize {
                                 rows[c.occ][c.group].push((vec_pos, start + k));
@@ -1018,48 +1165,44 @@ impl Walker<'_> {
                         }
                     }
                 }
-                Some(child_name_id) => {
-                    if live.is_empty() {
+                Some(child_name) => {
+                    let child_path = self.paths.child(path, child_name, self.doc);
+                    if live_lo == live_hi {
                         // No machine can match anything below: bulk-advance
                         // the cursors over the subtree without entering it.
-                        let child_name = self.skeleton.name(child_name_id).to_string();
-                        self.skip(edge.child, edge.run, &child_name);
-                    } else if self.subtree_dead(&live, edge.child, child_name_id) {
+                        self.skip(edge.child, child_path, edge.run)?;
+                    } else if self.subtree_dead(live_lo..live_hi, edge.child, child_name) {
                         // Structural pruning: summary evidence alone shows
                         // no machine can complete inside this subtree, so
                         // the walk skips it wholesale.
                         let structural = self.structural.expect("pruning implies an index");
-                        self.tally.summary_hits += live.len() as u64;
+                        self.tally.summary_hits += (live_hi - live_lo) as u64;
                         self.tally.nodes_skipped += structural.expanded(edge.child) * edge.run;
-                        let child_name = self.skeleton.name(child_name_id).to_string();
-                        self.skip(edge.child, edge.run, &child_name);
+                        self.skip(edge.child, child_path, edge.run)?;
                     } else {
                         for _ in 0..edge.run {
-                            self.visit(edge.child, &live)?;
+                            self.visit(edge.child, child_path, live_lo, live_hi)?;
                         }
                     }
                 }
             }
         }
-        self.path.truncate(parent_len);
+        self.machines.truncate(hi);
+        self.collectors.truncate(own_collectors);
         Ok(())
     }
 
     /// Whether the whole subtree at `child` can be skipped: the index
-    /// is loaded and *no* live machine is viable inside it. Exits on
-    /// the first viable machine and never allocates — partial pruning
-    /// (cloning the survivors) was measured to cost more than it saves
-    /// on flat corpora, so the walk only acts on unanimous evidence.
-    fn subtree_dead(
-        &self,
-        live: &[Machine],
-        child: NodeId,
-        child_name: vx_skeleton::NameId,
-    ) -> bool {
+    /// is loaded and *no* machine of `live` is viable inside it. Exits
+    /// on the first viable machine and never allocates — partial
+    /// pruning (copying the survivors) was measured to cost more than
+    /// it saves on flat corpora, so the walk only acts on unanimous
+    /// evidence.
+    fn subtree_dead(&self, live: Range<usize>, child: NodeId, child_name: NameId) -> bool {
         let Some(structural) = self.structural else {
             return false;
         };
-        !live
+        !self.machines[live]
             .iter()
             .any(|m| self.machine_viable(structural, m, child, child_name))
     }
@@ -1075,7 +1218,7 @@ impl Walker<'_> {
         structural: &StructIndex,
         m: &Machine,
         child: NodeId,
-        child_name: vx_skeleton::NameId,
+        child_name: NameId,
     ) -> bool {
         let meta = match m.target {
             Target::Var(v) => &self.var_meta[v],
@@ -1105,31 +1248,17 @@ impl Walker<'_> {
         false
     }
 
-    /// Advances the per-path cursors across `run` repetitions of the
-    /// subtree at `child` using the memoized text layout, in `O(paths)`.
-    fn skip(&mut self, child: NodeId, run: u64, child_name: &str) {
+    /// Advances the cursors across `run` repetitions of the subtree at
+    /// `child` (reached at path `child_path`) through its memoised
+    /// layout: `O(paths)` integer adds, allocation-free once memoised.
+    fn skip(&mut self, child: NodeId, child_path: PathId, run: u64) -> Result<()> {
         self.tally.bulk_skips += 1;
-        let rels: Vec<(String, u64)> = self
-            .index
-            .texts_below(child)
-            .iter()
-            .map(|(rel, count)| {
-                let mut abs = self.path.clone();
-                if !abs.is_empty() {
-                    abs.push('/');
-                }
-                abs.push_str(child_name);
-                for &name_id in rel {
-                    abs.push('/');
-                    abs.push_str(self.skeleton.name(name_id));
-                }
-                (abs, *count)
-            })
-            .collect();
-        for (abs, count) in rels {
-            *self.cursors.entry(abs).or_insert(0) += (count * run) as usize;
+        let layout = self.paths.layout(child_path, child, self.index, self.doc)?;
+        for &(pos, count) in self.paths.texts(layout) {
+            self.cursors[pos] += (count * run) as usize;
             self.tally.values_skipped += count * run;
         }
+        Ok(())
     }
 }
 
@@ -1157,6 +1286,8 @@ struct Eval<'a> {
     /// live; only `Instant` calls are gated).
     profiling: bool,
     tally: EnumTally,
+    /// `[vector position]` → copy cursors, seeded per copy task.
+    copy_cursors: RefCell<Vec<usize>>,
 }
 
 /// Everything [`plan_execution`] pre-builds before enumeration, keyed by
@@ -1914,14 +2045,27 @@ impl Eval<'_> {
             match item {
                 TplItem::Copy(r) => {
                     let var = self.graph.refs[*r].var;
-                    let doc = self.docs[self.var_doc[var]].doc;
+                    let doc_idx = self.var_doc[var];
+                    let doc = self.docs[doc_idx].doc;
+                    let paths = self.state.paths[doc_idx]
+                        .as_ref()
+                        .expect("every collected document keeps its path trie");
+                    let mut cursors = self.copy_cursors.borrow_mut();
+                    if cursors.len() < doc.vectors().len() {
+                        cursors.resize(doc.vectors().len(), 0);
+                    }
                     for task in self.state.copies(*r, env[var]) {
-                        let mut cursors = task.cursors.clone();
-                        let mut path = task.path.clone();
+                        // Seed only the cursors the copy can read: every
+                        // text path below the copy root is in its layout.
+                        let layout = paths.layouts[&(task.path, task.node)];
+                        for (&(pos, _), &start) in paths.texts(layout).iter().zip(&task.starts) {
+                            cursors[pos] = start;
+                        }
                         copy_walk(
                             doc,
+                            paths,
                             task.node,
-                            &mut path,
+                            Some(task.path),
                             &mut cursors,
                             builder,
                             &self.tally.values,
@@ -1938,14 +2082,17 @@ impl Eval<'_> {
     }
 }
 
-/// Streams a deep copy of the subtree at `node` into the builder,
-/// pulling text values through local cursors seeded from the copy
-/// task's snapshot (paths never seen before the snapshot start at 0).
+/// Streams a deep copy of the subtree at `node` (path `path`) into the
+/// builder, pulling text values through `cursors` (indexed by vector
+/// position), which the caller seeded from the copy task. Paths resolve
+/// through the document pass's trie; a path it never numbered (`None`)
+/// has no text below it.
 fn copy_walk(
     doc: &VecDoc,
+    paths: &PathTrie,
     node: NodeId,
-    path: &mut String,
-    cursors: &mut HashMap<String, usize>,
+    path: Option<PathId>,
+    cursors: &mut [usize],
     builder: &mut Pipeline<VecDoc>,
     values_out: &Cell<u64>,
 ) -> Result<()> {
@@ -1956,30 +2103,37 @@ fn copy_walk(
         .ok_or_else(|| EngineError::Corrupt("copy task rooted at a text node".into()))?;
     builder.start(skeleton.name(name_id))?;
     for edge in &data.edges {
-        let child = skeleton.node(edge.child);
-        match child.name {
+        match skeleton.node(edge.child).name {
             None => {
-                let vector = doc.vector(path).ok_or_else(|| {
-                    EngineError::Corrupt(format!("no vector for copied path {path:?}"))
-                })?;
-                let cursor = cursors.entry(path.clone()).or_insert(0);
+                let pos = match path {
+                    Some(path) => paths.text_vector(path, skeleton)?,
+                    None => {
+                        return Err(EngineError::Corrupt(format!(
+                            "no vector for text copied under {:?}",
+                            skeleton.name(name_id)
+                        )))
+                    }
+                };
+                let values = &doc.vectors()[pos].values;
                 values_out.set(values_out.get() + edge.run);
                 for _ in 0..edge.run {
-                    let bytes = vector.values.get(*cursor).ok_or_else(|| {
-                        EngineError::Corrupt(format!("vector {path:?} exhausted during copy"))
+                    let bytes = values.get(cursors[pos]).ok_or_else(|| {
+                        EngineError::Corrupt(format!(
+                            "vector {:?} exhausted during copy",
+                            doc.vectors()[pos].path
+                        ))
                     })?;
-                    *cursor += 1;
+                    cursors[pos] += 1;
                     builder.text(bytes)?;
                 }
             }
             Some(child_name) => {
-                let saved = path.len();
-                path.push('/');
-                path.push_str(skeleton.name(child_name));
+                let child_path = path.and_then(|p| paths.get(p, child_name));
                 for _ in 0..edge.run {
-                    copy_walk(doc, edge.child, path, cursors, builder, values_out)?;
+                    copy_walk(
+                        doc, paths, edge.child, child_path, cursors, builder, values_out,
+                    )?;
                 }
-                path.truncate(saved);
             }
         }
     }

@@ -358,7 +358,7 @@ impl PathIndex {
             None => return out,
         };
         // The pattern's first step must match the root element.
-        let states = pattern.advance(PathPattern::START, root_name, skeleton.name(root_name));
+        let states = pattern.advance(PathPattern::START, root_name);
         if states == 0 {
             return out;
         }
@@ -398,7 +398,7 @@ impl PathIndex {
                 Some(n) => n,
                 None => continue,
             };
-            let next = pattern.advance(states, name, skeleton.name(name));
+            let next = pattern.advance(states, name);
             if next == 0 {
                 continue;
             }
@@ -487,9 +487,17 @@ pub struct PatternStep {
 /// language. Matching is a tiny NFA whose state set is a bitmask of
 /// "first `i` steps matched" positions (so patterns are limited to 63
 /// steps, far beyond any real query).
+///
+/// A pattern is compiled against one skeleton's name table: its named
+/// steps hold that table's [`NameId`]s, and it records which names are
+/// the synthetic `@attr` encoding, so [`PathPattern::advance`] compares
+/// ids only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathPattern {
     steps: Vec<PatternStep>,
+    /// Bitset over the name table of the `@attr` names, which `*` never
+    /// matches. Empty when no step is `*`.
+    attrs: Vec<u64>,
 }
 
 impl PathPattern {
@@ -499,8 +507,23 @@ impl PathPattern {
     /// Maximum number of steps (bitmask representation).
     pub const MAX_STEPS: usize = 63;
 
-    pub fn new(steps: Vec<PatternStep>) -> Option<Self> {
-        (steps.len() <= Self::MAX_STEPS).then_some(PathPattern { steps })
+    /// Compiles `steps` against `skeleton`'s name table; `None` past
+    /// [`PathPattern::MAX_STEPS`] steps.
+    pub fn new(steps: Vec<PatternStep>, skeleton: &Skeleton) -> Option<Self> {
+        if steps.len() > Self::MAX_STEPS {
+            return None;
+        }
+        let mut attrs = Vec::new();
+        if steps.iter().any(|s| s.test == PatternTest::Any) {
+            let names = skeleton.names();
+            attrs = vec![0u64; names.len().div_ceil(64)];
+            for (i, name) in names.iter().enumerate() {
+                if name.starts_with('@') {
+                    attrs[i / 64] |= 1u64 << (i % 64);
+                }
+            }
+        }
+        Some(PathPattern { steps, attrs })
     }
 
     pub fn steps(&self) -> &[PatternStep] {
@@ -516,11 +539,18 @@ impl PathPattern {
         states & (1u64 << self.steps.len()) != 0
     }
 
+    /// Whether `name` is one of the synthetic `@attr` names.
+    fn is_attr(&self, name: NameId) -> bool {
+        let i = name.0 as usize;
+        self.attrs
+            .get(i / 64)
+            .is_some_and(|word| word & (1u64 << (i % 64)) != 0)
+    }
+
     /// Transition: the state set after descending into a child element
-    /// named `name` (`name_str` is its spelled-out tag, used to keep `*`
-    /// from matching the synthetic `@attr` encoding). Zero means the
-    /// subtree below can no longer contribute a match.
-    pub fn advance(&self, states: u64, name: NameId, name_str: &str) -> u64 {
+    /// named `name` (`*` never matches the synthetic `@attr` encoding).
+    /// Zero means the subtree below can no longer contribute a match.
+    pub fn advance(&self, states: u64, name: NameId) -> u64 {
         let mut next = 0u64;
         for i in 0..=self.steps.len() {
             if states & (1u64 << i) == 0 {
@@ -535,7 +565,7 @@ impl PathPattern {
                 let hit = match step.test {
                     PatternTest::Name(Some(id)) => id == name,
                     PatternTest::Name(None) => false,
-                    PatternTest::Any => !name_str.starts_with('@'),
+                    PatternTest::Any => !self.is_attr(name),
                 };
                 if hit {
                     next |= 1u64 << (i + 1);
@@ -546,10 +576,10 @@ impl PathPattern {
     }
 
     /// Whether a concrete downward tag path matches the whole pattern.
-    pub fn matches(&self, path: &[NameId], skeleton: &Skeleton) -> bool {
+    pub fn matches(&self, path: &[NameId]) -> bool {
         let mut states = Self::START;
         for &name in path {
-            states = self.advance(states, name, skeleton.name(name));
+            states = self.advance(states, name);
             if states == 0 {
                 return false;
             }
@@ -559,10 +589,10 @@ impl PathPattern {
 
     /// Whether a concrete path could be extended to match: some state is
     /// still alive after consuming `path`. Used for prefix pruning.
-    pub fn matches_prefix(&self, path: &[NameId], skeleton: &Skeleton) -> bool {
+    pub fn matches_prefix(&self, path: &[NameId]) -> bool {
         let mut states = Self::START;
         for &name in path {
-            states = self.advance(states, name, skeleton.name(name));
+            states = self.advance(states, name);
             if states == 0 {
                 return false;
             }
@@ -645,6 +675,7 @@ mod tests {
                     },
                 })
                 .collect(),
+            skeleton,
         )
         .unwrap()
     }
@@ -689,10 +720,32 @@ mod tests {
         let _ = root;
         let (lib, book, author) = (names[0], names[1], names[3]);
         let p = pat(&s, &[(false, Some("lib")), (true, Some("author"))]);
-        assert!(p.matches(&[lib, book, author], &s));
-        assert!(!p.matches(&[lib, book], &s));
-        assert!(p.matches_prefix(&[lib, book], &s));
-        assert!(!p.matches_prefix(&[book], &s));
+        assert!(p.matches(&[lib, book, author]));
+        assert!(!p.matches(&[lib, book]));
+        assert!(p.matches_prefix(&[lib, book]));
+        assert!(!p.matches_prefix(&[book]));
+    }
+
+    #[test]
+    fn wildcard_never_matches_attribute_names() {
+        let mut s = Skeleton::new();
+        let t = s.text_node();
+        let item = s.intern("item");
+        let id = s.intern("@id");
+        let name = s.intern("name");
+        let id_n = s.cons(id, vec![Edge { child: t, run: 1 }]);
+        let name_n = s.cons(name, vec![Edge { child: t, run: 1 }]);
+        let mut edges = Vec::new();
+        push_child(&mut edges, id_n);
+        push_child(&mut edges, name_n);
+        s.cons(item, edges);
+
+        let star = pat(&s, &[(false, Some("item")), (false, None)]);
+        assert!(star.matches(&[item, name]));
+        assert!(!star.matches(&[item, id]));
+        // A named step still reaches the attribute.
+        let named = pat(&s, &[(false, Some("item")), (false, Some("@id"))]);
+        assert!(named.matches(&[item, id]));
     }
 
     #[test]

@@ -455,14 +455,15 @@ fn stats(args: &[String]) {
         }
         let _ = writeln!(
             out,
-            "wal          {} segment{}, {} bytes, {} pending doc{} ({} bytes), applied seq {}",
+            "wal          {} segment{}, {} bytes, {} pending doc{} ({} bytes), applied seq {}, replay {:.3} ms",
             wal.segments,
             if wal.segments == 1 { "" } else { "s" },
             wal.wal_bytes,
             wal.pending_docs,
             if wal.pending_docs == 1 { "" } else { "s" },
             wal.pending_bytes,
-            wal.applied_seq
+            wal.applied_seq,
+            handle.replay_secs() * 1e3
         );
         if wal.pending_docs > 0 {
             let _ = writeln!(

@@ -498,6 +498,15 @@ fn append_and_compact_round_trip() {
         "{}",
         stdout(&stats)
     );
+    let wal_line = stdout(&stats)
+        .lines()
+        .find(|l| l.starts_with("wal "))
+        .map(str::to_string)
+        .unwrap_or_default();
+    assert!(
+        wal_line.contains(", replay ") && wal_line.ends_with(" ms"),
+        "the WAL line reports the replay time: {wal_line}"
+    );
 
     // Compact, then identical answers from the new generation.
     let compacted = run(&["compact", store_arg]);

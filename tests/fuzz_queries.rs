@@ -10,7 +10,10 @@
 //! derived from real root-to-text tag paths reported by the path
 //! summary, then mutated into wildcards (`*`), descendant steps (`//`),
 //! literal and `exists()` filters (literals sampled from the store's
-//! own vectors), and two-variable equality joins. The oracle
+//! own vectors), and two-variable equality joins. Each case is checked
+//! twice: as a value projection, and with constructor output — either
+//! `<r>{$a/suffix}</r>` or `<r>{$a}</r>`, which deep-copies the bound
+//! element (overlapping copies under nested `//` bindings). The oracle
 //! ([`xmlvec::engine::naive_eval`]) defines ground truth, so mutations
 //! that widen or empty a match set are still exact checks.
 //!
@@ -126,8 +129,32 @@ fn extension_of<'a>(rng: &mut Rng, doc: &'a FuzzDoc, prefix: &[String]) -> Optio
     Some(candidates[rng.below(candidates.len() as u64) as usize])
 }
 
-/// One generated query: the source text plus the docs it draws from.
-fn gen_query(rng: &mut Rng, docs: &[FuzzDoc], primary: usize) -> String {
+/// One generated query, split at its `return`: the clauses before it,
+/// the returned variable and the step suffix returned from it.
+struct GenQuery {
+    head: String,
+    var: char,
+    ret: String,
+}
+
+impl GenQuery {
+    /// The value projection `… return $a/suffix`.
+    fn values(&self) -> String {
+        format!("{} return ${}{}", self.head, self.var, self.ret)
+    }
+
+    /// The same bindings with constructor output: `<r>{$a/suffix}</r>`
+    /// copies what the projection reaches, `<r>{$a}</r>` (`whole`)
+    /// copies the bound element itself — under a `//` binding, nested
+    /// occurrences copy overlapping subtrees.
+    fn constructed(&self, whole: bool) -> String {
+        let ret = if whole { "" } else { self.ret.as_str() };
+        format!("{} return <r>{{${}{ret}}}</r>", self.head, self.var)
+    }
+}
+
+/// One generated query over `docs`, drawing from `docs[primary]`.
+fn gen_query(rng: &mut Rng, docs: &[FuzzDoc], primary: usize) -> GenQuery {
     let a = &docs[primary];
     let path = &a.paths[rng.below(a.paths.len() as u64) as usize];
     // Split into a variable binding prefix and a return suffix; the
@@ -136,9 +163,9 @@ fn gen_query(rng: &mut Rng, docs: &[FuzzDoc], primary: usize) -> String {
     let var = format!("doc(\"{}\"){}", a.name, render_steps(rng, &path[..j]));
     let ret = render_steps(rng, &path[j..]);
 
-    match rng.below(100) {
+    let (head, var) = match rng.below(100) {
         // Plain projection chain.
-        0..=39 => format!("for $a in {var} return $a{ret}"),
+        0..=39 => (format!("for $a in {var}"), 'a'),
         // Literal equality filter; literal sampled from the store's own
         // vector (or a guaranteed miss, to pin empty results).
         40..=64 => {
@@ -152,13 +179,16 @@ fn gen_query(rng: &mut Rng, docs: &[FuzzDoc], primary: usize) -> String {
                     None => "zz-no-such-value".to_string(),
                 }
             };
-            format!("for $a in {var} where $a/{suffix} = \"{value}\" return $a{ret}")
+            (
+                format!("for $a in {var} where $a/{suffix} = \"{value}\""),
+                'a',
+            )
         }
         // Existential filter.
         65..=77 => {
             let filter = extension_of(rng, a, &path[..j]).unwrap_or(path);
             let suffix = filter[j..].join("/");
-            format!("for $a in {var} where exists($a/{suffix}) return $a{ret}")
+            (format!("for $a in {var} where exists($a/{suffix})"), 'a')
         }
         // Two-variable equality join. Half the time a self-join on the
         // same suffix (guaranteed matches); otherwise arbitrary pairs,
@@ -166,27 +196,33 @@ fn gen_query(rng: &mut Rng, docs: &[FuzzDoc], primary: usize) -> String {
         _ => {
             let suffix_a = path[j..].join("/");
             if rng.below(2) == 0 {
-                format!(
+                let head = format!(
                     "for $a in {var}, $b in doc(\"{}\"){} \
-                     where $a/{suffix_a} = $b/{suffix_a} return $b{ret}",
+                     where $a/{suffix_a} = $b/{suffix_a}",
                     a.name,
                     render_steps(rng, &path[..j]),
-                )
+                );
+                (head, 'b')
             } else {
                 let b = &docs[rng.below(docs.len() as u64) as usize];
                 let path_b = &b.paths[rng.below(b.paths.len() as u64) as usize];
                 let k = rng.range(1, path_b.len() as u64 - 1) as usize;
-                format!(
+                let head = format!(
                     "for $a in {var}, $b in doc(\"{}\"){} \
-                     where $a/{suffix_a} = $b/{} return $b{}",
+                     where $a/{suffix_a} = $b/{}",
                     b.name,
                     render_steps(rng, &path_b[..k]),
                     path_b[k..].join("/"),
-                    render_steps(rng, &path_b[k..]),
-                )
+                );
+                return GenQuery {
+                    head,
+                    var: 'b',
+                    ret: render_steps(rng, &path_b[k..]),
+                };
             }
         }
-    }
+    };
+    GenQuery { head, var, ret }
 }
 
 fn engine_xml(doc: &VecDoc, label: &str) -> String {
@@ -251,44 +287,53 @@ fn generated_queries_agree_with_the_oracle_under_every_mode() {
     let mut persistent_joins = 0;
 
     let mut rng = Rng::new(seed);
+    // Constructor shapes draw from their own stream, so the value
+    // queries stay exactly those the generator has always produced.
+    let mut shape_rng = Rng::new(seed ^ 0xC0B7);
     for primary in 0..docs.len() {
         for case in 0..cases {
-            let src = gen_query(&mut rng, &docs, primary);
-            let tag = format!(
-                "seed={seed} corpus={} case={case} query={src}",
-                docs[primary].name
-            );
-            let parsed = xmlvec::xquery::parse_query(&src)
-                .unwrap_or_else(|e| panic!("generator emitted unparseable query: {e} [{tag}]"));
-            let expected =
-                naive_eval(&parsed, &doms).unwrap_or_else(|e| panic!("oracle failed: {e} [{tag}]"));
-            let query = Query::new(&src).unwrap_or_else(|e| panic!("compile failed: {e} [{tag}]"));
-            for struct_index in [true, false] {
-                for (target, use_indexes) in [("memory", true), ("store", true), ("store", false)] {
-                    let options = RunOptions {
-                        use_indexes,
-                        struct_index: Some(struct_index),
-                        ..RunOptions::default()
-                    };
-                    let label = format!(
-                        "{tag} target={target} use_indexes={use_indexes} struct_index={struct_index}"
-                    );
-                    let outcome = if target == "memory" {
-                        query.run_with(&vecs, &options)
-                    } else {
-                        query.run_with(&handles, &options)
-                    };
-                    let got = outcome
-                        .unwrap_or_else(|e| panic!("engine failed: {e} [{label}]"))
-                        .output;
-                    assert_matches_oracle(&got, &expected, &label);
+            let generated = gen_query(&mut rng, &docs, primary);
+            let constructed = generated.constructed(shape_rng.below(2) == 0);
+            for src in [generated.values(), constructed] {
+                let tag = format!(
+                    "seed={seed} corpus={} case={case} query={src}",
+                    docs[primary].name
+                );
+                let parsed = xmlvec::xquery::parse_query(&src)
+                    .unwrap_or_else(|e| panic!("generator emitted unparseable query: {e} [{tag}]"));
+                let expected = naive_eval(&parsed, &doms)
+                    .unwrap_or_else(|e| panic!("oracle failed: {e} [{tag}]"));
+                let query =
+                    Query::new(&src).unwrap_or_else(|e| panic!("compile failed: {e} [{tag}]"));
+                for struct_index in [true, false] {
+                    for (target, use_indexes) in
+                        [("memory", true), ("store", true), ("store", false)]
+                    {
+                        let options = RunOptions {
+                            use_indexes,
+                            struct_index: Some(struct_index),
+                            ..RunOptions::default()
+                        };
+                        let label = format!(
+                            "{tag} target={target} use_indexes={use_indexes} struct_index={struct_index}"
+                        );
+                        let outcome = if target == "memory" {
+                            query.run_with(&vecs, &options)
+                        } else {
+                            query.run_with(&handles, &options)
+                        };
+                        let got = outcome
+                            .unwrap_or_else(|e| panic!("engine failed: {e} [{label}]"))
+                            .output;
+                        assert_matches_oracle(&got, &expected, &label);
+                    }
                 }
-            }
-            let plan = query
-                .explain(&handles)
-                .unwrap_or_else(|e| panic!("explain failed: {e} [{tag}]"));
-            if plan.render().contains("access=persistent-index") {
-                persistent_joins += 1;
+                let plan = query
+                    .explain(&handles)
+                    .unwrap_or_else(|e| panic!("explain failed: {e} [{tag}]"));
+                if plan.render().contains("access=persistent-index") {
+                    persistent_joins += 1;
+                }
             }
         }
     }
