@@ -8,9 +8,10 @@
 //!   the data vector of its root-to-text tag path (Prop 2.1, `O(|T|)`).
 //!   [`VecDoc`] is the pipeline's in-memory value sink; the query
 //!   engine's constructor output and WAL replay use the same pipeline.
-//! * [`reconstruct`] — the inverse: one skeleton walk that pulls values
-//!   from per-path cursors in document order (Prop 2.2, `O(|T|)`,
-//!   lossless).
+//! * [`write_xml`] / [`reconstruct`] — the inverse: one skeleton walk
+//!   that pulls values from per-path cursors in document order (Prop
+//!   2.2, `O(|T|)`, lossless) and streams XML, or builds a DOM for the
+//!   callers that want one.
 //! * [`Store`] — the on-disk layout used by the surviving
 //!   `bench_results/stores/`: a directory with `skeleton.vxsk`,
 //!   `v{NNNNNN}.vec`, and `catalog.json`, plus a salvage loader for stores
@@ -24,6 +25,7 @@ mod builder;
 mod handle;
 mod ingest;
 pub mod json;
+mod paths;
 mod reconstruct;
 mod store;
 mod vecdoc;
@@ -35,7 +37,10 @@ pub use append::{
 };
 pub use handle::StoreHandle;
 pub use ingest::{IngestOptions, IngestReport};
-pub use reconstruct::{reconstruct, reconstruct_salvage, ReconstructReport};
+pub use paths::{IdHasher, IdMap, PathId, PathIds, SUPER_ROOT};
+pub use reconstruct::{
+    reconstruct, reconstruct_into, reconstruct_salvage, write_xml, ReconstructReport,
+};
 pub use store::{Catalog, CatalogEntry, Compaction, SalvageStore, Store};
 pub use vecdoc::{PathVector, VecDoc};
 pub use vectorize::{vectorize, vectorize_with, VectorizeOptions};

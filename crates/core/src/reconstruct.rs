@@ -1,9 +1,17 @@
-//! Lossless reconstruction `VEC(T) → T` (Prop 2.2).
+//! Lossless reconstruction `VEC(T) → T` (Prop 2.2): one skeleton-order
+//! walk over `(S, V)`, `O(|T|)` time, that pulls each text from its
+//! vector's cursor and drives a [`Sink`] — a streaming XML writer
+//! ([`write_xml`]), a DOM builder ([`reconstruct`]), or any other
+//! ([`reconstruct_into`]). Vectors resolve through [`PathIds`], so no
+//! path string is built per value and no node is cloned.
 
+use crate::paths::{PathId, PathIds, SUPER_ROOT};
 use crate::vecdoc::VecDoc;
 use crate::{CoreError, Result};
+use std::borrow::Cow;
+use std::io;
 use vx_skeleton::NodeId;
-use vx_xml::{Document, Element, Node};
+use vx_xml::{Document, Sink, TreeBuilder, XmlWriter};
 
 /// What a salvage reconstruction had to invent.
 #[derive(Debug, Clone, Default)]
@@ -21,132 +29,167 @@ impl ReconstructReport {
     }
 }
 
-/// Strict reconstruction: every `#` position must find its value, every
-/// vector must be fully consumed, and all values must be UTF-8.
+/// Strict reconstruction into a DOM: every `#` position must find its
+/// value, every vector must be fully consumed, and all values must be
+/// UTF-8.
 pub fn reconstruct(doc: &VecDoc) -> Result<Document> {
-    let (document, report, cursors) = reconstruct_inner(doc, true)?;
-    debug_assert!(report.is_lossless());
-    for (i, vector) in doc.vectors().iter().enumerate() {
-        if cursors[i] != vector.values.len() {
-            return Err(CoreError::Corrupt(format!(
-                "vector `{}` has {} values but the skeleton consumed {}",
-                vector.path,
-                vector.values.len(),
-                cursors[i],
-            )));
-        }
-    }
-    Ok(document)
+    let mut builder = TreeBuilder::default();
+    reconstruct_into(doc, &mut builder)?;
+    Ok(builder.finish().expect(CLOSED))
 }
 
 /// Best-effort reconstruction for salvaged stores: missing values become
 /// empty strings and the report says how many were invented.
 pub fn reconstruct_salvage(doc: &VecDoc) -> Result<(Document, ReconstructReport)> {
-    let (document, report, _) = reconstruct_inner(doc, false)?;
-    Ok((document, report))
+    let mut builder = TreeBuilder::default();
+    let (report, _) = walk(doc, &mut builder, false)?;
+    Ok((builder.finish().expect(CLOSED), report))
 }
 
-struct Walk<'a> {
+const CLOSED: &str = "a finished walk has closed every element it opened";
+
+/// Streams the document as compact XML into `out`, with no DOM in
+/// between: the bytes [`vx_xml::write_document`] writes for
+/// [`reconstruct`]'s result. Checked as strictly as [`reconstruct`], but
+/// a failure can come after part of the document was written.
+pub fn write_xml(doc: &VecDoc, out: impl io::Write) -> Result<()> {
+    reconstruct_into(doc, &mut XmlWriter::new(out))
+}
+
+/// Strict reconstruction into any [`Sink`]: the tree's elements,
+/// attributes and texts in document order, checked as [`reconstruct`]
+/// checks them.
+pub fn reconstruct_into(doc: &VecDoc, sink: &mut impl Sink) -> Result<()> {
+    let (report, cursors) = walk(doc, sink, true)?;
+    debug_assert!(report.is_lossless());
+    for (vector, &consumed) in doc.vectors().iter().zip(&cursors) {
+        if consumed != vector.values.len() {
+            return Err(CoreError::Corrupt(format!(
+                "vector `{}` has {} values but the skeleton consumed {consumed}",
+                vector.path,
+                vector.values.len(),
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// One skeleton-order walk over `(S, V)`, returning what it had to
+/// invent and how far it read each vector.
+fn walk(
+    doc: &VecDoc,
+    sink: &mut impl Sink,
+    strict: bool,
+) -> Result<(ReconstructReport, Vec<usize>)> {
+    let root = doc
+        .root
+        .ok_or_else(|| CoreError::Corrupt("vectorized document has no root".into()))?;
+    let Some(root_name) = doc.skeleton.node(root).name else {
+        return Err(CoreError::Corrupt("root node is a text marker".into()));
+    };
+    let mut paths = PathIds::default();
+    let root_path = paths.child(SUPER_ROOT, root_name, doc);
+    let mut walk = Walk {
+        doc,
+        paths,
+        cursors: vec![0; doc.vectors().len()],
+        report: ReconstructReport::default(),
+        strict,
+        sink,
+    };
+    walk.element(root, root_path)?;
+    Ok((walk.report, walk.cursors))
+}
+
+struct Walk<'a, S> {
     doc: &'a VecDoc,
+    paths: PathIds,
     /// Next unread value index per vector, parallel to `doc.vectors()`.
     cursors: Vec<usize>,
     report: ReconstructReport,
     strict: bool,
-    path: String,
+    sink: &'a mut S,
 }
 
-fn reconstruct_inner(
-    doc: &VecDoc,
-    strict: bool,
-) -> Result<(Document, ReconstructReport, Vec<usize>)> {
-    let root = doc
-        .root
-        .ok_or_else(|| CoreError::Corrupt("vectorized document has no root".into()))?;
-    if doc.skeleton.node(root).name.is_none() {
-        return Err(CoreError::Corrupt("root node is a text marker".into()));
-    }
-    let mut walk = Walk {
-        doc,
-        cursors: vec![0; doc.vectors().len()],
-        report: ReconstructReport::default(),
-        strict,
-        path: String::new(),
-    };
-    let element = build_element(&mut walk, root)?;
-    Ok((Document::from_root(element), walk.report, walk.cursors))
-}
-
-fn build_element(walk: &mut Walk<'_>, node: NodeId) -> Result<Element> {
-    let data = walk.doc.skeleton.node(node).clone();
-    let name_id = data
-        .name
-        .ok_or_else(|| CoreError::Corrupt("unexpected text marker as element".into()))?;
-    let name = walk.doc.skeleton.name(name_id).to_string();
-    let parent_len = walk.path.len();
-    if !walk.path.is_empty() {
-        walk.path.push('/');
-    }
-    walk.path.push_str(&name);
-
-    let mut element = Element::new(name);
-    for edge in &data.edges {
-        for _ in 0..edge.run {
-            let child = walk.doc.skeleton.node(edge.child);
-            match child.name {
-                None => {
-                    let value = take_value(walk)?;
-                    element.children.push(Node::Text(value));
+impl<'a, S: Sink> Walk<'a, S> {
+    /// Emits the element `node`, reached at path `path`. Its `@name`
+    /// children (each wrapping one value) go out first as attributes,
+    /// then its texts and elements in order.
+    fn element(&mut self, node: NodeId, path: PathId) -> Result<()> {
+        let skeleton = &self.doc.skeleton;
+        let data = skeleton.node(node);
+        let name = data
+            .name
+            .ok_or_else(|| CoreError::Corrupt("unexpected text marker as element".into()))?;
+        let tag = skeleton.name(name);
+        self.sink.start(tag)?;
+        for edge in &data.edges {
+            let Some(child) = skeleton.node(edge.child).name else {
+                continue;
+            };
+            if let Some(attr) = skeleton.name(child).strip_prefix('@') {
+                let attr_path = self.paths.child(path, child, self.doc);
+                for _ in 0..edge.run {
+                    let value = self.take(attr_path)?;
+                    self.sink.attr(attr, &value)?;
                 }
-                Some(child_name_id) => {
-                    let child_name = walk.doc.skeleton.name(child_name_id).to_string();
-                    if let Some(attr_name) = child_name.strip_prefix('@') {
-                        // Attribute encoding: `@name` wraps a single '#'.
-                        let attr_path_len = walk.path.len();
-                        walk.path.push('/');
-                        walk.path.push_str(&child_name);
-                        let value = take_value(walk)?;
-                        walk.path.truncate(attr_path_len);
-                        element.attributes.push((attr_name.to_string(), value));
-                    } else {
-                        element
-                            .children
-                            .push(Node::Element(build_element(walk, edge.child)?));
+            }
+        }
+        for edge in &data.edges {
+            match skeleton.node(edge.child).name {
+                None => {
+                    for _ in 0..edge.run {
+                        let value = self.take(path)?;
+                        self.sink.text(&value)?;
+                    }
+                }
+                Some(child) if skeleton.name(child).starts_with('@') => {}
+                Some(child) => {
+                    let child_path = self.paths.child(path, child, self.doc);
+                    for _ in 0..edge.run {
+                        self.element(edge.child, child_path)?;
                     }
                 }
             }
         }
+        Ok(self.sink.end(tag)?)
     }
-    walk.path.truncate(parent_len);
-    Ok(element)
-}
 
-fn take_value(walk: &mut Walk<'_>) -> Result<String> {
-    let index = walk.doc.vector_position(&walk.path);
-    let raw = index.and_then(|i| {
-        let position = walk.cursors[i];
-        walk.cursors[i] += 1;
-        walk.doc.vectors()[i].values.get(position)
-    });
-    match raw {
-        Some(bytes) => match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_string()),
-            Err(_) if walk.strict => Err(CoreError::Corrupt(format!(
-                "non-UTF-8 value in vector `{}`",
-                walk.path
+    /// The next value of the text directly under `path`.
+    fn take(&mut self, path: PathId) -> Result<Cow<'a, str>> {
+        let doc = self.doc;
+        let raw = self.paths.vector(path).and_then(|i| {
+            let position = self.cursors[i];
+            self.cursors[i] += 1;
+            doc.vectors()[i].values.get(position)
+        });
+        match raw {
+            Some(bytes) => match std::str::from_utf8(bytes) {
+                Ok(s) => Ok(Cow::Borrowed(s)),
+                Err(_) if self.strict => Err(CoreError::Corrupt(format!(
+                    "non-UTF-8 value in vector `{}`",
+                    self.spell(path)
+                ))),
+                Err(_) => {
+                    self.report.non_utf8_values += 1;
+                    Ok(String::from_utf8_lossy(bytes))
+                }
+            },
+            None if self.strict => Err(CoreError::Corrupt(format!(
+                "vector `{}` exhausted or missing during reconstruction",
+                self.spell(path)
             ))),
-            Err(_) => {
-                walk.report.non_utf8_values += 1;
-                Ok(String::from_utf8_lossy(bytes).into_owned())
+            None => {
+                self.report.missing_values += 1;
+                Ok(Cow::Borrowed(""))
             }
-        },
-        None if walk.strict => Err(CoreError::Corrupt(format!(
-            "vector `{}` exhausted or missing during reconstruction",
-            walk.path
-        ))),
-        None => {
-            walk.report.missing_values += 1;
-            Ok(String::new())
         }
+    }
+
+    fn spell(&self, path: PathId) -> String {
+        let mut spelled = String::new();
+        self.paths.spell(path, &self.doc.skeleton, &mut spelled);
+        spelled
     }
 }
 

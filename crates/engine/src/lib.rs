@@ -48,8 +48,8 @@ pub use profile::{QueryProfile, VarCardinality};
 pub use reduce::{reduce, reduce_profiled, DocBinding};
 
 use std::fmt;
-use vx_core::{reconstruct, CoreError, StoreHandle, VecDoc};
-use vx_xml::{write_document, Element, Node, WriteOptions};
+use vx_core::{reconstruct_into, write_xml, CoreError, StoreHandle, VecDoc};
+use vx_xml::{Sink, XmlWriter};
 use vx_xquery::{Span, XqError};
 
 /// Engine errors.
@@ -350,53 +350,68 @@ impl QueryOutput {
     /// `Values` these are the projected values; for `Document`, every
     /// text value of the constructed document in document order
     /// (attribute values first within each element, matching
-    /// vectorization order).
+    /// vectorization order), collected by one walk over it.
     pub fn strings(&self) -> Vec<String> {
         match self {
             QueryOutput::Values(values) => values
                 .iter()
                 .map(|v| String::from_utf8_lossy(v).into_owned())
                 .collect(),
-            QueryOutput::Document(doc) => match reconstruct(doc) {
-                Ok(dom) => {
-                    let mut out = Vec::new();
-                    collect_texts(&dom.root, &mut out);
-                    out
+            QueryOutput::Document(doc) => {
+                let mut texts = Texts(Vec::new());
+                match reconstruct_into(doc, &mut texts) {
+                    Ok(()) => texts.0,
+                    Err(_) => Vec::new(),
                 }
-                Err(_) => Vec::new(),
-            },
-        }
-    }
-
-    /// Serializes the output as compact XML. A `Document` reconstructs
-    /// and writes its root; `Values` are wrapped as
-    /// `<results><value>…</value></results>` (lossily decoded).
-    pub fn to_xml(&self) -> Result<String> {
-        let opts = WriteOptions::compact();
-        match self {
-            QueryOutput::Document(doc) => Ok(write_document(&reconstruct(doc)?, &opts)),
-            QueryOutput::Values(values) => {
-                let mut root = Element::new("results");
-                for v in values {
-                    root.children.push(Node::Element(
-                        Element::new("value").with_text(String::from_utf8_lossy(v).into_owned()),
-                    ));
-                }
-                Ok(write_document(&vx_xml::Document::from_root(root), &opts))
             }
         }
     }
+
+    /// Serializes the output as compact XML, streamed without a DOM. A
+    /// `Document` is written from its skeleton and vectors; `Values`
+    /// are wrapped as `<results><value>…</value></results>` (lossily
+    /// decoded).
+    pub fn to_xml(&self) -> Result<String> {
+        let mut out = Vec::new();
+        match self {
+            QueryOutput::Document(doc) => write_xml(doc, &mut out)?,
+            QueryOutput::Values(values) => {
+                write_values(values, &mut XmlWriter::new(&mut out)).map_err(CoreError::from)?
+            }
+        }
+        Ok(String::from_utf8(out).expect("the writer emits only UTF-8"))
+    }
 }
 
-fn collect_texts(element: &Element, out: &mut Vec<String>) {
-    for (_, value) in &element.attributes {
-        out.push(value.clone());
+fn write_values(values: &[Vec<u8>], writer: &mut impl Sink) -> std::io::Result<()> {
+    writer.start("results")?;
+    for value in values {
+        writer.start("value")?;
+        writer.text(&String::from_utf8_lossy(value))?;
+        writer.end("value")?;
     }
-    for child in &element.children {
-        match child {
-            Node::Element(e) => collect_texts(e, out),
-            Node::Text(t) | Node::CData(t) => out.push(t.clone()),
-            _ => {}
-        }
+    writer.end("results")
+}
+
+/// A [`Sink`] that keeps only the text values, attributes included.
+struct Texts(Vec<String>);
+
+impl Sink for Texts {
+    fn start(&mut self, _name: &str) -> std::io::Result<()> {
+        Ok(())
+    }
+
+    fn attr(&mut self, _name: &str, value: &str) -> std::io::Result<()> {
+        self.0.push(value.to_string());
+        Ok(())
+    }
+
+    fn text(&mut self, text: &str) -> std::io::Result<()> {
+        self.0.push(text.to_string());
+        Ok(())
+    }
+
+    fn end(&mut self, _name: &str) -> std::io::Result<()> {
+        Ok(())
     }
 }

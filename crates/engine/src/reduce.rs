@@ -45,10 +45,9 @@ use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::time::Instant;
-use vx_core::{Pipeline, PipelineOptions, VecDoc};
+use vx_core::{IdMap, PathId, PathIds, Pipeline, PipelineOptions, VecDoc, SUPER_ROOT};
 use vx_obs::{Counters, Spans};
 use vx_skeleton::{
     NameId, NodeId, PathIndex, PathPattern, PatternStep, PatternTest, Skeleton, StructIndex,
@@ -816,7 +815,7 @@ fn collect_doc(
     };
 
     let mut paths = PathTrie::new();
-    let root_path = paths.child(SUPER_ROOT, root_name, doc);
+    let root_path = paths.ids.child(SUPER_ROOT, root_name, doc);
     let mut walker = Walker {
         doc,
         skeleton,
@@ -852,116 +851,34 @@ fn collect_doc(
     Ok(())
 }
 
-/// A multiply-rotate hasher for the walk's small integer keys: SipHash's
-/// flooding resistance buys nothing for ids the pass numbers itself.
-#[derive(Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-
-/// A dense id for one absolute element tag path of a document. Id
-/// [`SUPER_ROOT`] is the virtual super-root above the root element.
-type PathId = u32;
-
-/// The [`PathId`] of the virtual super-root.
-const SUPER_ROOT: PathId = 0;
-
-/// The walk's path summary: a trie numbering every absolute element path
-/// the pass meets as `(parent PathId, NameId) → PathId`, filled lazily
-/// during the document pass. A new id resolves the vector of the text
-/// directly under its path once, through [`VecDoc::vector_position`];
-/// after that no string is built or hashed. The trie also memoises each
-/// `(PathId, NodeId)`'s text layout, and is kept after the pass so copy
-/// tasks can be replayed by id.
+/// The walk's path summary: [`PathIds`] numbers every absolute element
+/// path the pass meets, filled lazily during the document pass, and the
+/// trie also memoises each `(PathId, NodeId)`'s text layout. It is kept
+/// after the pass so copy tasks can be replayed by id.
 struct PathTrie {
-    ids: IdMap<(PathId, NameId), PathId>,
-    /// `[PathId]` → `(parent, tag)`; the super-root's entry is unused.
-    parent: Vec<(PathId, NameId)>,
-    /// `[PathId]` → the position in [`VecDoc::vectors`] of the text
-    /// values directly under the path, if it has any.
-    vector: Vec<Option<usize>>,
+    ids: PathIds,
     /// `(PathId, NodeId)` → the node's text layout, a range of `texts`.
     layouts: IdMap<(PathId, NodeId), (usize, usize)>,
     /// Every layout's `(vector position, text count)` entries: one per
     /// text path below the node, from [`PathIndex::texts_below`].
     texts: Vec<(usize, u64)>,
-    /// Scratch for spelling out a newly numbered path.
-    spelled: String,
 }
 
 impl PathTrie {
     fn new() -> PathTrie {
         PathTrie {
-            ids: IdMap::default(),
-            parent: vec![(SUPER_ROOT, NameId(0))],
-            vector: vec![None],
+            ids: PathIds::default(),
             layouts: IdMap::default(),
             texts: Vec::new(),
-            spelled: String::new(),
         }
-    }
-
-    /// The id of `parent`'s child path `name`, numbered (and its vector
-    /// resolved) on first sight.
-    fn child(&mut self, parent: PathId, name: NameId, doc: &VecDoc) -> PathId {
-        if let Some(&id) = self.ids.get(&(parent, name)) {
-            return id;
-        }
-        let id = self.parent.len() as PathId;
-        self.parent.push((parent, name));
-        let mut spelled = std::mem::take(&mut self.spelled);
-        spelled.clear();
-        self.spell(id, &doc.skeleton, &mut spelled);
-        self.vector.push(doc.vector_position(&spelled));
-        self.spelled = spelled;
-        self.ids.insert((parent, name), id);
-        id
-    }
-
-    /// The id of `parent`'s child path `name`, if the pass numbered it.
-    fn get(&self, parent: PathId, name: NameId) -> Option<PathId> {
-        self.ids.get(&(parent, name)).copied()
-    }
-
-    /// Appends `id` spelled out as `a/b/c` (the vector key) to `out`.
-    fn spell(&self, id: PathId, skeleton: &Skeleton, out: &mut String) {
-        if id == SUPER_ROOT {
-            return;
-        }
-        let (parent, name) = self.parent[id as usize];
-        self.spell(parent, skeleton, out);
-        if parent != SUPER_ROOT {
-            out.push('/');
-        }
-        out.push_str(skeleton.name(name));
     }
 
     /// The vector of the text directly under `id`; a missing one is a
     /// damaged document.
     fn text_vector(&self, id: PathId, skeleton: &Skeleton) -> Result<usize> {
-        self.vector[id as usize].ok_or_else(|| {
+        self.ids.vector(id).ok_or_else(|| {
             let mut path = String::new();
-            self.spell(id, skeleton, &mut path);
+            self.ids.spell(id, skeleton, &mut path);
             EngineError::Corrupt(format!("no vector for text path {path:?}"))
         })
     }
@@ -983,7 +900,7 @@ impl PathTrie {
         for (rel, count) in index.texts_below(node) {
             let mut at = id;
             for &name in rel {
-                at = self.child(at, name, doc);
+                at = self.ids.child(at, name, doc);
             }
             let pos = self.text_vector(at, &doc.skeleton)?;
             self.texts.push((pos, *count));
@@ -1166,7 +1083,7 @@ impl Walker<'_> {
                     }
                 }
                 Some(child_name) => {
-                    let child_path = self.paths.child(path, child_name, self.doc);
+                    let child_path = self.paths.ids.child(path, child_name, self.doc);
                     if live_lo == live_hi {
                         // No machine can match anything below: bulk-advance
                         // the cursors over the subtree without entering it.
@@ -2128,7 +2045,7 @@ fn copy_walk(
                 }
             }
             Some(child_name) => {
-                let child_path = path.and_then(|p| paths.get(p, child_name));
+                let child_path = path.and_then(|p| paths.ids.get(p, child_name));
                 for _ in 0..edge.run {
                     copy_walk(
                         doc, paths, edge.child, child_path, cursors, builder, values_out,

@@ -3,7 +3,6 @@
 use crate::{Result, VectorError};
 use std::fs;
 use std::path::Path;
-use vx_storage::pager::{Pager, PagerStats, PAGE_SIZE};
 use vx_storage::varint;
 
 const MAGIC: &[u8; 4] = b"VXVC";
@@ -197,22 +196,6 @@ impl Vector {
     /// record-stream integrity.
     pub fn open(path: &Path) -> Result<Self> {
         Self::decode(&fs::read(path)?)
-    }
-
-    /// Strict load through a bounded [`Pager`] buffer pool of `frames`
-    /// frames, returning the pool's hit/miss/eviction statistics along
-    /// with the vector — the bounded-memory read path `vx stats
-    /// --metrics` reports on.
-    pub fn open_paged(path: &Path, frames: usize) -> Result<(Self, PagerStats)> {
-        let len = fs::metadata(path)?.len() as usize;
-        let mut pager = Pager::open(path, frames)?;
-        let mut bytes = Vec::with_capacity(len);
-        for page in 0..pager.page_count() {
-            let take = (len - bytes.len()).min(PAGE_SIZE);
-            pager.with_page(page, |data| bytes.extend_from_slice(&data[..take]))?;
-        }
-        let stats = pager.stats();
-        Ok((Self::decode(&bytes)?, stats))
     }
 
     /// Strict decode from bytes.

@@ -1,4 +1,6 @@
-//! Owned DOM types.
+//! Owned DOM types, and [`TreeBuilder`], the one way a DOM is built.
+
+use crate::Sink;
 
 /// The XML declaration (`<?xml version="1.0" ...?>`), if present.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -148,5 +150,90 @@ impl Node {
 impl From<Element> for Node {
     fn from(e: Element) -> Node {
         Node::Element(e)
+    }
+}
+
+/// Builds a [`Document`] in document order: the [`Sink`] calls, plus the
+/// nodes a DOM keeps beyond them (CDATA, comments, processing
+/// instructions, the declaration). [`crate::parse`] drives it from
+/// [`crate::Events`]; `vx-core` drives it from a vectorized document.
+#[derive(Debug, Default)]
+pub struct TreeBuilder {
+    decl: Option<XmlDecl>,
+    prolog: Vec<Node>,
+    root: Option<Element>,
+    epilog: Vec<Node>,
+    /// The open elements, innermost last.
+    stack: Vec<Element>,
+}
+
+impl TreeBuilder {
+    pub(crate) fn decl(&mut self, decl: XmlDecl) {
+        self.decl = Some(decl);
+    }
+
+    pub(crate) fn open(&mut self, name: String) {
+        self.stack.push(Element::new(name));
+    }
+
+    pub(crate) fn attribute(&mut self, name: String, value: String) {
+        if let Some(element) = self.stack.last_mut() {
+            element.attributes.push((name, value));
+        }
+    }
+
+    /// Appends `node` to the innermost open element; outside the root
+    /// element, to the prolog or the epilog.
+    pub(crate) fn node(&mut self, node: Node) {
+        match (self.stack.last_mut(), &self.root) {
+            (Some(element), _) => element.children.push(node),
+            (None, None) => self.prolog.push(node),
+            (None, Some(_)) => self.epilog.push(node),
+        }
+    }
+
+    pub(crate) fn close(&mut self) {
+        if let Some(done) = self.stack.pop() {
+            match self.stack.last_mut() {
+                Some(parent) => parent.children.push(Node::Element(done)),
+                None => self.root = Some(done),
+            }
+        }
+    }
+
+    /// The document, once its root element has closed and nothing is
+    /// left open.
+    pub fn finish(self) -> Option<Document> {
+        if !self.stack.is_empty() {
+            return None;
+        }
+        Some(Document {
+            decl: self.decl,
+            prolog: self.prolog,
+            root: self.root?,
+            epilog: self.epilog,
+        })
+    }
+}
+
+impl Sink for TreeBuilder {
+    fn start(&mut self, name: &str) -> std::io::Result<()> {
+        self.open(name.to_string());
+        Ok(())
+    }
+
+    fn attr(&mut self, name: &str, value: &str) -> std::io::Result<()> {
+        self.attribute(name.to_string(), value.to_string());
+        Ok(())
+    }
+
+    fn text(&mut self, text: &str) -> std::io::Result<()> {
+        self.node(Node::Text(text.to_string()));
+        Ok(())
+    }
+
+    fn end(&mut self, _name: &str) -> std::io::Result<()> {
+        self.close();
+        Ok(())
     }
 }

@@ -1,13 +1,15 @@
-//! Streaming pull-parser: an [`Events`] iterator over any [`Read`] source
-//! that yields start/attr/text/end events without ever building a DOM.
+//! Streaming pull tokenizer: an [`Events`] iterator over any [`Read`]
+//! source that yields start/attr/text/end events without ever building a
+//! DOM.
 //!
-//! This is the ingestion-side twin of [`crate::parse`]: the same XML 1.0
-//! subset (elements, attributes, text, CDATA, comments, PIs, predefined
-//! entities, numeric character references, skipped internal DTD subset),
-//! the same well-formedness checks, and the same text-coalescing rules —
-//! consecutive character data and references merge into one [`Event::Text`],
-//! CDATA sections stay separate — so a consumer that rebuilds a tree from
-//! the events gets exactly what [`crate::parse`] would have produced.
+//! This is the crate's only XML tokenizer. Store ingest and WAL appends
+//! feed its events straight to the vectorizer; [`crate::parse`] feeds
+//! them to a [`crate::TreeBuilder`]. It covers the XML 1.0 subset the
+//! crate supports (elements, attributes, text, CDATA, comments, PIs,
+//! predefined entities, numeric character references, skipped internal
+//! DTD subset) with the usual well-formedness checks, and coalesces text
+//! the way the DOM keeps it: consecutive character data and references
+//! merge into one [`Event::Text`], CDATA sections stay separate.
 //!
 //! Memory is bounded by one look-ahead buffer plus the open-element name
 //! stack plus the event currently being assembled; the input is never
@@ -35,14 +37,14 @@ pub enum Event {
     /// One attribute of the most recently started element.
     Attr { name: String, value: String },
     /// Character data with references expanded. Never empty; maximal —
-    /// adjacent text and references are coalesced exactly as the DOM
-    /// parser coalesces them into one `Node::Text`.
+    /// adjacent text and references are coalesced, and [`crate::parse`]
+    /// keeps each as one `Node::Text`.
     Text(String),
     /// A CDATA section's literal contents (may be empty).
     CData(String),
     /// The named element closed.
     End(String),
-    /// A comment (anywhere the DOM parser accepts one).
+    /// A comment (in the prolog, the epilog, or element content).
     Comment(String),
     /// A processing instruction.
     Pi { target: String, data: String },
@@ -67,7 +69,7 @@ enum State {
 ///
 /// Iteration yields `Result<Event>`; after the first error the iterator is
 /// fused and returns `None` forever. Well-formedness violations are
-/// reported with the same 1-based line/column positions as [`crate::parse`].
+/// reported with a 1-based line/column position.
 pub struct Events<R> {
     src: R,
     buf: Vec<u8>,
@@ -222,7 +224,7 @@ impl<R: Read> Events<R> {
         String::from_utf8(bytes).map_err(|_| self.err(format!("{what} is not valid UTF-8")))
     }
 
-    // ---- grammar (mirrors `crate::parser`) -------------------------------
+    // ---- grammar -----------------------------------------------------------
 
     fn name(&mut self) -> Result<String> {
         let mut out = Vec::new();
@@ -349,15 +351,22 @@ impl<R: Read> Events<R> {
     }
 
     /// Skips a DOCTYPE declaration, including a bracketed internal subset.
+    /// The skipped bytes must still be UTF-8, as everywhere else.
     fn doctype(&mut self) -> Result<()> {
         self.expect("<!DOCTYPE")?;
         let mut depth = 0i32;
+        let mut skipped = Vec::new();
         loop {
             match self.bump()? {
-                Some(b'[') => depth += 1,
-                Some(b']') => depth -= 1,
-                Some(b'>') if depth == 0 => return Ok(()),
-                Some(_) => {}
+                Some(b'>') if depth == 0 => return self.utf8(skipped, "DOCTYPE").map(drop),
+                Some(b) => {
+                    match b {
+                        b'[' => depth += 1,
+                        b']' => depth -= 1,
+                        _ => {}
+                    }
+                    skipped.push(b);
+                }
                 None => return Err(self.err("unterminated DOCTYPE")),
             }
         }
@@ -586,65 +595,7 @@ fn is_name_char(b: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dom::{Document, Element, Node};
-    use crate::parse;
-
-    /// Rebuilds a DOM from the event stream, for differential testing
-    /// against `crate::parse`.
-    fn build_document<R: Read>(events: Events<R>) -> Result<Document> {
-        let mut decl = None;
-        let mut prolog = Vec::new();
-        let mut epilog = Vec::new();
-        let mut root: Option<Element> = None;
-        let mut stack: Vec<Element> = Vec::new();
-        for event in events {
-            match event? {
-                Event::Decl(d) => decl = Some(d),
-                Event::Start(name) => stack.push(Element::new(name)),
-                Event::Attr { name, value } => stack
-                    .last_mut()
-                    .expect("attr outside element")
-                    .attributes
-                    .push((name, value)),
-                Event::Text(t) => stack
-                    .last_mut()
-                    .expect("text outside element")
-                    .children
-                    .push(Node::Text(t)),
-                Event::CData(t) => stack
-                    .last_mut()
-                    .expect("cdata outside element")
-                    .children
-                    .push(Node::CData(t)),
-                Event::End(_) => {
-                    let done = stack.pop().expect("unbalanced end");
-                    match stack.last_mut() {
-                        Some(parent) => parent.children.push(Node::Element(done)),
-                        None => root = Some(done),
-                    }
-                }
-                Event::Comment(c) => match (stack.last_mut(), &root) {
-                    (Some(parent), _) => parent.children.push(Node::Comment(c)),
-                    (None, None) => prolog.push(Node::Comment(c)),
-                    (None, Some(_)) => epilog.push(Node::Comment(c)),
-                },
-                Event::Pi { target, data } => {
-                    let node = Node::ProcessingInstruction { target, data };
-                    match (stack.last_mut(), &root) {
-                        (Some(parent), _) => parent.children.push(node),
-                        (None, None) => prolog.push(node),
-                        (None, Some(_)) => epilog.push(node),
-                    }
-                }
-            }
-        }
-        Ok(Document {
-            decl,
-            prolog,
-            root: root.expect("no root element"),
-            epilog,
-        })
-    }
+    use crate::{parse, write_document, WriteOptions};
 
     /// A reader that trickles one byte per `read` call, to exercise every
     /// buffer-refill path.
@@ -663,30 +614,15 @@ mod tests {
         }
     }
 
-    const CASES: &[&str] = &[
-        "<a/>",
-        r#"<a x="1" y="two"><b>hi</b><b>bye</b></a>"#,
-        "<a>&lt;&gt;&amp;&apos;&quot;&#65;&#x42;</a>",
-        "<a><!-- note --><![CDATA[1 < 2]]><?pi data?></a>",
-        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<!DOCTYPE a [<!ELEMENT a ANY>]>\n<!-- pre -->\n<a/>",
-        "<p>one <b>two</b> three</p>",
-        "<données>héllo ✓</données>",
-        "<a>x<!--c-->y</a>",
-        "<a><![CDATA[]]></a>",
-        "<a>t<![CDATA[c]]>u<![CDATA[d]]></a>",
-        "<a  x = '1'\n y=\"2\" ><b /><b></b ><c>&amp;joined&#33;</c></a>",
-        "<r><p><s><t>v</t></s></p><q><s><t>v</t></s></q></r>",
-        "<a/><!-- after --><?post data?>",
-        "<a\n>\n  text\n</a\n>",
-    ];
+    include!("cases.rs");
 
     #[test]
-    fn events_rebuild_exactly_what_parse_builds() {
+    fn parse_write_parse_is_a_fixpoint_over_cases() {
         for case in CASES {
-            let via_parse = parse(case).unwrap_or_else(|e| panic!("{case:?}: parse: {e}"));
-            let via_events = build_document(Events::new(case.as_bytes()))
-                .unwrap_or_else(|e| panic!("{case:?}: events: {e}"));
-            assert_eq!(via_parse, via_events, "case {case:?}");
+            let doc = parse(case).unwrap_or_else(|e| panic!("{case:?}: parse: {e}"));
+            let written = write_document(&doc, &WriteOptions::compact());
+            let reparsed = parse(&written).unwrap_or_else(|e| panic!("{written:?}: reparse: {e}"));
+            assert_eq!(doc, reparsed, "case {case:?}");
         }
     }
 

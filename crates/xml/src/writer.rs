@@ -1,197 +1,187 @@
-//! DOM serialization.
+//! Serialization: [`XmlWriter`] streams compact XML into any
+//! [`io::Write`]; [`write_document`] drives it over a DOM.
 
 use crate::dom::{Document, Element, Node};
+use crate::Sink;
+use std::io::{self, Write};
 
-/// Serialization options.
-#[derive(Debug, Clone)]
-pub struct WriteOptions {
-    /// Indent width per nesting level; `None` emits no insignificant
-    /// whitespace (required for lossless round-trips through the
-    /// vectorizer).
-    pub indent: Option<usize>,
-    /// Emit an `<?xml version="1.0"?>` declaration even if the document
-    /// has none.
-    pub force_declaration: bool,
-}
+/// Serialization options. Output is always compact — no whitespace is
+/// added, which the vectorizer's lossless round trip requires — so there
+/// is nothing left to choose.
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct WriteOptions {}
 
 impl WriteOptions {
     /// No added whitespace.
     pub fn compact() -> Self {
-        WriteOptions {
-            indent: None,
-            force_declaration: false,
-        }
-    }
-
-    /// Two-space indentation (only safe for element-only content).
-    pub fn pretty() -> Self {
-        WriteOptions {
-            indent: Some(2),
-            force_declaration: false,
-        }
-    }
-}
-
-impl Default for WriteOptions {
-    fn default() -> Self {
-        WriteOptions::compact()
+        WriteOptions {}
     }
 }
 
 /// Serializes a document to a string.
-pub fn write_document(doc: &Document, options: &WriteOptions) -> String {
-    let mut out = String::new();
-    if let Some(decl) = &doc.decl {
-        out.push_str("<?xml version=\"");
-        out.push_str(&decl.version);
-        out.push('"');
-        if let Some(enc) = &decl.encoding {
-            out.push_str(" encoding=\"");
-            out.push_str(enc);
-            out.push('"');
-        }
-        if let Some(standalone) = decl.standalone {
-            out.push_str(" standalone=\"");
-            out.push_str(if standalone { "yes" } else { "no" });
-            out.push('"');
-        }
-        out.push_str("?>");
-        newline(&mut out, options);
-    } else if options.force_declaration {
-        out.push_str("<?xml version=\"1.0\"?>");
-        newline(&mut out, options);
-    }
-    for node in &doc.prolog {
-        write_node(&mut out, node, 0, options);
-        newline(&mut out, options);
-    }
-    write_element_at(&mut out, &doc.root, 0, options);
-    for node in &doc.epilog {
-        newline(&mut out, options);
-        write_node(&mut out, node, 0, options);
-    }
-    out
+pub fn write_document(doc: &Document, _options: &WriteOptions) -> String {
+    let mut writer = XmlWriter::new(Vec::new());
+    writer
+        .document(doc)
+        .expect("writing into a Vec cannot fail");
+    String::from_utf8(writer.into_inner()).expect("the writer emits only the UTF-8 it is given")
 }
 
-/// Serializes a single element (no declaration).
-pub fn write_element(element: &Element, options: &WriteOptions) -> String {
-    let mut out = String::new();
-    write_element_at(&mut out, element, 0, options);
-    out
+/// A streaming compact XML writer: each [`Sink`] call goes straight to
+/// `out`, so memory stays at one flag whatever the document's size. A
+/// start tag stays open until the element's first content or its end:
+/// an element with no content is written `<a/>`, one whose only content
+/// is an empty text `<a></a>`. Wrap `out` in an [`io::BufWriter`] when
+/// it is a file or a pipe.
+pub struct XmlWriter<W> {
+    out: W,
+    /// A start tag is written up to its attributes; `>` or `/>` is due.
+    open: bool,
 }
 
-fn newline(out: &mut String, options: &WriteOptions) {
-    if options.indent.is_some() {
-        out.push('\n');
+impl<W: Write> XmlWriter<W> {
+    pub fn new(out: W) -> Self {
+        XmlWriter { out, open: false }
     }
-}
 
-fn pad(out: &mut String, depth: usize, options: &WriteOptions) {
-    if let Some(width) = options.indent {
-        for _ in 0..depth * width {
-            out.push(' ');
-        }
+    /// The underlying writer.
+    pub fn into_inner(self) -> W {
+        self.out
     }
-}
 
-fn write_element_at(out: &mut String, element: &Element, depth: usize, options: &WriteOptions) {
-    out.push('<');
-    out.push_str(&element.name);
-    for (name, value) in &element.attributes {
-        out.push(' ');
-        out.push_str(name);
-        out.push_str("=\"");
-        escape_into(out, value, true);
-        out.push('"');
-    }
-    if element.children.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    // Indentation is only safe when no direct child is text-like.
-    let has_text = element
-        .children
-        .iter()
-        .any(|c| matches!(c, Node::Text(_) | Node::CData(_)));
-    let indent_children = options.indent.is_some() && !has_text;
-    for child in &element.children {
-        if indent_children {
-            newline(out, options);
-            pad(out, depth + 1, options);
-        }
-        write_node(out, child, depth + 1, options);
-    }
-    if indent_children {
-        newline(out, options);
-        pad(out, depth, options);
-    }
-    out.push_str("</");
-    out.push_str(&element.name);
-    out.push('>');
-}
-
-fn write_node(out: &mut String, node: &Node, depth: usize, options: &WriteOptions) {
-    match node {
-        Node::Element(e) => write_element_at(out, e, depth, options),
-        Node::Text(t) => escape_into(out, t, false),
-        Node::CData(t) => {
-            out.push_str("<![CDATA[");
-            out.push_str(t);
-            out.push_str("]]>");
-        }
-        Node::Comment(t) => {
-            out.push_str("<!--");
-            out.push_str(t);
-            out.push_str("-->");
-        }
-        Node::ProcessingInstruction { target, data } => {
-            out.push_str("<?");
-            out.push_str(target);
-            if !data.is_empty() {
-                out.push(' ');
-                out.push_str(data);
+    /// Writes a whole DOM document: declaration, prolog, root, epilog.
+    fn document(&mut self, doc: &Document) -> io::Result<()> {
+        if let Some(decl) = &doc.decl {
+            write!(self.out, "<?xml version=\"{}\"", decl.version)?;
+            if let Some(encoding) = &decl.encoding {
+                write!(self.out, " encoding=\"{encoding}\"")?;
             }
-            out.push_str("?>");
+            if let Some(standalone) = decl.standalone {
+                let yes_no = if standalone { "yes" } else { "no" };
+                write!(self.out, " standalone=\"{yes_no}\"")?;
+            }
+            self.out.write_all(b"?>")?;
         }
+        for node in &doc.prolog {
+            self.node(node)?;
+        }
+        self.element(&doc.root)?;
+        for node in &doc.epilog {
+            self.node(node)?;
+        }
+        Ok(())
+    }
+
+    fn element(&mut self, element: &Element) -> io::Result<()> {
+        self.start(&element.name)?;
+        for (name, value) in &element.attributes {
+            self.attr(name, value)?;
+        }
+        for child in &element.children {
+            self.node(child)?;
+        }
+        self.end(&element.name)
+    }
+
+    fn node(&mut self, node: &Node) -> io::Result<()> {
+        match node {
+            Node::Element(e) => self.element(e),
+            Node::Text(t) => self.text(t),
+            Node::CData(t) => self.markup(&["<![CDATA[", t, "]]>"]),
+            Node::Comment(t) => self.markup(&["<!--", t, "-->"]),
+            Node::ProcessingInstruction { target, data } if data.is_empty() => {
+                self.markup(&["<?", target, "?>"])
+            }
+            Node::ProcessingInstruction { target, data } => {
+                self.markup(&["<?", target, " ", data, "?>"])
+            }
+        }
+    }
+
+    /// Unescaped content: the parts of a CDATA section, comment or
+    /// processing instruction.
+    fn markup(&mut self, parts: &[&str]) -> io::Result<()> {
+        self.content()?;
+        for part in parts {
+            self.out.write_all(part.as_bytes())?;
+        }
+        Ok(())
+    }
+
+    /// Ends a pending start tag with `>`: the element has content.
+    fn content(&mut self) -> io::Result<()> {
+        if std::mem::take(&mut self.open) {
+            self.out.write_all(b">")?;
+        }
+        Ok(())
     }
 }
 
-/// Escapes text content (`<`, `&`, `>`) or attribute values (also `"`).
-pub fn escape_into(out: &mut String, text: &str, attribute: bool) {
-    for ch in text.chars() {
-        match ch {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' if attribute => out.push_str("&quot;"),
-            _ => out.push(ch),
-        }
+impl<W: Write> Sink for XmlWriter<W> {
+    fn start(&mut self, name: &str) -> io::Result<()> {
+        self.content()?;
+        self.out.write_all(b"<")?;
+        self.out.write_all(name.as_bytes())?;
+        self.open = true;
+        Ok(())
     }
+
+    fn attr(&mut self, name: &str, value: &str) -> io::Result<()> {
+        debug_assert!(self.open, "attribute `{name}` after content");
+        self.out.write_all(b" ")?;
+        self.out.write_all(name.as_bytes())?;
+        self.out.write_all(b"=\"")?;
+        escape(&mut self.out, value, true)?;
+        self.out.write_all(b"\"")
+    }
+
+    fn text(&mut self, text: &str) -> io::Result<()> {
+        self.content()?;
+        escape(&mut self.out, text, false)
+    }
+
+    fn end(&mut self, name: &str) -> io::Result<()> {
+        if std::mem::take(&mut self.open) {
+            return self.out.write_all(b"/>");
+        }
+        self.out.write_all(b"</")?;
+        self.out.write_all(name.as_bytes())?;
+        self.out.write_all(b">")
+    }
+}
+
+/// Writes text content escaping `<`, `>` and `&`, or an attribute value
+/// escaping `"` too. Unescaped runs go out in one write each.
+fn escape(out: &mut impl Write, text: &str, attribute: bool) -> io::Result<()> {
+    let bytes = text.as_bytes();
+    let mut from = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let entity: &[u8] = match b {
+            b'<' => b"&lt;",
+            b'>' => b"&gt;",
+            b'&' => b"&amp;",
+            b'"' if attribute => b"&quot;",
+            _ => continue,
+        };
+        out.write_all(&bytes[from..i])?;
+        out.write_all(entity)?;
+        from = i + 1;
+    }
+    out.write_all(&bytes[from..])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dom::Element;
-    use crate::parse;
 
     #[test]
     fn compact_output() {
         let e = Element::new("a")
             .with_attr("k", "v<w")
             .with_child(Node::Element(Element::new("b").with_text("x & y")));
-        let s = write_element(&e, &WriteOptions::compact());
+        let s = write_document(&Document::from_root(e), &WriteOptions::compact());
         assert_eq!(s, r#"<a k="v&lt;w"><b>x &amp; y</b></a>"#);
-    }
-
-    #[test]
-    fn pretty_output_reparses_equal_modulo_whitespace() {
-        let doc = parse("<a><b><c/></b><b/></a>").unwrap();
-        let pretty = write_document(&doc, &WriteOptions::pretty());
-        assert!(pretty.contains('\n'));
-        // Pretty output adds whitespace-only text; structure must survive.
-        let reparsed = parse(&pretty).unwrap();
-        assert_eq!(reparsed.root.child_elements().count(), 2);
     }
 }

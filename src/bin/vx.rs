@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use xmlvec::bench::StoreSizes;
-use xmlvec::core::{Compaction, IngestOptions, Store, StoreHandle, VecDoc};
+use xmlvec::core::{Compaction, CoreError, IngestOptions, Store, StoreHandle, VecDoc};
 use xmlvec::{Query, QueryOutput};
 
 const USAGE: &str = "usage:
@@ -356,28 +356,11 @@ fn stats(args: &[String]) {
     let sizes = StoreSizes::measure(dir).unwrap_or_else(|e| fail(e));
 
     // Per-vector encoding survey (the handle's decoded vectors do not
-    // retain the on-disk encoding version). With --metrics, reads go
-    // through a bounded buffer pool so the frame-cache behaviour of the
-    // paged path can be reported.
-    const STATS_FRAMES: usize = 16;
-    let mut pool = xmlvec::storage::pager::PagerStats::default();
+    // retain the on-disk encoding version).
     let mut encodings: Vec<(u8, u64)> = Vec::with_capacity(catalog.vectors.len());
     for entry in &catalog.vectors {
-        let vector = if metrics {
-            let (vector, stats) =
-                xmlvec::vector::Vector::open_paged(&base_dir.join(&entry.file), STATS_FRAMES)
-                    .unwrap_or_else(|e| {
-                        fail(format!("vector `{}` ({}): {e}", entry.path, entry.file))
-                    });
-            pool.hits += stats.hits;
-            pool.misses += stats.misses;
-            pool.evictions += stats.evictions;
-            pool.writebacks += stats.writebacks;
-            vector
-        } else {
-            xmlvec::vector::Vector::open(&base_dir.join(&entry.file))
-                .unwrap_or_else(|e| fail(format!("vector `{}` ({}): {e}", entry.path, entry.file)))
-        };
+        let vector = xmlvec::vector::Vector::open(&base_dir.join(&entry.file))
+            .unwrap_or_else(|e| fail(format!("vector `{}` ({}): {e}", entry.path, entry.file)));
         encodings.push((vector.stats().version, vector.stats().index_bytes));
         if entry.version != 0 && entry.version != vector.stats().version {
             fail(format!(
@@ -473,11 +456,6 @@ fn stats(args: &[String]) {
                 catalog.vectors.len()
             );
         }
-        let _ = writeln!(
-            out,
-            "frame cache  {} frames: {} hits, {} misses, {} evictions, {} writebacks",
-            STATS_FRAMES, pool.hits, pool.misses, pool.evictions, pool.writebacks
-        );
         let indexed = encodings.iter().filter(|(v, _)| *v == 3).count();
         let index_bytes: u64 = encodings.iter().map(|(_, b)| *b).sum();
         let _ = writeln!(
@@ -704,16 +682,27 @@ fn reconstruct(args: &[String]) {
         fail_usage("reconstruct: expected <store-dir>");
     };
     let handle = open_store(Path::new(dir));
-    let document = xmlvec::core::reconstruct(handle.doc()).unwrap_or_else(|e| fail(e));
-    let xml = xmlvec::xml::write_document(&document, &xmlvec::xml::WriteOptions::compact());
+    // Streamed from the skeleton and vectors, with no DOM: memory stays
+    // at the store's own, whatever the document's size.
+    let stream = |out: &mut dyn std::io::Write| -> Result<(), CoreError> {
+        let mut out = std::io::BufWriter::new(out);
+        xmlvec::core::write_xml(handle.doc(), &mut out)?;
+        Ok(std::io::Write::flush(&mut out)?)
+    };
     match out_file {
         Some(path) => {
-            std::fs::write(path, &xml).unwrap_or_else(|e| fail(format!("{path}: {e}")));
+            let mut file =
+                std::fs::File::create(path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
+            match stream(&mut file) {
+                Err(CoreError::Io(e)) => fail(format!("{path}: {e}")),
+                result => result.unwrap_or_else(|e| fail(e)),
+            }
         }
-        None => {
-            let stdout = std::io::stdout();
-            write_stdout(&mut stdout.lock(), xml.as_bytes());
-        }
+        None => match stream(&mut std::io::stdout().lock()) {
+            Err(CoreError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => exit(0),
+            Err(CoreError::Io(e)) => fail(e),
+            result => result.unwrap_or_else(|e| fail(e)),
+        },
     }
 }
 

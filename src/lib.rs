@@ -17,12 +17,12 @@
 //! |---|---|
 //! | [`vx_obs`] | counters, span timers, `VX_LOG` event sink |
 //! | [`vx_wal`] | checksummed fsync'd write-ahead segment log |
-//! | [`vx_xml`] | XML 1.0 parser, DOM, writer |
+//! | [`vx_xml`] | XML 1.0 tokenizer, DOM builder, streaming writer |
 //! | [`vx_storage`] | varints, paged file access |
 //! | [`vx_skeleton`] | hash-consed DAG, `.vxsk` format, path index |
 //! | [`vx_vector`] | `.vec` format, skip index, cursors |
 //! | [`vx_ingest`] | the vectorizer: parse events to `(S, V)` |
-//! | [`vx_core`] | vectorize / reconstruct, persistent store |
+//! | [`vx_core`] | vectorize / streaming reconstruct, persistent store |
 //! | [`vx_xquery`] | XQ parsing + desugaring |
 //! | [`vx_engine`] | query graphs, vectorized `reduce`, oracle |
 //! | [`vx_data`] | deterministic corpus generators |
@@ -127,24 +127,30 @@ from_error!(Io, std::io::Error);
 /// Result alias over the unified [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Parses XML text and vectorizes it in one step.
+/// Vectorizes XML text in one step: the tokenizer's events go straight
+/// into the vectorizer, as in [`vx_core::Store::ingest_stream`], with no
+/// DOM in between.
 pub fn vectorize_str(xml_text: &str) -> Result<vx_core::VecDoc> {
-    let doc = vx_xml::parse(xml_text)?;
-    Ok(vx_core::vectorize(&doc)?)
+    let mut pipeline = vx_core::Pipeline::new(vx_core::VecDoc::default(), Default::default());
+    for event in vx_xml::Events::new(xml_text.as_bytes()) {
+        pipeline.feed(event?).map_err(vx_core::CoreError::from)?;
+    }
+    Ok(pipeline.finish().map_err(vx_core::CoreError::from)?)
 }
 
-/// Reconstructs a vectorized document back to XML text (compact form).
+/// Reconstructs a vectorized document back to XML text (compact form),
+/// streamed from its skeleton and vectors without a DOM.
 pub fn to_xml(doc: &vx_core::VecDoc) -> Result<String> {
-    let document = vx_core::reconstruct(doc)?;
-    Ok(vx_xml::write_document(
-        &document,
-        &vx_xml::WriteOptions::compact(),
-    ))
+    let mut out = Vec::new();
+    vx_core::write_xml(doc, &mut out)?;
+    Ok(String::from_utf8(out).expect("the writer emits only UTF-8"))
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{Query, QueryOutput, RunOptions};
+
+    include!("../crates/xml/src/cases.rs");
 
     #[test]
     fn facade_round_trip_and_query() {
@@ -159,6 +165,29 @@ mod tests {
                 .strings(),
             vec!["b"]
         );
+    }
+
+    /// Without a DOM, `vectorize_str` builds exactly what vectorizing
+    /// the parsed DOM builds, and fails where it fails.
+    #[test]
+    fn vectorize_str_matches_vectorizing_the_dom() {
+        for case in CASES {
+            let streamed = crate::vectorize_str(case);
+            let via_dom = crate::core::vectorize(&crate::xml::parse(case).unwrap());
+            match (streamed, via_dom) {
+                (Ok(streamed), Ok(via_dom)) => {
+                    let skeleton = |d: &crate::core::VecDoc| {
+                        crate::skeleton::format::write(&d.skeleton, d.root.unwrap())
+                    };
+                    assert_eq!(skeleton(&streamed), skeleton(&via_dom), "{case:?}");
+                    assert_eq!(streamed.vectors(), via_dom.vectors(), "{case:?}");
+                }
+                (Err(streamed), Err(via_dom)) => {
+                    assert_eq!(streamed.to_string(), via_dom.to_string(), "{case:?}")
+                }
+                (streamed, via_dom) => panic!("{case:?}: {streamed:?} vs {via_dom:?}"),
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! a few hundred cases. Failures print the seed, which reproduces the
 //! exact document.
 
-use xmlvec::core::{reconstruct, vectorize, Compaction, Store};
+use xmlvec::core::{reconstruct, vectorize, write_xml, Compaction, Store};
 use xmlvec::data::Rng;
-use xmlvec::xml::{Document, Element, Node};
+use xmlvec::xml::{write_document, Document, Element, Node, WriteOptions};
+use xmlvec::QueryOutput;
 
 const TAGS: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
 const WORDS: [&str; 5] = ["x", "yy", "zzz", "", "mixed content"];
@@ -115,15 +116,8 @@ fn hash_consing_is_canonical() {
 /// grammar with thousands of distinct paths).
 #[test]
 fn corpus_generators_round_trip() {
-    type Gen = fn(u64, usize) -> Document;
-    let generators: [(&str, Gen); 4] = [
-        ("xmark", |s, n| xmlvec::data::xmark(s, n)),
-        ("treebank", |s, n| xmlvec::data::treebank(s, n)),
-        ("medline", |s, n| xmlvec::data::medline(s, n)),
-        ("skyserver", |s, n| xmlvec::data::skyserver(s, n)),
-    ];
-    let opts = xmlvec::xml::WriteOptions::compact();
-    for (name, generate) in generators {
+    let opts = WriteOptions::compact();
+    for (name, generate) in GENERATORS {
         for seed in [0, 1, 7, 42, 1_000_003] {
             let doc = generate(seed, 30);
             let vec_doc =
@@ -135,12 +129,94 @@ fn corpus_generators_round_trip() {
             // from the writer's output reconstructs to identical text —
             // the property the CLI round-trip tests rely on.
             assert_eq!(
-                xmlvec::xml::write_document(&doc, &opts),
-                xmlvec::xml::write_document(&back, &opts),
+                write_document(&doc, &opts),
+                write_document(&back, &opts),
                 "{name} seed {seed}: serialization changed"
             );
         }
     }
+}
+
+type Gen = fn(u64, usize) -> Document;
+
+const GENERATORS: [(&str, Gen); 4] = [
+    ("xmark", |s, n| xmlvec::data::xmark(s, n)),
+    ("treebank", |s, n| xmlvec::data::treebank(s, n)),
+    ("medline", |s, n| xmlvec::data::medline(s, n)),
+    ("skyserver", |s, n| xmlvec::data::skyserver(s, n)),
+];
+
+/// `vectorize(doc)` streamed as XML, with no DOM in between.
+fn streamed(doc: &Document, label: &str) -> String {
+    let vec_doc = vectorize(doc).unwrap_or_else(|e| panic!("{label}: vectorize: {e}"));
+    let mut out = Vec::new();
+    write_xml(&vec_doc, &mut out).unwrap_or_else(|e| panic!("{label}: write_xml: {e}"));
+    String::from_utf8(out).unwrap_or_else(|e| panic!("{label}: not UTF-8: {e}"))
+}
+
+/// Law: the streaming write of `vectorize(T)` is byte-identical to
+/// `write_document(T)`, for random documents and every corpus generator.
+#[test]
+fn streaming_write_of_vectorized_is_write_document() {
+    let opts = WriteOptions::compact();
+    for seed in 0..200 {
+        let doc = random_document(seed);
+        let label = format!("seed {seed}");
+        assert_eq!(
+            streamed(&doc, &label),
+            write_document(&doc, &opts),
+            "{label}"
+        );
+    }
+    for (name, generate) in GENERATORS {
+        for seed in [0, 7, 42] {
+            let doc = generate(seed, 30);
+            let label = format!("{name} seed {seed}");
+            assert_eq!(
+                streamed(&doc, &label),
+                write_document(&doc, &opts),
+                "{label}"
+            );
+        }
+    }
+}
+
+/// The writer's edge cases hold on the streaming path: an element with
+/// only attributes self-closes, an empty text keeps the element open, an
+/// empty value list is `<results/>` and an empty value `<value></value>`.
+#[test]
+fn streaming_write_edge_cases() {
+    let opts = WriteOptions::compact();
+    for (root, expected) in [
+        (
+            Element::new("r").with_child(Element::new("a").with_attr("x", "1")),
+            r#"<r><a x="1"/></r>"#,
+        ),
+        (
+            Element::new("r").with_child(Element::new("a").with_text("")),
+            "<r><a></a></r>",
+        ),
+        (
+            Element::new("r")
+                .with_attr("k", "<\"&>")
+                .with_text("a<b>&c\""),
+            r#"<r k="&lt;&quot;&amp;&gt;">a&lt;b&gt;&amp;c"</r>"#,
+        ),
+    ] {
+        let doc = Document::from_root(root);
+        assert_eq!(write_document(&doc, &opts), expected);
+        assert_eq!(streamed(&doc, expected), expected);
+    }
+    assert_eq!(
+        QueryOutput::Values(Vec::new()).to_xml().unwrap(),
+        "<results/>"
+    );
+    assert_eq!(
+        QueryOutput::Values(vec![Vec::new(), b"v".to_vec()])
+            .to_xml()
+            .unwrap(),
+        "<results><value></value><value>v</value></results>"
+    );
 }
 
 /// Law: generated corpora survive the full persist/reload cycle under
