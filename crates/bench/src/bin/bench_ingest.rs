@@ -166,7 +166,7 @@ fn main() {
                 Json::Num(mb / timing.stream_secs),
             ),
             // Streaming-path phase split (best repetition) and the
-            // deterministic pipeline / spill-pool tallies.
+            // deterministic pipeline tallies.
             (
                 "stream_phases".into(),
                 Json::Object(vec![
@@ -180,18 +180,6 @@ fn main() {
                     ("events".into(), Json::Num(timing.events as f64)),
                     ("elements".into(), Json::Num(timing.elements as f64)),
                     ("values".into(), Json::Num(timing.values as f64)),
-                ]),
-            ),
-            (
-                "spill_pool".into(),
-                Json::Object(vec![
-                    ("spill_pages".into(), Json::Num(timing.spill_pages as f64)),
-                    ("pager_hits".into(), Json::Num(timing.pager_hits as f64)),
-                    ("pager_misses".into(), Json::Num(timing.pager_misses as f64)),
-                    (
-                        "pager_evictions".into(),
-                        Json::Num(timing.pager_evictions as f64),
-                    ),
                 ]),
             ),
             ("spill_pages".into(), Json::Num(timing.spill_pages as f64)),

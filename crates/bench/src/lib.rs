@@ -98,7 +98,7 @@ pub fn build_and_measure(
 }
 
 /// Wall-clock comparison of the two ingest paths over one XML text,
-/// with the streaming path's phase split and pipeline/pager tallies.
+/// with the streaming path's phase split and pipeline tallies.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestTiming {
     /// Bytes of the XML input text.
@@ -119,12 +119,6 @@ pub struct IngestTiming {
     pub elements: u64,
     /// Text + attribute values appended (deterministic).
     pub values: u64,
-    /// Spill-pool frame-cache hits during the streaming path.
-    pub pager_hits: u64,
-    /// Spill-pool frame-cache misses (page loads / re-reads).
-    pub pager_misses: u64,
-    /// Spill-pool frame evictions.
-    pub pager_evictions: u64,
 }
 
 /// Times both ingest paths over `xml`, best of `iters` runs each, building
@@ -147,9 +141,6 @@ pub fn time_ingest(dir: &Path, xml: &str, iters: u32) -> Result<IngestTiming, Co
         events: 0,
         elements: 0,
         values: 0,
-        pager_hits: 0,
-        pager_misses: 0,
-        pager_evictions: 0,
     };
     for _ in 0..iters {
         let _ = std::fs::remove_dir_all(&dom_dir);
@@ -170,15 +161,12 @@ pub fn time_ingest(dir: &Path, xml: &str, iters: u32) -> Result<IngestTiming, Co
             timing.pipeline_secs = report.pipeline_secs;
             timing.write_secs = report.write_secs;
         }
-        // Counters and page traffic are deterministic per input, so
+        // Counters and spill pages are deterministic per input, so
         // taking them from the last repetition loses nothing.
         timing.spill_pages = report.spill_pages;
         timing.events = report.stats.events;
         timing.elements = report.stats.elements;
         timing.values = report.stats.values();
-        timing.pager_hits = report.pager.hits;
-        timing.pager_misses = report.pager.misses;
-        timing.pager_evictions = report.pager.evictions;
     }
     Ok(timing)
 }

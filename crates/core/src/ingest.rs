@@ -6,57 +6,47 @@
 //! DOM, so the store directory is **byte-identical** to
 //! `Store::save(dir, &vectorize_with(..)?, ..)` for the same input and
 //! options (`tests/ingest_stream.rs` at the workspace root pins this
-//! differentially, including the two `.vec` encoders).
+//! differentially; both write their `.vec` files through
+//! [`vx_vector::SpillVector`]).
 //!
 //! Memory model: compressed skeleton DAG + open-element stack + one 8 KiB
-//! tail page per distinct path + the spill pool's frames. Vector values
-//! spill to a temporary `.ingest.spill` file inside the store directory
-//! (removed on completion or failure); the catalog is written atomically
+//! tail page per distinct path. Full pages are appended to a temporary
+//! `.ingest.spill` file inside the store directory (removed on completion
+//! or failure) and read back once each when the vectors are written;
+//! nothing is cached. The catalog is written atomically
 //! last, so a crash mid-ingest can never leave a store whose catalog
 //! points at half-written vectors.
 
-use crate::store::{write_catalog_atomic, Catalog, CatalogEntry, Compaction, Store};
+use crate::store::{write_catalog_atomic, write_vector, Catalog, Compaction, Store};
 use crate::{CoreError, Result};
 use std::fs;
-use std::io::{BufWriter, Read, Write};
+use std::io::Read;
 use std::path::Path;
 use vx_ingest::{IngestOutput, PipelineOptions};
 use vx_skeleton::format as skformat;
-use vx_storage::pager::PagerStats;
-use vx_vector::SpillPool;
+use vx_vector::{Spill, SpillStats};
 use vx_xml::{Event, Events};
 
 /// Streaming-ingest policy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct IngestOptions {
     /// Vector compaction on save, as in [`Store::save`].
     pub compaction: Compaction,
     /// Drop comments/PIs inside the tree instead of erroring, as in
     /// [`vx_ingest::PipelineOptions::drop_unrepresentable`].
     pub drop_unrepresentable: bool,
-    /// Buffer-pool frames for the spill file — the paging budget of the
-    /// whole ingest, independent of document size.
-    pub spill_frames: usize,
 }
 
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions {
-            compaction: Compaction::None,
-            drop_unrepresentable: false,
-            spill_frames: 64,
-        }
-    }
-}
-
-/// What a streaming ingest produced, plus how the spill pool behaved.
+/// What a streaming ingest produced, plus how the spill file was used.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
     pub catalog: Catalog,
     /// Pages the spill file grew to (0 when everything fit in tail pages).
     pub spill_pages: u64,
-    /// Spill-pool buffer statistics (misses ≈ page re-reads at finish).
-    pub pager: PagerStats,
+    /// Spill-file page traffic: `evictions` pages written, `misses`
+    /// pages read back, `hits` always 0 (see [`SpillStats`]). The
+    /// benchmark reads it under this name.
+    pub pager: SpillStats,
     /// Event-pipeline tallies (elements, values, events consumed).
     pub stats: vx_ingest::PipelineStats,
     /// Seconds in the parse/cons/spill phase (reader → `IngestOutput`).
@@ -97,13 +87,12 @@ impl Store {
         options: &IngestOptions,
     ) -> Result<IngestReport> {
         fs::create_dir_all(dir)?;
-        let pool = SpillPool::create(&dir.join(".ingest.spill"), options.spill_frames.max(1))
-            .map_err(vx_ingest::IngestError::Vector)?;
+        let spill = Spill::create(&dir.join(".ingest.spill"))?;
         let pipeline_options = PipelineOptions {
             drop_unrepresentable: options.drop_unrepresentable,
         };
         let timer = vx_obs::Timer::start();
-        let output = vx_ingest::run(events, pool, pipeline_options)?;
+        let output = vx_ingest::run(events, spill, pipeline_options)?;
         let pipeline_secs = timer.secs();
         write_output(dir, output, options, pipeline_secs)
     }
@@ -120,7 +109,7 @@ fn write_output(
         skeleton,
         root,
         vectors,
-        mut pool,
+        mut spill,
         stats,
     } = output;
     let skeleton_bytes = skformat::write(&skeleton, root);
@@ -131,23 +120,10 @@ fn write_output(
 
     let mut entries = Vec::with_capacity(vectors.len());
     let mut text_bytes = 0u64;
-    for (i, (path, spill)) in vectors.into_iter().enumerate() {
-        let file = format!("v{i:06}.vec");
-        let mut writer = BufWriter::new(fs::File::create(dir.join(&file))?);
-        let stats = match options.compaction {
-            Compaction::None => spill.finish_plain(&mut pool, &mut writer),
-            Compaction::Auto => spill.finish_auto(&mut pool, &mut writer),
-        }
-        .map_err(vx_ingest::IngestError::Vector)?;
-        writer.flush()?;
+    for (i, (path, encoder)) in vectors.into_iter().enumerate() {
+        let (entry, stats) = write_vector(dir, i, path, encoder, &mut spill, options.compaction)?;
         text_bytes += stats.value_bytes;
-        entries.push(CatalogEntry {
-            path,
-            file,
-            count: stats.count,
-            data_bytes: stats.data_bytes,
-            version: stats.version,
-        });
+        entries.push(entry);
     }
 
     let catalog = Catalog {
@@ -160,13 +136,13 @@ fn write_output(
     write_catalog_atomic(dir, &catalog)?;
     let report = IngestReport {
         catalog,
-        spill_pages: pool.page_count(),
-        pager: pool.stats(),
+        spill_pages: spill.page_count(),
+        pager: spill.stats(),
         stats,
         pipeline_secs,
         write_secs: timer.secs(),
     };
-    drop(pool); // removes the spill file
+    drop(spill); // removes the spill file
     if vx_obs::log_enabled() {
         vx_obs::event(
             "core.ingest",
@@ -182,16 +158,7 @@ fn write_output(
                     vx_obs::Value::U64(report.catalog.vectors.len() as u64),
                 ),
                 ("spill_pages", vx_obs::Value::U64(report.spill_pages)),
-                ("pager_hits", vx_obs::Value::U64(report.pager.hits)),
-                ("pager_misses", vx_obs::Value::U64(report.pager.misses)),
-                (
-                    "pager_evictions",
-                    vx_obs::Value::U64(report.pager.evictions),
-                ),
-                (
-                    "pager_writebacks",
-                    vx_obs::Value::U64(report.pager.writebacks),
-                ),
+                ("spill_pages_read", vx_obs::Value::U64(report.pager.misses)),
             ],
         );
     }

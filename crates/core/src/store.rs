@@ -26,9 +26,10 @@ use crate::json::{self, Json};
 use crate::vecdoc::{PathVector, VecDoc};
 use crate::{CoreError, Result};
 use std::fs;
+use std::io::{self, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use vx_skeleton::format as skformat;
-use vx_vector::{Vector, Writer as VectorWriter};
+use vx_vector::{Spill, SpillVector, Vector, VectorStats};
 
 /// One catalog row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,29 +147,18 @@ impl Store {
         write_structural_index(dir, &skeleton_bytes)?;
         vx_obs::crash_point("store.mid_save");
 
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(doc.vectors().len());
         for (i, vector) in doc.vectors().iter().enumerate() {
-            let mut writer = VectorWriter::new();
+            // One in-memory spill per vector: it holds that vector's
+            // record stream only until its file is written.
+            let mut spill = Spill::new(io::Cursor::new(Vec::new()));
+            let mut encoder = SpillVector::default();
             for value in &vector.values {
-                writer.push(value);
+                encoder.append(&mut spill, value)?;
             }
-            let bytes = match compaction {
-                Compaction::None => writer.encode_plain(),
-                Compaction::Auto => writer.encode_auto(),
-            };
-            // data stream = everything between the 5-byte header and the
-            // 28-byte trailer minus the skip index; recompute from a strict
-            // decode for an exact catalog.
-            let decoded = Vector::decode(&bytes)?;
-            let file = format!("v{i:06}.vec");
-            fs::write(dir.join(&file), &bytes)?;
-            entries.push(CatalogEntry {
-                path: vector.path.clone(),
-                file,
-                count: vector.values.len() as u64,
-                data_bytes: decoded.stats().data_bytes,
-                version: decoded.stats().version,
-            });
+            let (entry, _) =
+                write_vector(dir, i, vector.path.clone(), encoder, &mut spill, compaction)?;
+            entries.push(entry);
         }
         let catalog = Catalog {
             vectors: entries,
@@ -294,6 +284,34 @@ impl Store {
             vectors_loaded: loaded,
         })
     }
+}
+
+/// Writes `dir/v{i:06}.vec` from the values in `encoder`, in the encoding
+/// `compaction` picks, and returns its catalog row and stats. Every
+/// store vector file is written here: ingest, save and compaction.
+pub(crate) fn write_vector<B: Read + Write + Seek>(
+    dir: &Path,
+    i: usize,
+    path: String,
+    encoder: SpillVector,
+    spill: &mut Spill<B>,
+    compaction: Compaction,
+) -> Result<(CatalogEntry, VectorStats)> {
+    let file = format!("v{i:06}.vec");
+    let mut out = BufWriter::new(fs::File::create(dir.join(&file))?);
+    let stats = match compaction {
+        Compaction::None => encoder.finish_plain(spill, &mut out),
+        Compaction::Auto => encoder.finish_auto(spill, &mut out),
+    }?;
+    out.flush()?;
+    let entry = CatalogEntry {
+        path,
+        file,
+        count: stats.count,
+        data_bytes: stats.data_bytes,
+        version: stats.version,
+    };
+    Ok((entry, stats))
 }
 
 fn read_catalog(dir: &Path) -> Result<Catalog> {

@@ -367,18 +367,24 @@ impl QueryOutput {
         }
     }
 
-    /// Serializes the output as compact XML, streamed without a DOM. A
-    /// `Document` is written from its skeleton and vectors; `Values`
-    /// are wrapped as `<results><value>…</value></results>` (lossily
-    /// decoded).
-    pub fn to_xml(&self) -> Result<String> {
-        let mut out = Vec::new();
+    /// Writes the output to `out` as compact XML, streamed without a
+    /// DOM. A `Document` is written from its skeleton and vectors;
+    /// `Values` are wrapped as `<results><value>…</value></results>`
+    /// (lossily decoded). An I/O failure is `Core(CoreError::Io(_))`.
+    pub fn write_xml(&self, out: &mut impl std::io::Write) -> Result<()> {
         match self {
-            QueryOutput::Document(doc) => write_xml(doc, &mut out)?,
+            QueryOutput::Document(doc) => write_xml(doc, out)?,
             QueryOutput::Values(values) => {
-                write_values(values, &mut XmlWriter::new(&mut out)).map_err(CoreError::from)?
+                write_values(values, &mut XmlWriter::new(out)).map_err(CoreError::from)?
             }
         }
+        Ok(())
+    }
+
+    /// [`QueryOutput::write_xml`] into a `String`.
+    pub fn to_xml(&self) -> Result<String> {
+        let mut out = Vec::new();
+        self.write_xml(&mut out)?;
         Ok(String::from_utf8(out).expect("the writer emits only UTF-8"))
     }
 }

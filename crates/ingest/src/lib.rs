@@ -5,10 +5,10 @@
 //! each subtree the moment its end tag arrives, keeps the root-to-node tag
 //! path (attributes as a final `@name` component), applies the comment/PI
 //! rule and the [`PipelineStats`] tallies. Only where a value goes varies,
-//! behind [`ValueSink`]: [`run`] spills each path's values through one
-//! 8 KiB [`vx_vector::SpillVector`] page and the bounded
-//! [`vx_vector::SpillPool`] (store ingest: peak memory `O(compressed
-//! skeleton + open-element stack + one page per path + pool frames)`),
+//! behind [`ValueSink`]: [`run`] feeds each path's values to one
+//! [`vx_vector::SpillVector`], whose full 8 KiB pages go to an
+//! append-only [`vx_vector::Spill`] file (store ingest: peak memory
+//! `O(compressed skeleton + open-element stack + one page per path)`),
 //! while `vx-core`'s `VecDoc` sink serves DOM vectorization, query result
 //! construction and WAL replay ([`Pipeline::resume`] reopens the root of
 //! an existing `(S, V)`, so appends extend its DAG). One builder behind
@@ -18,8 +18,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::fs::File;
 use vx_skeleton::{NodeId, Skeleton, SkeletonBuilder};
-use vx_vector::{SpillPool, SpillVector};
+use vx_vector::{Spill, SpillVector};
 use vx_xml::Event;
 
 /// Errors produced by the streaming pipeline.
@@ -129,14 +130,14 @@ pub struct IngestOutput {
     pub skeleton: Skeleton,
     pub root: NodeId,
     pub vectors: Vec<(String, SpillVector)>,
-    pub pool: SpillPool,
+    pub spill: Spill<File>,
     pub stats: PipelineStats,
 }
 
-/// The store-ingest sink: one [`SpillVector`] per path, spilling through
-/// a shared, bounded pool.
+/// The store-ingest sink: one [`SpillVector`] per path, all spilling to
+/// one file.
 struct SpillSink {
-    pool: SpillPool,
+    spill: Spill<File>,
     vectors: Vec<(String, SpillVector)>,
     by_path: HashMap<String, usize>,
 }
@@ -149,12 +150,13 @@ impl ValueSink for SpillSink {
             Some(&i) => i,
             None => {
                 let i = self.vectors.len();
-                self.vectors.push((path.to_string(), SpillVector::new()));
+                self.vectors
+                    .push((path.to_string(), SpillVector::default()));
                 self.by_path.insert(path.to_string(), i);
                 i
             }
         };
-        self.vectors[idx].1.append(&mut self.pool, value)?;
+        self.vectors[idx].1.append(&mut self.spill, value)?;
         Ok(())
     }
 
@@ -163,7 +165,7 @@ impl ValueSink for SpillSink {
             skeleton,
             root,
             vectors: self.vectors,
-            pool: self.pool,
+            spill: self.spill,
             stats,
         }
     }
@@ -310,14 +312,14 @@ impl<S: ValueSink> Pipeline<S> {
 }
 
 /// Runs a whole event stream through a [`Pipeline`] whose values spill
-/// through `pool` — the store ingest.
+/// to `spill` — the store ingest.
 pub fn run(
     events: impl Iterator<Item = vx_xml::Result<Event>>,
-    pool: SpillPool,
+    spill: Spill<File>,
     options: PipelineOptions,
 ) -> Result<IngestOutput> {
     let sink = SpillSink {
-        pool,
+        spill,
         vectors: Vec::new(),
         by_path: HashMap::new(),
     };
@@ -339,8 +341,8 @@ mod tests {
     }
 
     fn ingest(xml: &str, name: &str, options: PipelineOptions) -> Result<IngestOutput> {
-        let pool = SpillPool::create(&temp_spill(name), 4).unwrap();
-        run(Events::new(xml.as_bytes()), pool, options)
+        let spill = Spill::create(&temp_spill(name)).unwrap();
+        run(Events::new(xml.as_bytes()), spill, options)
     }
 
     fn values(output: &mut IngestOutput, path: &str) -> Vec<Vec<u8>> {
@@ -351,7 +353,7 @@ mod tests {
             .unwrap_or_else(|| panic!("no vector for {path}"));
         let (_, sv) = output.vectors.remove(i);
         let mut bytes = Vec::new();
-        sv.finish_plain(&mut output.pool, &mut bytes).unwrap();
+        sv.finish_plain(&mut output.spill, &mut bytes).unwrap();
         let vec = vx_vector::Vector::decode(&bytes).unwrap();
         vec.iter().map(<[u8]>::to_vec).collect()
     }

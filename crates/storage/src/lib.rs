@@ -1,17 +1,14 @@
 //! `vx-storage` — the lowest layer of the xmlvec stack.
 //!
-//! Provides the primitives shared by every on-disk format in the system:
-//!
-//! * [`varint`] — LEB128 variable-length integers, used by the skeleton
-//!   (`.vxsk`) and vector (`.vec`) formats.
-//! * [`pager`] — an 8 KiB paged-file abstraction with a clock-eviction
-//!   buffer pool, standing in for the Shore storage manager used by the
-//!   original VX system (DESIGN.md row 2).
+//! Provides the one primitive shared by every on-disk format in the
+//! system: [`varint`], LEB128 variable-length integers, used by the
+//! skeleton (`.vxsk`), structural index (`.vxpi`) and vector (`.vec`)
+//! formats. Files are read and written with plain `std::fs` I/O; the
+//! paper's Shore storage manager has no stand-in (DESIGN.md row 2).
 //!
 //! This crate depends on nothing above it (layering contract: it is the
 //! bottom of the dependency DAG together with `vx-xml`).
 
-pub mod pager;
 pub mod varint;
 
 use std::fmt;
@@ -19,35 +16,21 @@ use std::fmt;
 /// Errors produced by the storage layer.
 #[derive(Debug)]
 pub enum StorageError {
-    /// An underlying I/O failure.
-    Io(std::io::Error),
     /// A varint ran past the end of its buffer or exceeded 64 bits.
     BadVarint { offset: usize, reason: &'static str },
-    /// A page index beyond the end of the paged file.
-    PageOutOfBounds { page: u64, pages: u64 },
 }
 
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StorageError::Io(e) => write!(f, "storage I/O error: {e}"),
             StorageError::BadVarint { offset, reason } => {
                 write!(f, "bad varint at byte {offset}: {reason}")
-            }
-            StorageError::PageOutOfBounds { page, pages } => {
-                write!(f, "page {page} out of bounds (file has {pages} pages)")
             }
         }
     }
 }
 
 impl std::error::Error for StorageError {}
-
-impl From<std::io::Error> for StorageError {
-    fn from(e: std::io::Error) -> Self {
-        StorageError::Io(e)
-    }
-}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, StorageError>;

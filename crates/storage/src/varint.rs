@@ -12,17 +12,25 @@ pub const MAX_LEN: usize = 10;
 
 /// Appends the LEB128 encoding of `value` to `out`, returning the number of
 /// bytes written.
-pub fn write(out: &mut Vec<u8>, mut value: u64) -> usize {
+pub fn write(out: &mut Vec<u8>, value: u64) -> usize {
+    let (bytes, n) = encode(value);
+    out.extend_from_slice(&bytes[..n]);
+    n
+}
+
+/// The LEB128 encoding of `value` in a stack buffer, with its length.
+pub fn encode(mut value: u64) -> ([u8; MAX_LEN], usize) {
+    let mut bytes = [0u8; MAX_LEN];
     let mut n = 0;
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
-        n += 1;
         if value == 0 {
-            out.push(byte);
-            return n;
+            bytes[n] = byte;
+            return (bytes, n + 1);
         }
-        out.push(byte | 0x80);
+        bytes[n] = byte | 0x80;
+        n += 1;
     }
 }
 

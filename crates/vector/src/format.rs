@@ -1,161 +1,24 @@
-//! `.vec` reading and writing.
+//! `.vec` reading. The one writer is [`crate::SpillVector`].
 
 use crate::{Result, VectorError};
 use std::fs;
 use std::path::Path;
 use vx_storage::varint;
 
-const MAGIC: &[u8; 4] = b"VXVC";
-const TRAILER_MAGIC: &[u8; 4] = b"VXVE";
-const V1_PLAIN: u8 = 1;
-const V2_DICT: u8 = 2;
-const V3_SORTED: u8 = 3;
+pub(crate) const MAGIC: &[u8; 4] = b"VXVC";
+pub(crate) const TRAILER_MAGIC: &[u8; 4] = b"VXVE";
+pub(crate) const V1_PLAIN: u8 = 1;
+pub(crate) const V2_DICT: u8 = 2;
+pub(crate) const V3_SORTED: u8 = 3;
 /// One skip entry per this many records (version 1).
 pub const SKIP_STRIDE: u64 = 256;
 /// Vectors shorter than this skip the version-3 value index: a linear
 /// scan beats the index bookkeeping at that size.
 pub const INDEX_MIN_COUNT: u64 = 64;
 /// Data section starts right after magic + version byte.
-const DATA_START: usize = 5;
-
-/// Builds a `.vec` file in memory.
-pub struct Writer {
-    records: Vec<Vec<u8>>,
-}
-
-impl Default for Writer {
-    fn default() -> Self {
-        Writer::new()
-    }
-}
-
-impl Writer {
-    pub fn new() -> Self {
-        Writer {
-            records: Vec::new(),
-        }
-    }
-
-    pub fn push(&mut self, value: &[u8]) {
-        self.records.push(value.to_vec());
-    }
-
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Encodes as version 1 (plain).
-    pub fn encode_plain(&self) -> Vec<u8> {
-        self.encode_records(V1_PLAIN)
-    }
-
-    /// Encodes as version 3: the plain record stream plus a persistent
-    /// value index (record positions sorted by value bytes, ties in
-    /// document order) between the data section and the skip index.
-    pub fn encode_indexed(&self) -> Vec<u8> {
-        self.encode_records(V3_SORTED)
-    }
-
-    fn encode_records(&self, version: u8) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(version);
-        let mut skips: Vec<u64> = Vec::new();
-        for (i, record) in self.records.iter().enumerate() {
-            if (i as u64).is_multiple_of(SKIP_STRIDE) {
-                skips.push((out.len() - DATA_START) as u64);
-            }
-            varint::write(&mut out, record.len() as u64);
-            out.extend_from_slice(record);
-        }
-        let data_end = out.len() as u64;
-        if version == V3_SORTED {
-            write_value_index(&mut out, &self.records);
-        }
-        let skip_start = out.len() as u64;
-        for offset in skips {
-            varint::write(&mut out, offset);
-        }
-        finish_trailer(&mut out, data_end, skip_start, self.records.len() as u64);
-        out
-    }
-
-    /// Encodes as version 2 (dictionary-compacted). Fails when the data has
-    /// more than 128 distinct values; callers fall back to version 1.
-    pub fn encode_dictionary(&self) -> Result<Vec<u8>> {
-        let mut dict: Vec<&[u8]> = Vec::new();
-        let mut codes: Vec<u8> = Vec::with_capacity(self.records.len());
-        for record in &self.records {
-            let code = match dict.iter().position(|d| *d == record.as_slice()) {
-                Some(i) => i,
-                None => {
-                    if dict.len() >= 128 {
-                        return Err(VectorError::DictionaryTooLarge {
-                            distinct: dict.len() + 1,
-                        });
-                    }
-                    dict.push(record.as_slice());
-                    dict.len() - 1
-                }
-            };
-            codes.push(code as u8);
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(V2_DICT);
-        varint::write(&mut out, dict.len() as u64);
-        for entry in &dict {
-            varint::write(&mut out, entry.len() as u64);
-            out.extend_from_slice(entry);
-        }
-        out.extend_from_slice(&codes);
-        let data_end = out.len() as u64;
-        finish_trailer(&mut out, data_end, data_end, self.records.len() as u64);
-        Ok(out)
-    }
-
-    /// Picks the best encoding: version 3 (indexed) for vectors of at
-    /// least [`INDEX_MIN_COUNT`] records, else version 1 — unless the
-    /// dictionary form is both possible and strictly smaller.
-    pub fn encode_auto(&self) -> Vec<u8> {
-        let candidate = if self.records.len() as u64 >= INDEX_MIN_COUNT {
-            self.encode_indexed()
-        } else {
-            self.encode_plain()
-        };
-        match self.encode_dictionary() {
-            Ok(dict) if dict.len() < candidate.len() => dict,
-            _ => candidate,
-        }
-    }
-}
-
-/// Appends the version-3 value index: a varint record count followed by
-/// one little-endian `u32` record position per record, ordered by value
-/// bytes ascending with document order breaking ties.
-fn write_value_index(out: &mut Vec<u8>, records: &[Vec<u8>]) {
-    let mut order: Vec<u32> = (0..records.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        records[a as usize]
-            .cmp(&records[b as usize])
-            .then(a.cmp(&b))
-    });
-    varint::write(out, order.len() as u64);
-    for pos in order {
-        out.extend_from_slice(&pos.to_le_bytes());
-    }
-}
-
-fn finish_trailer(out: &mut Vec<u8>, data_end: u64, skip_start: u64, count: u64) {
-    out.extend_from_slice(&data_end.to_le_bytes());
-    out.extend_from_slice(&skip_start.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(TRAILER_MAGIC);
-}
+pub(crate) const DATA_START: usize = 5;
+/// Dictionary (version 2) cut-off: one `u8` code per record.
+pub(crate) const MAX_DICT: usize = 128;
 
 /// Size statistics for a loaded vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -631,6 +494,7 @@ fn check_header(bytes: &[u8]) -> Result<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::Writer;
 
     fn sample_values(n: usize) -> Vec<Vec<u8>> {
         (0..n)
@@ -701,10 +565,7 @@ mod tests {
         for i in 0..200usize {
             w.push(format!("{i}").as_bytes());
         }
-        assert!(matches!(
-            w.encode_dictionary(),
-            Err(VectorError::DictionaryTooLarge { .. })
-        ));
+        assert!(w.encode_dictionary().is_none());
         // encode_auto falls back to the indexed plain form.
         let vec = Vector::decode(&w.encode_auto()).unwrap();
         assert_eq!(vec.stats().version, 3);

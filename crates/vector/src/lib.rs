@@ -33,10 +33,12 @@
 //! capture's byte-dropping sanitizer, driven by the catalog's record count.
 
 mod format;
+#[cfg(test)]
+mod reference;
 mod spill;
 
-pub use format::{Cursor, CursorStats, Vector, VectorStats, Writer, INDEX_MIN_COUNT, SKIP_STRIDE};
-pub use spill::{SpillPool, SpillVector};
+pub use format::{Cursor, CursorStats, Vector, VectorStats, INDEX_MIN_COUNT, SKIP_STRIDE};
+pub use spill::{Spill, SpillStats, SpillVector};
 
 use std::fmt;
 
@@ -57,10 +59,6 @@ pub enum VectorError {
         index: u64,
         count: u64,
     },
-    /// Dictionary compaction requested for data with > 128 distinct values.
-    DictionaryTooLarge {
-        distinct: usize,
-    },
 }
 
 impl fmt::Display for VectorError {
@@ -74,12 +72,6 @@ impl fmt::Display for VectorError {
             }
             VectorError::OutOfBounds { index, count } => {
                 write!(f, "record {index} out of bounds (vector has {count})")
-            }
-            VectorError::DictionaryTooLarge { distinct } => {
-                write!(
-                    f,
-                    "dictionary compaction needs ≤ 128 distinct values, found {distinct}"
-                )
             }
         }
     }

@@ -1,78 +1,127 @@
-//! Spill-to-disk vector accumulation for streaming ingest.
+//! The `.vec` encoder: one path's values in, one `.vec` file out.
 //!
-//! A [`SpillVector`] accumulates one path's values during a single
-//! streaming pass: records are varint-length-prefixed into a one-page tail
-//! buffer, and each full page spills to a shared temporary file through
-//! [`vx_storage::Pager`]. Peak memory per path is therefore one 8 KiB page
-//! (plus the ≤ 128-entry dictionary candidate), regardless of how many
+//! A [`SpillVector`] takes one path's values in document order. Records
+//! are varint-length-prefixed into a one-page tail buffer, and each full
+//! page is appended to a shared [`Spill`] — a file for streaming ingest,
+//! an in-memory cursor for `Store::save` — so peak memory per path is one
+//! 8 KiB page plus the ≤ 128-entry dictionary candidate, however many
 //! values the path accumulates.
 //!
-//! `finish_plain`/`finish_auto` then stream the spilled pages back through
-//! the pager's bounded buffer pool into a final `.vec` file that is
-//! byte-identical to what [`crate::Writer`]'s in-memory `encode_plain` /
-//! `encode_auto` would have produced for the same values — the equivalence
-//! the differential ingest tests pin down.
+//! `finish_plain` / `finish_indexed` / `finish_auto` then read the
+//! path's pages back once, in order, through the spill's one page
+//! buffer, and write the three `.vec` formats (see the crate docs). This
+//! is the only production `.vec` writer; the tests hold it byte for byte
+//! to an in-memory reference encoder.
 
+use crate::format::{DATA_START, MAGIC, MAX_DICT, TRAILER_MAGIC, V1_PLAIN, V2_DICT, V3_SORTED};
 use crate::{Result, VectorError, VectorStats, INDEX_MIN_COUNT, SKIP_STRIDE};
-use std::io::Write;
+use std::fs::{self, File, OpenOptions};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use vx_storage::pager::{Pager, PagerStats, PAGE_SIZE};
 use vx_storage::varint;
 
-const MAGIC: &[u8; 4] = b"VXVC";
-const TRAILER_MAGIC: &[u8; 4] = b"VXVE";
-const V1_PLAIN: u8 = 1;
-const V2_DICT: u8 = 2;
-const V3_SORTED: u8 = 3;
-/// Bytes before the data section (magic + version).
-const DATA_START: u64 = 5;
-/// Dictionary compaction cut-off (one `u8` code per record).
-const MAX_DICT: usize = 128;
+/// Spill page size: one tail buffer per path, one unit of spill I/O.
+const PAGE_SIZE: usize = 8192;
 
-/// A shared temporary spill file, page-allocated through one bounded
-/// [`Pager`] pool. Many [`SpillVector`]s interleave their pages in it; the
-/// file is deleted when the pool is dropped.
-pub struct SpillPool {
-    pager: Pager,
-    path: PathBuf,
+/// What a [`Spill`] did, under the field names the benchmark reads.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SpillStats {
+    /// Always 0: nothing is cached, so no read is served from memory.
+    pub hits: u64,
+    /// Pages read back from the spill. Finishing a vector reads each of
+    /// its pages once.
+    pub misses: u64,
+    /// Pages written to the spill.
+    pub evictions: u64,
 }
 
-impl SpillPool {
-    /// Creates (truncating any leftover) a spill file with a buffer pool of
-    /// `frames` page frames — the ingest pipeline's total paging budget.
-    pub fn create(path: &Path, frames: usize) -> Result<Self> {
-        // A stale file from a crashed run would make the pager append after
-        // its old pages; start from zero length.
-        let _ = std::fs::remove_file(path);
-        Ok(SpillPool {
-            pager: Pager::open(path, frames)?,
-            path: path.to_path_buf(),
-        })
+/// An append-only page file shared by many [`SpillVector`]s, which
+/// interleave their full pages in it.
+pub struct Spill<B> {
+    backing: B,
+    /// Pages appended so far.
+    pages: u64,
+    /// The one buffer pages are read back into.
+    page: Box<[u8; PAGE_SIZE]>,
+    stats: SpillStats,
+    /// The file to remove on drop, for a spill on disk.
+    remove_on_drop: Option<PathBuf>,
+}
+
+impl Spill<File> {
+    /// Creates an empty spill file at `path`, deleting any leftover from
+    /// a crashed run first. The file is removed when the spill is
+    /// dropped.
+    pub fn create(path: &Path) -> Result<Self> {
+        let _ = fs::remove_file(path);
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(true)
+            .open(path)?;
+        let mut spill = Spill::new(file);
+        spill.remove_on_drop = Some(path.to_path_buf());
+        Ok(spill)
+    }
+}
+
+impl<B: Read + Write + Seek> Spill<B> {
+    /// A spill over `backing`, which must start empty.
+    pub fn new(backing: B) -> Self {
+        Spill {
+            backing,
+            pages: 0,
+            page: Box::new([0u8; PAGE_SIZE]),
+            stats: SpillStats::default(),
+            remove_on_drop: None,
+        }
     }
 
-    /// Buffer-pool statistics (hits/misses/evictions/writebacks).
-    pub fn stats(&self) -> PagerStats {
-        self.pager.stats()
-    }
-
-    /// Pages allocated in the spill file so far (across all vectors).
+    /// Pages written so far, across all vectors.
     pub fn page_count(&self) -> u64 {
-        self.pager.page_count()
+        self.pages
+    }
+
+    pub fn stats(&self) -> SpillStats {
+        self.stats
+    }
+
+    /// Appends one full page and returns its page number.
+    fn append_page(&mut self, page: &[u8]) -> Result<u64> {
+        self.backing
+            .seek(SeekFrom::Start(self.pages * PAGE_SIZE as u64))?;
+        self.backing.write_all(page)?;
+        self.stats.evictions += 1;
+        self.pages += 1;
+        Ok(self.pages - 1)
+    }
+
+    /// Reads page `page` back into the page buffer.
+    fn read_page(&mut self, page: u64) -> Result<&[u8; PAGE_SIZE]> {
+        self.backing
+            .seek(SeekFrom::Start(page * PAGE_SIZE as u64))?;
+        self.backing.read_exact(&mut self.page[..])?;
+        self.stats.misses += 1;
+        Ok(&self.page)
     }
 }
 
-impl Drop for SpillPool {
+impl<B> Drop for Spill<B> {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        if let Some(path) = &self.remove_on_drop {
+            let _ = fs::remove_file(path);
+        }
     }
 }
 
-/// One path's record stream: full pages in the pool, plus a one-page tail.
+/// One path's record stream: full pages in the spill, plus a one-page
+/// tail.
+#[derive(Default)]
 pub struct SpillVector {
-    /// Spill-file pages holding full `PAGE_SIZE` slices of the stream.
+    /// Spill pages holding full `PAGE_SIZE` slices of the stream.
     pages: Vec<u64>,
-    tail: Box<[u8; PAGE_SIZE]>,
-    tail_len: usize,
+    /// The rest of the stream, shorter than a page.
+    tail: Vec<u8>,
     count: u64,
     /// Total record-stream bytes (varint prefixes + raw values).
     stream_len: u64,
@@ -84,45 +133,19 @@ pub struct SpillVector {
     dict_overflow: bool,
 }
 
-impl Default for SpillVector {
-    fn default() -> Self {
-        SpillVector::new()
-    }
-}
-
 impl SpillVector {
-    pub fn new() -> Self {
-        SpillVector {
-            pages: Vec::new(),
-            tail: Box::new([0u8; PAGE_SIZE]),
-            tail_len: 0,
-            count: 0,
-            stream_len: 0,
-            value_bytes: 0,
-            skips: Vec::new(),
-            dict: Vec::new(),
-            dict_overflow: false,
-        }
-    }
-
-    /// Records appended so far.
-    pub fn len(&self) -> u64 {
-        self.count
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Appends one value, spilling the tail page when it fills.
-    pub fn append(&mut self, pool: &mut SpillPool, value: &[u8]) -> Result<()> {
+    pub fn append<B: Read + Write + Seek>(
+        &mut self,
+        spill: &mut Spill<B>,
+        value: &[u8],
+    ) -> Result<()> {
         if self.count.is_multiple_of(SKIP_STRIDE) {
             self.skips.push(self.stream_len);
         }
-        let mut prefix = Vec::with_capacity(varint::MAX_LEN);
-        varint::write(&mut prefix, value.len() as u64);
-        self.write_stream(pool, &prefix)?;
-        self.write_stream(pool, value)?;
+        let (prefix, n) = varint::encode(value.len() as u64);
+        self.write_stream(spill, &prefix[..n])?;
+        self.write_stream(spill, value)?;
         if !self.dict_overflow && !self.dict.iter().any(|d| d == value) {
             if self.dict.len() >= MAX_DICT {
                 self.dict_overflow = true;
@@ -136,23 +159,36 @@ impl SpillVector {
         Ok(())
     }
 
-    fn write_stream(&mut self, pool: &mut SpillPool, mut bytes: &[u8]) -> Result<()> {
+    fn write_stream<B: Read + Write + Seek>(
+        &mut self,
+        spill: &mut Spill<B>,
+        mut bytes: &[u8],
+    ) -> Result<()> {
         self.stream_len += bytes.len() as u64;
+        self.tail.reserve_exact(PAGE_SIZE - self.tail.len());
         while !bytes.is_empty() {
-            let room = PAGE_SIZE - self.tail_len;
-            let take = room.min(bytes.len());
-            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
-            self.tail_len += take;
+            let take = (PAGE_SIZE - self.tail.len()).min(bytes.len());
+            self.tail.extend_from_slice(&bytes[..take]);
             bytes = &bytes[take..];
-            if self.tail_len == PAGE_SIZE {
-                let page = pool.pager.allocate()?;
-                pool.pager
-                    .with_page_mut(page, |data| data.copy_from_slice(&self.tail[..]))?;
-                self.pages.push(page);
-                self.tail_len = 0;
+            if self.tail.len() == PAGE_SIZE {
+                self.pages.push(spill.append_page(&self.tail)?);
+                self.tail.clear();
             }
         }
         Ok(())
+    }
+
+    /// Feeds the record stream to `f` in order: each spilled page, read
+    /// back once, then the tail.
+    fn read_stream<B: Read + Write + Seek>(
+        &self,
+        spill: &mut Spill<B>,
+        mut f: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<()> {
+        for &page in &self.pages {
+            f(spill.read_page(page)?)?;
+        }
+        f(&self.tail)
     }
 
     /// Total on-disk size of the version-1 encoding.
@@ -162,7 +198,12 @@ impl SpillVector {
             .iter()
             .map(|&s| varint::encoded_len(s) as u64)
             .sum();
-        DATA_START + self.stream_len + skip_bytes + 28
+        DATA_START as u64 + self.stream_len + skip_bytes + 28
+    }
+
+    /// Total on-disk size of the version-3 encoding.
+    fn indexed_size(&self) -> u64 {
+        self.plain_size() + varint::encoded_len(self.count) as u64 + 4 * self.count
     }
 
     /// Total on-disk size of the version-2 encoding, if possible.
@@ -176,7 +217,7 @@ impl SpillVector {
             .map(|e| (varint::encoded_len(e.len() as u64) + e.len()) as u64)
             .sum();
         Some(
-            DATA_START
+            DATA_START as u64
                 + varint::encoded_len(self.dict.len() as u64) as u64
                 + dict_bytes
                 + self.count
@@ -184,107 +225,108 @@ impl SpillVector {
         )
     }
 
-    /// Streams the record stream (pages then tail) into `out`.
-    fn copy_stream(&self, pool: &mut SpillPool, out: &mut impl Write) -> Result<()> {
-        for &page in &self.pages {
-            pool.pager
-                .with_page(page, |data| out.write_all(&data[..]))??;
-        }
-        out.write_all(&self.tail[..self.tail_len])?;
-        Ok(())
-    }
-
-    /// Writes the version-1 (plain) encoding — byte-identical to
-    /// [`crate::Writer::encode_plain`] over the same values.
-    pub fn finish_plain(self, pool: &mut SpillPool, out: &mut impl Write) -> Result<VectorStats> {
-        out.write_all(MAGIC)?;
-        out.write_all(&[V1_PLAIN])?;
-        self.copy_stream(pool, out)?;
-        let mut index = Vec::new();
+    /// Writes what follows the record stream of versions 1 and 3: the
+    /// value `index` (empty for version 1), the skip index and the
+    /// trailer. Returns the stats of the finished file.
+    fn write_end(
+        &self,
+        version: u8,
+        mut index: Vec<u8>,
+        out: &mut impl Write,
+    ) -> Result<VectorStats> {
+        let index_bytes = index.len() as u64;
         for &skip in &self.skips {
             varint::write(&mut index, skip);
         }
-        let data_end = DATA_START + self.stream_len;
-        write_trailer(&mut index, data_end, data_end, self.count);
+        let data_end = DATA_START as u64 + self.stream_len;
+        write_trailer(&mut index, data_end, data_end + index_bytes, self.count);
         out.write_all(&index)?;
         Ok(VectorStats {
             count: self.count,
             data_bytes: self.stream_len,
             value_bytes: self.value_bytes,
-            index_bytes: 0,
-            version: V1_PLAIN,
+            index_bytes,
+            version,
         })
     }
 
-    /// Writes the version-3 (indexed) encoding — byte-identical to
-    /// [`crate::Writer::encode_indexed`] over the same values.
+    /// Writes the version-1 (plain) encoding.
+    pub fn finish_plain<B: Read + Write + Seek>(
+        self,
+        spill: &mut Spill<B>,
+        out: &mut impl Write,
+    ) -> Result<VectorStats> {
+        out.write_all(MAGIC)?;
+        out.write_all(&[V1_PLAIN])?;
+        self.read_stream(spill, |chunk| Ok(out.write_all(chunk)?))?;
+        self.write_end(V1_PLAIN, Vec::new(), out)
+    }
+
+    /// Writes the version-3 (indexed) encoding.
     ///
-    /// Building the value index is the one finish step that is not
-    /// bounded-memory: the spilled values are re-streamed through the
-    /// pool and held in memory to sort. The record *stream* itself is
-    /// still copied page-at-a-time; only the sort working set grows
-    /// with the vector.
-    pub fn finish_indexed(self, pool: &mut SpillPool, out: &mut impl Write) -> Result<VectorStats> {
+    /// The value index is the one part that is not bounded-memory: it
+    /// sorts every value, so the pass that copies the record stream also
+    /// collects the values into one arena.
+    pub fn finish_indexed<B: Read + Write + Seek>(
+        self,
+        spill: &mut Spill<B>,
+        out: &mut impl Write,
+    ) -> Result<VectorStats> {
         out.write_all(MAGIC)?;
         out.write_all(&[V3_SORTED])?;
-        self.copy_stream(pool, out)?;
-
-        let mut cursor = SpillCursor::new(&self);
-        let mut values: Vec<Vec<u8>> = Vec::with_capacity(self.count as usize);
-        let mut value = Vec::new();
-        for _ in 0..self.count {
-            cursor.next_value(&self, pool, &mut value)?;
-            values.push(value.clone());
-        }
+        let mut arena = Vec::with_capacity(self.value_bytes as usize);
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(self.count as usize);
+        let mut records = Records::default();
+        self.read_stream(spill, |chunk| {
+            out.write_all(chunk)?;
+            records.split(chunk, |value| {
+                spans.push((arena.len(), value.len()));
+                arena.extend_from_slice(value);
+                Ok(())
+            })
+        })?;
+        let value = |pos: u32| {
+            let (start, len) = spans[pos as usize];
+            &arena[start..start + len]
+        };
         let mut order: Vec<u32> = (0..self.count as u32).collect();
-        order.sort_by(|&a, &b| values[a as usize].cmp(&values[b as usize]).then(a.cmp(&b)));
+        order.sort_by(|&a, &b| value(a).cmp(value(b)).then(a.cmp(&b)));
 
-        let mut tail = Vec::new();
-        varint::write(&mut tail, self.count);
+        let mut index = Vec::with_capacity(varint::MAX_LEN + 4 * order.len());
+        varint::write(&mut index, self.count);
         for pos in order {
-            tail.extend_from_slice(&pos.to_le_bytes());
+            index.extend_from_slice(&pos.to_le_bytes());
         }
-        let index_bytes = tail.len() as u64;
-        for &skip in &self.skips {
-            varint::write(&mut tail, skip);
-        }
-        let data_end = DATA_START + self.stream_len;
-        write_trailer(&mut tail, data_end, data_end + index_bytes, self.count);
-        out.write_all(&tail)?;
-        Ok(VectorStats {
-            count: self.count,
-            data_bytes: self.stream_len,
-            value_bytes: self.value_bytes,
-            index_bytes,
-            version: V3_SORTED,
-        })
+        self.write_end(V3_SORTED, index, out)
     }
 
-    /// Total on-disk size of the version-3 encoding.
-    fn indexed_size(&self) -> u64 {
-        self.plain_size() + varint::encoded_len(self.count) as u64 + 4 * self.count
-    }
-
-    /// Writes whichever encoding [`crate::Writer::encode_auto`] would
-    /// pick — version 3 at [`INDEX_MIN_COUNT`] records or more, else
-    /// version 1, with the dictionary form winning whenever it is both
-    /// possible and strictly smaller — byte-identical to it.
-    pub fn finish_auto(self, pool: &mut SpillPool, out: &mut impl Write) -> Result<VectorStats> {
+    /// Writes the smallest encoding: version 3 at [`INDEX_MIN_COUNT`]
+    /// records or more, else version 1, with the dictionary form winning
+    /// whenever it is both possible and strictly smaller.
+    pub fn finish_auto<B: Read + Write + Seek>(
+        self,
+        spill: &mut Spill<B>,
+        out: &mut impl Write,
+    ) -> Result<VectorStats> {
         let candidate_size = if self.count >= INDEX_MIN_COUNT {
             self.indexed_size()
         } else {
             self.plain_size()
         };
         match self.dict_size() {
-            Some(dict_size) if dict_size < candidate_size => self.finish_dict(pool, out),
-            _ if self.count >= INDEX_MIN_COUNT => self.finish_indexed(pool, out),
-            _ => self.finish_plain(pool, out),
+            Some(dict_size) if dict_size < candidate_size => self.finish_dict(spill, out),
+            _ if self.count >= INDEX_MIN_COUNT => self.finish_indexed(spill, out),
+            _ => self.finish_plain(spill, out),
         }
     }
 
-    /// Writes the version-2 (dictionary) encoding. The record stream is
-    /// re-read through the pager one value at a time to emit codes.
-    fn finish_dict(self, pool: &mut SpillPool, out: &mut impl Write) -> Result<VectorStats> {
+    /// Writes the version-2 (dictionary) encoding: one code per record,
+    /// found while the record stream is read back.
+    fn finish_dict<B: Read + Write + Seek>(
+        self,
+        spill: &mut Spill<B>,
+        out: &mut impl Write,
+    ) -> Result<VectorStats> {
         debug_assert!(!self.dict_overflow);
         let mut head = Vec::new();
         head.extend_from_slice(MAGIC);
@@ -295,22 +337,20 @@ impl SpillVector {
             head.extend_from_slice(entry);
         }
         out.write_all(&head)?;
-        let mut cursor = SpillCursor::new(&self);
-        let mut codes = Vec::with_capacity(self.count as usize);
-        let mut value = Vec::new();
-        for i in 0..self.count {
-            cursor.next_value(&self, pool, &mut value)?;
-            let code = self
-                .dict
-                .iter()
-                .position(|d| *d == value)
-                .ok_or(VectorError::Corrupt {
-                    offset: cursor.stream_pos as usize,
-                    message: format!("spilled record {i} missing from dictionary"),
+        let mut records = Records::default();
+        let mut i = 0usize;
+        self.read_stream(spill, |chunk| {
+            records.split(chunk, |value| {
+                let code = self.dict.iter().position(|d| d == value).ok_or_else(|| {
+                    VectorError::Corrupt {
+                        offset: head.len() + i,
+                        message: format!("spilled record {i} missing from dictionary"),
+                    }
                 })?;
-            codes.push(code as u8);
-        }
-        out.write_all(&codes)?;
+                i += 1;
+                Ok(out.write_all(&[code as u8])?)
+            })
+        })?;
         let data_end = head.len() as u64 + self.count;
         let mut trailer = Vec::new();
         write_trailer(&mut trailer, data_end, data_end, self.count);
@@ -332,126 +372,127 @@ fn write_trailer(out: &mut Vec<u8>, data_end: u64, skip_start: u64, count: u64) 
     out.extend_from_slice(TRAILER_MAGIC);
 }
 
-/// Sequential reader over a [`SpillVector`]'s record stream: one page-sized
-/// chunk resident at a time, pulled through the pool.
-struct SpillCursor {
-    /// Index into `pages`; `pages.len()` means the tail.
-    chunk_idx: usize,
-    chunk: Vec<u8>,
-    pos: usize,
-    stream_pos: u64,
+/// Splits a record stream, fed in chunks cut anywhere, into its values.
+#[derive(Default)]
+struct Records {
+    /// Length of the value being read, once its prefix is complete.
+    len: Option<usize>,
+    prefix: u64,
+    shift: u32,
+    /// The bytes of a value that began in an earlier chunk.
+    partial: Vec<u8>,
 }
 
-impl SpillCursor {
-    fn new(vec: &SpillVector) -> Self {
-        SpillCursor {
-            chunk_idx: 0,
-            chunk: if vec.pages.is_empty() {
-                vec.tail[..vec.tail_len].to_vec()
-            } else {
-                Vec::new() // loaded lazily on first read
-            },
-            pos: 0,
-            stream_pos: 0,
-        }
-    }
-
-    fn load(&mut self, vec: &SpillVector, pool: &mut SpillPool) -> Result<()> {
-        while self.pos >= self.chunk.len() {
-            if self.chunk_idx >= vec.pages.len() {
-                if self.chunk_idx == vec.pages.len() && !vec.pages.is_empty() {
-                    self.chunk = vec.tail[..vec.tail_len].to_vec();
-                    self.pos = 0;
-                    self.chunk_idx += 1;
-                    continue;
-                }
-                return Err(VectorError::Corrupt {
-                    offset: self.stream_pos as usize,
-                    message: "spilled record stream truncated".into(),
-                });
-            }
-            let page = vec.pages[self.chunk_idx];
-            self.chunk = pool.pager.with_page(page, |data| data.to_vec())?;
-            self.pos = 0;
-            self.chunk_idx += 1;
-        }
-        Ok(())
-    }
-
-    fn read_byte(&mut self, vec: &SpillVector, pool: &mut SpillPool) -> Result<u8> {
-        self.load(vec, pool)?;
-        let b = self.chunk[self.pos];
-        self.pos += 1;
-        self.stream_pos += 1;
-        Ok(b)
-    }
-
-    /// Reads one varint-prefixed record into `out` (cleared first).
-    fn next_value(
-        &mut self,
-        vec: &SpillVector,
-        pool: &mut SpillPool,
-        out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let mut len: u64 = 0;
-        let mut shift = 0u32;
+impl Records {
+    fn split(&mut self, mut chunk: &[u8], mut emit: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
         loop {
-            let byte = self.read_byte(vec, pool)?;
-            len |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                break;
+            let Some(len) = self.len else {
+                let Some((&byte, rest)) = chunk.split_first() else {
+                    return Ok(());
+                };
+                chunk = rest;
+                self.prefix |= u64::from(byte & 0x7f) << self.shift;
+                self.shift += 7;
+                if byte & 0x80 == 0 {
+                    self.len = Some(self.prefix as usize);
+                    (self.prefix, self.shift) = (0, 0);
+                }
+                continue;
+            };
+            let need = len - self.partial.len();
+            if chunk.len() < need {
+                self.partial.extend_from_slice(chunk);
+                return Ok(());
             }
-            shift += 7;
+            let (rest_of_value, rest) = chunk.split_at(need);
+            chunk = rest;
+            if self.partial.is_empty() {
+                emit(rest_of_value)?;
+            } else {
+                self.partial.extend_from_slice(rest_of_value);
+                emit(&self.partial)?;
+                self.partial.clear();
+            }
+            self.len = None;
         }
-        out.clear();
-        let mut remaining = len as usize;
-        while remaining > 0 {
-            self.load(vec, pool)?;
-            let take = remaining.min(self.chunk.len() - self.pos);
-            out.extend_from_slice(&self.chunk[self.pos..self.pos + take]);
-            self.pos += take;
-            self.stream_pos += take as u64;
-            remaining -= take;
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Writer;
+    use crate::reference::Writer;
+    use crate::Vector;
+    use std::io::Cursor;
 
     fn temp_spill(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("vx-spill-{}-{name}.spill", std::process::id()))
     }
 
-    fn finish_both(values: &[Vec<u8>], name: &str, auto: bool) -> (Vec<u8>, Vec<u8>) {
+    #[derive(Clone, Copy)]
+    enum Finish {
+        Plain,
+        Indexed,
+        Auto,
+    }
+
+    fn encode<B: Read + Write + Seek>(
+        spill: &mut Spill<B>,
+        values: &[Vec<u8>],
+        finish: Finish,
+    ) -> Vec<u8> {
+        let mut sv = SpillVector::default();
+        for v in values {
+            sv.append(spill, v).unwrap();
+        }
+        let mut out = Vec::new();
+        let stats = match finish {
+            Finish::Plain => sv.finish_plain(spill, &mut out),
+            Finish::Indexed => sv.finish_indexed(spill, &mut out),
+            Finish::Auto => sv.finish_auto(spill, &mut out),
+        }
+        .unwrap();
+        assert_eq!(
+            stats,
+            Vector::decode(&out).unwrap().stats(),
+            "returned stats must be what a strict decode reads"
+        );
+        out
+    }
+
+    /// Encodes `values` with the reference writer, and with the spill
+    /// encoder over both backings: a file (ingest) that starts out
+    /// holding a stale leftover, and an in-memory cursor (`Store::save`).
+    /// Asserts the three agree and the file is gone after the drop.
+    fn finish_both(values: &[Vec<u8>], name: &str, finish: Finish) -> (Vec<u8>, Vec<u8>) {
         let mut w = Writer::new();
         for v in values {
             w.push(v);
         }
-        let reference = if auto {
-            w.encode_auto()
-        } else {
-            w.encode_plain()
+        let reference = match finish {
+            Finish::Plain => w.encode_plain(),
+            Finish::Indexed => w.encode_indexed(),
+            Finish::Auto => w.encode_auto(),
         };
 
         let path = temp_spill(name);
-        let mut pool = SpillPool::create(&path, 4).unwrap();
-        let mut sv = SpillVector::new();
-        for v in values {
-            sv.append(&mut pool, v).unwrap();
-        }
-        let mut streamed = Vec::new();
-        if auto {
-            sv.finish_auto(&mut pool, &mut streamed).unwrap();
-        } else {
-            sv.finish_plain(&mut pool, &mut streamed).unwrap();
-        }
-        drop(pool);
+        std::fs::write(&path, vec![0xAB; PAGE_SIZE + 3]).unwrap();
+        let mut spill = Spill::create(&path).unwrap();
+        let streamed = encode(&mut spill, values, finish);
+        drop(spill);
         assert!(!path.exists(), "spill file must be removed on drop");
+
+        let in_memory = encode(&mut Spill::new(Cursor::new(Vec::new())), values, finish);
+        assert_eq!(streamed, in_memory, "file and cursor backings must agree");
         (reference, streamed)
+    }
+
+    fn auto_or_plain(auto: bool) -> Finish {
+        if auto {
+            Finish::Auto
+        } else {
+            Finish::Plain
+        }
     }
 
     #[test]
@@ -459,7 +500,7 @@ mod tests {
         let values: Vec<Vec<u8>> = (0..3000)
             .map(|i| format!("value-{i:05}-{}", "x".repeat(i % 90)).into_bytes())
             .collect();
-        let (reference, streamed) = finish_both(&values, "plain", false);
+        let (reference, streamed) = finish_both(&values, "plain", Finish::Plain);
         assert_eq!(reference, streamed);
     }
 
@@ -473,10 +514,18 @@ mod tests {
             vec![b'd'; 5],
         ];
         for auto in [false, true] {
-            let (reference, streamed) =
-                finish_both(&values, if auto { "big-a" } else { "big-p" }, auto);
+            let name = if auto { "big-a" } else { "big-p" };
+            let (reference, streamed) = finish_both(&values, name, auto_or_plain(auto));
             assert_eq!(reference, streamed);
         }
+        // Indexed (too many distinct values for a dictionary), with
+        // records cut across page ends.
+        let values: Vec<Vec<u8>> = (0..130)
+            .map(|i| vec![b'a' + (i * 7 % 26) as u8; PAGE_SIZE / 3 + i])
+            .collect();
+        let (reference, streamed) = finish_both(&values, "big-i", Finish::Auto);
+        assert_eq!(reference[4], 3, "reference must pick the indexed encoding");
+        assert_eq!(reference, streamed);
     }
 
     #[test]
@@ -484,7 +533,7 @@ mod tests {
         let values: Vec<Vec<u8>> = (0..4000)
             .map(|i| format!("{}", i % 9).into_bytes())
             .collect();
-        let (reference, streamed) = finish_both(&values, "dict", true);
+        let (reference, streamed) = finish_both(&values, "dict", Finish::Auto);
         assert_eq!(reference[4], 2, "reference must pick the dict encoding");
         assert_eq!(reference, streamed);
     }
@@ -492,7 +541,7 @@ mod tests {
     #[test]
     fn high_cardinality_falls_back_to_indexed_identically() {
         let values: Vec<Vec<u8>> = (0..600).map(|i| format!("{i}").into_bytes()).collect();
-        let (reference, streamed) = finish_both(&values, "fallback", true);
+        let (reference, streamed) = finish_both(&values, "fallback", Finish::Auto);
         assert_eq!(reference[4], 3, "reference must fall back to indexed plain");
         assert_eq!(reference, streamed);
     }
@@ -502,27 +551,14 @@ mod tests {
         let values: Vec<Vec<u8>> = (0..900)
             .map(|i| format!("key-{:04}", (i * 37) % 900).into_bytes())
             .collect();
-        let mut w = Writer::new();
-        for v in &values {
-            w.push(v);
-        }
-        let reference = w.encode_indexed();
-
-        let path = temp_spill("indexed");
-        let mut pool = SpillPool::create(&path, 4).unwrap();
-        let mut sv = SpillVector::new();
-        for v in &values {
-            sv.append(&mut pool, v).unwrap();
-        }
-        let mut streamed = Vec::new();
-        sv.finish_indexed(&mut pool, &mut streamed).unwrap();
+        let (reference, streamed) = finish_both(&values, "indexed", Finish::Indexed);
         assert_eq!(reference, streamed);
     }
 
     #[test]
     fn small_vector_auto_stays_plain() {
         let values: Vec<Vec<u8>> = (0..40).map(|i| format!("d{i}").into_bytes()).collect();
-        let (reference, streamed) = finish_both(&values, "small", true);
+        let (reference, streamed) = finish_both(&values, "small", Finish::Auto);
         assert_eq!(reference[4], 1, "below INDEX_MIN_COUNT auto stays v1");
         assert_eq!(reference, streamed);
     }
@@ -533,19 +569,28 @@ mod tests {
         let values: Vec<Vec<u8>> = (0..1000)
             .map(|i| format!("{}", i % 128).into_bytes())
             .collect();
-        let (reference, streamed) = finish_both(&values, "border", true);
+        let (reference, streamed) = finish_both(&values, "border", Finish::Auto);
+        assert_eq!(reference, streamed);
+        // One more distinct value overflows the dictionary.
+        let values: Vec<Vec<u8>> = (0..1000)
+            .map(|i| format!("{}", i % 129).into_bytes())
+            .collect();
+        let (reference, streamed) = finish_both(&values, "border-over", Finish::Auto);
+        assert_eq!(
+            reference[4], 3,
+            "129 distinct values rule out the dictionary"
+        );
         assert_eq!(reference, streamed);
         // Tiny vector where the dictionary overhead loses: still identical.
         let values = vec![b"only".to_vec()];
-        let (reference, streamed) = finish_both(&values, "tiny", true);
+        let (reference, streamed) = finish_both(&values, "tiny", Finish::Auto);
         assert_eq!(reference, streamed);
     }
 
     #[test]
     fn empty_vector_matches() {
-        for auto in [false, true] {
-            let (reference, streamed) =
-                finish_both(&[], if auto { "empty-a" } else { "empty-p" }, auto);
+        for finish in [Finish::Plain, Finish::Indexed, Finish::Auto] {
+            let (reference, streamed) = finish_both(&[], "empty", finish);
             assert_eq!(reference, streamed);
         }
     }
@@ -553,22 +598,25 @@ mod tests {
     #[test]
     fn many_vectors_interleave_in_one_pool() {
         let path = temp_spill("interleave");
-        let mut pool = SpillPool::create(&path, 3).unwrap();
-        let mut vectors: Vec<SpillVector> = (0..8).map(|_| SpillVector::new()).collect();
+        let mut spill = Spill::create(&path).unwrap();
+        let mut vectors: Vec<SpillVector> = (0..8).map(|_| SpillVector::default()).collect();
         let mut expected: Vec<Writer> = (0..8).map(|_| Writer::new()).collect();
         for round in 0..2000 {
             for (k, sv) in vectors.iter_mut().enumerate() {
                 let value = format!("v{k}-{round}-{}", "p".repeat(round % 30));
-                sv.append(&mut pool, value.as_bytes()).unwrap();
+                sv.append(&mut spill, value.as_bytes()).unwrap();
                 expected[k].push(value.as_bytes());
             }
         }
-        assert!(pool.page_count() > 8, "interleaved streams must spill");
+        assert!(spill.page_count() > 8, "interleaved streams must spill");
         for (sv, w) in vectors.into_iter().zip(&expected) {
             let mut streamed = Vec::new();
-            sv.finish_auto(&mut pool, &mut streamed).unwrap();
+            sv.finish_auto(&mut spill, &mut streamed).unwrap();
             assert_eq!(streamed, w.encode_auto());
         }
-        assert!(pool.stats().evictions > 0, "bounded pool must evict");
+        let stats = spill.stats();
+        assert_eq!(stats.evictions, spill.page_count());
+        assert_eq!(stats.misses, spill.page_count(), "each page is read once");
+        assert_eq!(stats.hits, 0);
     }
 }

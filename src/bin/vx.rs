@@ -1,7 +1,7 @@
 //! `vx` — command-line front end for the vectorized XML store.
 //!
 //! ```text
-//! vx ingest <xml-file> <store-dir> [--auto] [--drop-misc] [--frames N] [--metrics]
+//! vx ingest <xml-file> <store-dir> [--auto] [--drop-misc] [--metrics]
 //! vx append <store-dir> <xml-file>... [--drop-misc]
 //! vx compact <store-dir> [--auto]
 //! vx stats <store-dir> [--metrics]
@@ -35,14 +35,16 @@
 //! operand).
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use xmlvec::bench::StoreSizes;
 use xmlvec::core::{Compaction, CoreError, IngestOptions, Store, StoreHandle, VecDoc};
+use xmlvec::engine::EngineError;
 use xmlvec::{Query, QueryOutput};
 
 const USAGE: &str = "usage:
-  vx ingest <xml-file> <store-dir> [--auto] [--drop-misc] [--frames N] [--metrics]
+  vx ingest <xml-file> <store-dir> [--auto] [--drop-misc] [--metrics]
   vx append <store-dir> <xml-file>... [--drop-misc]
   vx compact <store-dir> [--auto]
   vx stats <store-dir> [--metrics]
@@ -55,8 +57,8 @@ ingest options:
   --auto       per-vector encoding choice: value index at >= 64 records,
                dictionary when smaller, else plain (default: plain)
   --drop-misc  drop comments/processing instructions instead of erroring
-  --frames N   spill buffer-pool frames for streaming ingest (default: 64)
-  --metrics    report per-phase timings, pipeline tallies, and spill-pool stats
+  --metrics    report per-phase timings, pipeline tallies, and spill-file
+               pages written and read back
 
 append options:
   --drop-misc  drop comments/processing instructions instead of erroring
@@ -68,9 +70,9 @@ compact options:
                as `ingest --auto`
 
 stats options:
-  --metrics    read vectors through a bounded buffer pool and report
-               frame-cache statistics plus per-vector encoding
-               (v1 plain / v2 dict / v3 index) and value-index sizes
+  --metrics    also report the generation, the write-ahead log, and
+               per-vector encoding (v1 plain / v2 dict / v3 index) with
+               value-index sizes
 
 query options:
   --out values   one projected text value per line (default)
@@ -104,16 +106,19 @@ fn fail_usage(message: impl std::fmt::Display) -> ! {
     exit(2);
 }
 
-/// Writes to stdout. A broken pipe (the reader, e.g. `head`, closed its
-/// end) is a clean exit 0, not a failure; any other error is
+/// A failed write to stdout. A broken pipe (the reader, e.g. `head`,
+/// closed its end) is a clean exit 0, not a failure; any other error is
 /// operational.
-fn write_stdout(lock: &mut impl std::io::Write, bytes: &[u8]) {
-    if let Err(e) = lock.write_all(bytes) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            exit(0);
-        }
-        fail(e);
+fn write_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        exit(0);
     }
+    fail(e);
+}
+
+/// Writes to stdout, exiting as [`write_failed`] says on an error.
+fn write_stdout(lock: &mut impl std::io::Write, bytes: &[u8]) {
+    lock.write_all(bytes).unwrap_or_else(|e| write_failed(e));
 }
 
 fn usage() -> ! {
@@ -170,23 +175,14 @@ fn ingest(args: &[String]) {
     let mut positional: Vec<&String> = Vec::new();
     let mut options = IngestOptions::default();
     let mut metrics = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in args {
+        match arg.as_str() {
             "--auto" => options.compaction = Compaction::Auto,
             "--drop-misc" => options.drop_unrepresentable = true,
             "--metrics" => metrics = true,
-            "--frames" => {
-                i += 1;
-                options.spill_frames = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail_usage("ingest: --frames needs a positive integer"));
-            }
             flag if flag.starts_with('-') => fail_usage(format!("ingest: unknown flag `{flag}`")),
-            _ => positional.push(&args[i]),
+            _ => positional.push(arg),
         }
-        i += 1;
     }
     let [xml_file, store_dir] = positional[..] else {
         fail_usage("ingest: expected <xml-file> <store-dir>");
@@ -200,8 +196,8 @@ fn ingest(args: &[String]) {
     if report.spill_pages > 0 {
         let _ = writeln!(
             out,
-            "spilled {} pages ({} pool misses, {} evictions)",
-            report.spill_pages, report.pager.misses, report.pager.evictions
+            "spilled {} pages ({} read back)",
+            report.spill_pages, report.pager.misses
         );
     }
     if metrics {
@@ -218,12 +214,8 @@ fn ingest(args: &[String]) {
         );
         let _ = writeln!(
             out,
-            "spill pool   {} pages, {} hits, {} misses, {} evictions, {} writebacks",
-            report.spill_pages,
-            report.pager.hits,
-            report.pager.misses,
-            report.pager.evictions,
-            report.pager.writebacks
+            "spill        {} pages written, {} read back",
+            report.pager.evictions, report.pager.misses
         );
     }
     let _ = writeln!(
@@ -570,11 +562,13 @@ fn query(args: &[String]) {
     let mut lock = stdout.lock();
     match mode {
         "xml" => {
-            let xml = output
-                .to_xml()
-                .unwrap_or_else(|e| fail(format!("query: {e}")));
-            write_stdout(&mut lock, xml.as_bytes());
-            write_stdout(&mut lock, b"\n");
+            let mut out = std::io::BufWriter::new(lock);
+            match output.write_xml(&mut out) {
+                Err(EngineError::Core(CoreError::Io(e))) => write_failed(e),
+                result => result.unwrap_or_else(|e| fail(format!("query: {e}"))),
+            }
+            write_stdout(&mut out, b"\n");
+            out.flush().unwrap_or_else(|e| write_failed(e));
         }
         _ => match &output {
             QueryOutput::Values(values) => {
@@ -699,8 +693,7 @@ fn reconstruct(args: &[String]) {
             }
         }
         None => match stream(&mut std::io::stdout().lock()) {
-            Err(CoreError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => exit(0),
-            Err(CoreError::Io(e)) => fail(e),
+            Err(CoreError::Io(e)) => write_failed(e),
             result => result.unwrap_or_else(|e| fail(e)),
         },
     }

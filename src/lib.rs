@@ -18,9 +18,9 @@
 //! | [`vx_obs`] | counters, span timers, `VX_LOG` event sink |
 //! | [`vx_wal`] | checksummed fsync'd write-ahead segment log |
 //! | [`vx_xml`] | XML 1.0 tokenizer, DOM builder, streaming writer |
-//! | [`vx_storage`] | varints, paged file access |
+//! | [`vx_storage`] | LEB128 varints |
 //! | [`vx_skeleton`] | hash-consed DAG, `.vxsk` format, path index |
-//! | [`vx_vector`] | `.vec` format, skip index, cursors |
+//! | [`vx_vector`] | `.vec` format and its one encoder, skip index, cursors |
 //! | [`vx_ingest`] | the vectorizer: parse events to `(S, V)` |
 //! | [`vx_core`] | vectorize / streaming reconstruct, persistent store |
 //! | [`vx_xquery`] | XQ parsing + desugaring |

@@ -129,18 +129,17 @@ fn reconstruct_round_trips_all_four_corpora() {
 }
 
 /// Every ingest flag combination yields a store that reconstructs to the
-/// ingested bytes: plain and `--auto` encodings, a one-frame spill pool,
-/// and `--drop-misc` on a document without misc. (That the streaming
+/// ingested bytes: plain and `--auto` encodings, and `--drop-misc` on a
+/// document without misc. (That the streaming
 /// store is byte-identical to `Store::save` of the DOM vectorization,
 /// encoders included, is `tests/ingest_stream.rs`'s contract.)
 #[test]
 fn ingest_flags_preserve_reconstruction() {
     let scratch = Scratch::new("flags");
     let doc = xmlvec::data::skyserver(5, 80);
-    let variants: [(&str, &[&str]); 4] = [
+    let variants: [(&str, &[&str]); 3] = [
         ("plain", &[]),
         ("auto", &["--auto"]),
-        ("frames", &["--frames", "1", "--auto"]),
         ("misc", &["--drop-misc"]),
     ];
     for (label, flags) in variants {
@@ -378,19 +377,20 @@ fn damaged_store_is_refused_whole() {
 #[test]
 fn bad_arguments_exit_2_with_usage() {
     let cases: Vec<Vec<&str>> = vec![
-        vec![],                                       // no command
-        vec!["frobnicate"],                           // unknown command
-        vec!["ingest", "only-one-arg"],               // missing operand
-        vec!["ingest", "a.xml", "s", "--dom"],        // unknown flag (one ingest path)
-        vec!["ingest", "a.xml", "s", "--dict"],       // unknown flag
-        vec!["stats"],                                // missing operand
-        vec!["stats", "a", "--wat"],                  // unknown flag
-        vec!["query", "store-only"],                  // missing query
-        vec!["query", "s", "q", "--out", "csv"],      // bad --out mode
-        vec!["explain", "store-only"],                // missing query
-        vec!["explain", "s", "q", "--plan", "merge"], // unknown flag
-        vec!["reconstruct"],                          // missing operand
-        vec!["reconstruct", "s", "--out"],            // --out without value
+        vec![],                                        // no command
+        vec!["frobnicate"],                            // unknown command
+        vec!["ingest", "only-one-arg"],                // missing operand
+        vec!["ingest", "a.xml", "s", "--dom"],         // unknown flag (one ingest path)
+        vec!["ingest", "a.xml", "s", "--dict"],        // unknown flag
+        vec!["ingest", "a.xml", "s", "--frames", "4"], // unknown flag (no spill pool)
+        vec!["stats"],                                 // missing operand
+        vec!["stats", "a", "--wat"],                   // unknown flag
+        vec!["query", "store-only"],                   // missing query
+        vec!["query", "s", "q", "--out", "csv"],       // bad --out mode
+        vec!["explain", "store-only"],                 // missing query
+        vec!["explain", "s", "q", "--plan", "merge"],  // unknown flag
+        vec!["reconstruct"],                           // missing operand
+        vec!["reconstruct", "s", "--out"],             // --out without value
     ];
     for args in cases {
         let out = run(&args);

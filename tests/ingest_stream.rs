@@ -197,8 +197,9 @@ fn random_attributed_documents_are_byte_identical() {
 }
 
 /// Size-parameterized large-document smoke: a corpus big enough that the
-/// per-path tail pages overflow into the spill file, driven through a
-/// deliberately tiny buffer pool. `VX_SMOKE_ROWS` scales it up in CI.
+/// per-path tail pages overflow into the spill file, each page written
+/// once and read back when its vector is finished. `VX_SMOKE_ROWS` scales
+/// it up in CI.
 #[test]
 fn large_document_page_spill_smoke() {
     let rows: usize = std::env::var("VX_SMOKE_ROWS")
@@ -210,7 +211,6 @@ fn large_document_page_spill_smoke() {
     let ingest = IngestOptions {
         compaction: Compaction::Auto,
         drop_unrepresentable: false,
-        spill_frames: 4,
     };
     let report = assert_byte_identical(&base, "spill", &xml, Compaction::Auto, &ingest);
     assert!(
@@ -219,9 +219,16 @@ fn large_document_page_spill_smoke() {
          (spilled {} pages)",
         report.spill_pages
     );
+    assert_eq!(
+        report.pager.evictions, report.spill_pages,
+        "every spilled page is written once"
+    );
     assert!(
-        report.pager.misses > 0,
-        "finishing vectors must re-read spilled pages through the pool"
+        report.pager.misses >= report.spill_pages,
+        "finishing vectors must read every spilled page back \
+         ({} pages, {} read back)",
+        report.spill_pages,
+        report.pager.misses
     );
 
     // The streamed store is a real store: it opens strictly and
@@ -267,18 +274,25 @@ fn strict_mode_matches_dom_on_comments_and_pis() {
 #[test]
 fn failed_ingest_leaves_no_catalog_and_no_spill() {
     let base = temp_base("atomic");
-    let dir = base.join("fresh");
-    // Malformed XML: the pipeline dies mid-stream.
-    let err = Store::ingest_stream(&dir, "<a><b>1</b><c>".as_bytes(), &IngestOptions::default());
-    assert!(err.is_err());
-    assert!(
-        !dir.join("catalog.json").exists(),
-        "failed ingest must not publish a catalog"
-    );
-    assert!(
-        !dir.join(".ingest.spill").exists(),
-        "failed ingest must clean up its spill file"
-    );
+    // 1 500 SkyServer rows spill pages (`large_document_page_spill_smoke`),
+    // so the second input fails with pages already in the spill file.
+    let rows = write_document(&skyserver(77, 1500), &WriteOptions::compact());
+    let cut = rows[..rows.len() - 200].rfind('<').unwrap() + 2;
+    let inputs = [("fresh", "<a><b>1</b><c>"), ("spilled", &rows[..cut])];
+    for (name, xml) in inputs {
+        let dir = base.join(name);
+        // Malformed XML: the pipeline dies mid-stream.
+        let err = Store::ingest_stream(&dir, xml.as_bytes(), &IngestOptions::default());
+        assert!(err.is_err(), "{name}: truncated input must fail");
+        assert!(
+            !dir.join("catalog.json").exists(),
+            "{name}: failed ingest must not publish a catalog"
+        );
+        assert!(
+            !dir.join(".ingest.spill").exists(),
+            "{name}: failed ingest must clean up its spill file"
+        );
+    }
     let _ = fs::remove_dir_all(&base);
 }
 
