@@ -183,6 +183,9 @@ pub struct OpenReport {
     pub catalog: Catalog,
     /// The on-disk catalog of the active generation, verbatim.
     pub base_catalog: Catalog,
+    /// Stats of each vector file of the active generation, in
+    /// [`OpenReport::base_catalog`] order (format version, index bytes).
+    pub vector_stats: Vec<vx_vector::VectorStats>,
     /// Active generation number (0 = flat layout).
     pub generation: u32,
     /// Directory the generation's files were read from.
@@ -257,7 +260,7 @@ impl Store {
         let layout = resolve_layout(dir)?;
         let mut cleaned = cleanup_stale(&layout);
         let base = layout.base();
-        let (doc, base_catalog) = Store::load_base(&base)?;
+        let (doc, base_catalog, vector_stats) = Store::load_base(&base)?;
         let structural = load_structural(&base, &doc);
 
         let wal = Wal::open(dir);
@@ -320,6 +323,7 @@ impl Store {
             doc,
             catalog,
             base_catalog,
+            vector_stats,
             generation: layout.generation,
             base_dir: base,
             wal: status,

@@ -27,6 +27,7 @@ use crate::{CoreError, Result};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vx_skeleton::{NodeId, PathIndex, Skeleton, StructIndex};
+use vx_vector::VectorStats;
 
 /// Everything derived from one store directory, immutable after open.
 struct StoreInner {
@@ -44,6 +45,9 @@ struct StoreInner {
     /// The on-disk catalog of the active generation (equal to `catalog`
     /// when no WAL overlay was replayed at open).
     base_catalog: Catalog,
+    /// Stats of each vector file of the active generation, in
+    /// `base_catalog` order (empty for in-memory handles).
+    vector_stats: Vec<VectorStats>,
     /// Active generation (0 = flat layout / in-memory).
     generation: u32,
     /// WAL state observed at open time (all zeros for in-memory
@@ -88,6 +92,7 @@ impl StoreHandle {
             report.doc,
             report.catalog,
             report.base_catalog,
+            report.vector_stats,
             report.generation,
             report.wal,
             report.replay_secs,
@@ -123,6 +128,7 @@ impl StoreHandle {
             doc,
             catalog,
             base_catalog,
+            Vec::new(),
             0,
             WalStatus::default(),
             0.0,
@@ -138,6 +144,7 @@ impl StoreHandle {
         doc: VecDoc,
         catalog: Catalog,
         base_catalog: Catalog,
+        vector_stats: Vec<VectorStats>,
         generation: u32,
         wal: WalStatus,
         replay_secs: f64,
@@ -154,31 +161,8 @@ impl StoreHandle {
             None => PathIndex::new(&doc.skeleton, root),
         };
 
-        // Integrity gate, hoisted out of the engine's per-query path:
-        // every root-to-text path the skeleton counts must be backed by a
-        // vector of exactly that many values, or queries over this
-        // handle could silently return partial answers.
-        for (rel, count) in index.text_paths(&doc.skeleton) {
-            let path: String = rel
-                .iter()
-                .map(|&n| doc.skeleton.name(n))
-                .collect::<Vec<_>>()
-                .join("/");
-            match doc.vector(&path) {
-                None => {
-                    return Err(CoreError::Corrupt(format!(
-                        "no vector for path {path} (skeleton counts {count})"
-                    )));
-                }
-                Some(vector) if vector.values.len() as u64 != count => {
-                    return Err(CoreError::Corrupt(format!(
-                        "vector {path} has {} values, skeleton counts {count}",
-                        vector.values.len()
-                    )));
-                }
-                Some(_) => {}
-            }
-        }
+        // Integrity gate, hoisted out of the engine's per-query path.
+        crate::check_text_counts(&doc, &index).map_err(CoreError::Corrupt)?;
 
         Ok(StoreHandle {
             inner: Arc::new(StoreInner {
@@ -188,6 +172,7 @@ impl StoreHandle {
                 doc,
                 catalog,
                 base_catalog,
+                vector_stats,
                 generation,
                 wal,
                 replay_secs,
@@ -234,6 +219,14 @@ impl StoreHandle {
     /// [`StoreHandle::catalog`] without a WAL overlay).
     pub fn base_catalog(&self) -> &Catalog {
         &self.inner.base_catalog
+    }
+
+    /// Stats of each vector file of the active generation (format
+    /// version, index bytes, …), in [`StoreHandle::base_catalog`] order,
+    /// as decoded and checked at open. Empty for
+    /// [`StoreHandle::from_doc`] handles.
+    pub fn vector_stats(&self) -> &[VectorStats] {
+        &self.inner.vector_stats
     }
 
     /// Directory the active generation's files were read from — the

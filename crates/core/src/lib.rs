@@ -37,7 +37,7 @@ pub use append::{
 };
 pub use handle::StoreHandle;
 pub use ingest::{IngestOptions, IngestReport};
-pub use paths::{IdHasher, IdMap, PathId, PathIds, SUPER_ROOT};
+pub use paths::{check_text_counts, IdHasher, IdMap, PathId, PathIds, SUPER_ROOT};
 pub use reconstruct::{
     reconstruct, reconstruct_into, reconstruct_salvage, write_xml, ReconstructReport,
 };

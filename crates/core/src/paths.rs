@@ -1,40 +1,50 @@
 //! Dense ids for a document's element tag paths, so a skeleton walk can
 //! find each text's vector without building or hashing a path string
 //! per value. The query engine's walk and the output walk
-//! ([`crate::write_xml`]) share it.
+//! ([`crate::write_xml`]) share it. Also home to the integrity gate
+//! ([`check_text_counts`]) that store open and the engine's bare-document
+//! path run before trusting a document's vectors.
 
 use crate::vecdoc::VecDoc;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use vx_skeleton::{NameId, Skeleton};
+use vx_skeleton::{NameId, PathIndex, Skeleton};
 
-/// A multiply-rotate hasher for small integer keys a walk numbers
-/// itself: SipHash's flooding resistance buys nothing there.
-#[derive(Default, Clone, Copy)]
-pub struct IdHasher(u64);
+pub use vx_skeleton::{IdHasher, IdMap};
 
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+/// The integrity gate: every root-to-text path `index` counts must be
+/// backed by a vector of `doc` with exactly that many values, or
+/// evaluation over `doc` could silently return partial answers. Checks
+/// the root's [`PathIndex::texts_below`] entries, spelling each path once
+/// into one reused buffer; the error is the message for a `Corrupt`
+/// variant.
+pub fn check_text_counts(doc: &VecDoc, index: &PathIndex) -> Result<(), String> {
+    let skeleton = &doc.skeleton;
+    let root_name = skeleton.node(index.root()).name;
+    let mut path = String::new();
+    for &(rel, count) in index.texts_below(index.root()) {
+        path.clear();
+        for name in root_name.into_iter().chain(index.rel_names(rel)) {
+            if !path.is_empty() {
+                path.push('/');
+            }
+            path.push_str(skeleton.name(name));
+        }
+        match doc.vector(&path) {
+            None => {
+                return Err(format!(
+                    "no vector for path {path} (skeleton counts {count})"
+                ))
+            }
+            Some(vector) if vector.values.len() as u64 != count => {
+                return Err(format!(
+                    "vector {path} has {} values, skeleton counts {count}",
+                    vector.values.len()
+                ));
+            }
+            Some(_) => {}
         }
     }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    Ok(())
 }
-
-/// A hash map keyed by walk-numbered ids.
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A dense id for one absolute element tag path of a document. Id
 /// [`SUPER_ROOT`] is the virtual super-root above the root element.
@@ -118,5 +128,63 @@ impl PathIds {
             out.push('/');
         }
         out.push_str(skeleton.name(name));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vecdoc::PathVector;
+    use vx_skeleton::Edge;
+
+    #[test]
+    fn gate_names_the_first_bad_path() {
+        let doc = crate::vectorize(&vx_xml::parse("<a><b>1</b><b>2</b><c>x</c></a>").unwrap());
+        let mut doc = doc.unwrap();
+        let index = PathIndex::new(&doc.skeleton, doc.root.unwrap());
+        assert_eq!(check_text_counts(&doc, &index), Ok(()));
+        doc.insert_vector(PathVector {
+            path: "a/b".into(),
+            values: vec![b"1".to_vec()],
+        });
+        assert_eq!(
+            check_text_counts(&doc, &index),
+            Err("vector a/b has 1 values, skeleton counts 2".into())
+        );
+    }
+
+    /// Neither the summary build nor the gate recurses: a 40 000-deep
+    /// chain passes both on a 256 KiB stack.
+    #[test]
+    fn summary_and_gate_survive_a_deep_chain_on_a_small_stack() {
+        const DEPTH: usize = 40_000;
+        let outcome = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut skeleton = Skeleton::new();
+                let a = skeleton.intern("a");
+                let mut node = skeleton.text_node();
+                for _ in 0..DEPTH {
+                    let edge = Edge {
+                        child: node,
+                        run: 1,
+                    };
+                    node = skeleton.cons(a, vec![edge]);
+                }
+                let index = PathIndex::new(&skeleton, node);
+                let root_entries = index.texts_below(node).to_vec();
+                let names = index.rel_names(root_entries[0].0).count();
+                let mut doc = VecDoc::new(skeleton, Some(node));
+                doc.insert_vector(PathVector {
+                    path: vec!["a"; DEPTH].join("/"),
+                    values: vec![b"x".to_vec()],
+                });
+                let gate = check_text_counts(&doc, &index);
+                (root_entries.len(), root_entries[0].1, names, gate)
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(outcome, (1, 1, DEPTH - 1, Ok(())));
     }
 }

@@ -181,14 +181,26 @@ impl Store {
     }
 
     /// Loads one generation directory strictly, with no layout
-    /// resolution or WAL replay.
-    pub(crate) fn load_base(dir: &Path) -> Result<(VecDoc, Catalog)> {
+    /// resolution or WAL replay. Every vector file must agree with its
+    /// catalog row on record count, data bytes and (where recorded)
+    /// format version; returns each file's stats in catalog order.
+    pub(crate) fn load_base(dir: &Path) -> Result<(VecDoc, Catalog, Vec<VectorStats>)> {
         let catalog = read_catalog(dir)?;
         let skeleton_bytes = fs::read(dir.join("skeleton.vxsk"))?;
         let (skeleton, root) = skformat::read(&skeleton_bytes)?;
         let mut doc = VecDoc::new(skeleton, Some(root));
+        let mut stats = Vec::with_capacity(catalog.vectors.len());
         for entry in &catalog.vectors {
             let vector = Vector::open(&dir.join(&entry.file))?;
+            // Version 0 is a catalog written before the field existed.
+            if entry.version != 0 && entry.version != vector.stats().version {
+                return Err(CoreError::Corrupt(format!(
+                    "vector `{}`: catalog says format v{}, file is v{}",
+                    entry.path,
+                    entry.version,
+                    vector.stats().version
+                )));
+            }
             if vector.len() != entry.count {
                 return Err(CoreError::Corrupt(format!(
                     "vector `{}`: catalog says {} records, file has {}",
@@ -213,8 +225,9 @@ impl Store {
                 let pos = doc.vector_position(&entry.path).expect("just inserted");
                 doc.set_sorted_run(pos, order.to_vec());
             }
+            stats.push(vector.stats());
         }
-        Ok((doc, catalog))
+        Ok((doc, catalog, stats))
     }
 
     /// Salvage load for the damaged golden stores: drives every reader in

@@ -784,32 +784,7 @@ fn collect_doc(
         Some(index) => index,
         None => {
             built = PathIndex::new(skeleton, root);
-
-            // Integrity gate: every root-to-text path the skeleton counts
-            // must be backed by a vector of exactly that many values, or
-            // evaluation would silently return partial answers over a
-            // damaged store.
-            for (rel, count) in built.text_paths(skeleton) {
-                let path: String = rel
-                    .iter()
-                    .map(|&n| skeleton.name(n))
-                    .collect::<Vec<_>>()
-                    .join("/");
-                match doc.vector(&path) {
-                    None => {
-                        return Err(EngineError::Corrupt(format!(
-                            "no vector for path {path} (skeleton counts {count})"
-                        )));
-                    }
-                    Some(vector) if vector.values.len() as u64 != count => {
-                        return Err(EngineError::Corrupt(format!(
-                            "vector {path} has {} values, skeleton counts {count}",
-                            vector.values.len()
-                        )));
-                    }
-                    Some(_) => {}
-                }
-            }
+            vx_core::check_text_counts(doc, &built).map_err(EngineError::Corrupt)?;
             &built
         }
     };
@@ -897,13 +872,13 @@ impl PathTrie {
             return Ok(range);
         }
         let start = self.texts.len();
-        for (rel, count) in index.texts_below(node) {
+        for &(rel, count) in index.texts_below(node) {
             let mut at = id;
-            for &name in rel {
+            for name in index.rel_names(rel) {
                 at = self.ids.child(at, name, doc);
             }
             let pos = self.text_vector(at, &doc.skeleton)?;
-            self.texts.push((pos, *count));
+            self.texts.push((pos, count));
         }
         let range = (start, self.texts.len());
         self.layouts.insert((id, node), range);

@@ -160,17 +160,21 @@ impl Skeleton {
     /// Number of distinct DAG nodes reachable from `root` (including `#`
     /// when the document has text): the document's compressed size.
     pub fn dag_size(&self, root: NodeId) -> usize {
+        self.reachable(root).iter().filter(|&&seen| seen).count()
+    }
+
+    /// `[NodeId]` → whether `root` reaches the node. An arena extended by
+    /// [`crate::SkeletonBuilder::resume`] also holds superseded roots,
+    /// which the document does not reach.
+    pub fn reachable(&self, root: NodeId) -> Vec<bool> {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack = vec![root];
-        let mut count = 0;
         while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.0 as usize], true) {
-                continue;
+            if !std::mem::replace(&mut seen[id.0 as usize], true) {
+                stack.extend(self.node(id).edges.iter().map(|e| e.child));
             }
-            count += 1;
-            stack.extend(self.node(id).edges.iter().map(|e| e.child));
         }
-        count
+        seen
     }
 
     /// Expanded (uncompressed) size in tree nodes of the subtree rooted at

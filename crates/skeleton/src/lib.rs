@@ -11,8 +11,8 @@
 //! * [`Skeleton`] — the hash-consing arena ([`arena`]),
 //! * the binary `.vxsk` format, both a strict reader/writer and a lenient
 //!   salvage reader for damaged files ([`mod@format`]),
-//! * memoized path counts, per-binding occurrence layouts, and containment
-//!   maps used by the query engine ([`paths`]),
+//! * the path summary — per-node text counts over hash-consed relative
+//!   paths — and the step patterns the query engine matches ([`paths`]),
 //! * the structural self-index over the DAG — per-node containment
 //!   bitsets and the `.vxpi` persistence format ([`structural`]).
 
@@ -24,7 +24,7 @@ pub mod structural;
 
 pub use arena::{Edge, NameId, NodeId, Skeleton};
 pub use format::{read, read_lenient, write, RawSkeleton, SalvageReport};
-pub use paths::{PathIndex, PathPattern, PatternStep, PatternTest};
+pub use paths::{IdHasher, IdMap, PathIndex, PathPattern, PatternStep, PatternTest, RelId};
 pub use stream::SkeletonBuilder;
 pub use structural::{read_index, write_index, StructIndex};
 

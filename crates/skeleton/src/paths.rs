@@ -1,37 +1,86 @@
-//! Memoized path analysis over the skeleton DAG.
+//! The path summary over the skeleton DAG.
 //!
-//! Vectors are keyed by *root-to-text tag paths*; evaluation needs to know,
-//! without decompressing the skeleton, (a) how many text occurrences each
-//! path has, (b) in what order paths first occur in the document, and
-//! (c) for a binding path `p` and a relative path `r`, the contiguous range
-//! of `p/r`-vector positions that belongs to each occurrence of `p`
-//! (positions are in document order, so occurrence ranges are prefix sums).
+//! Vectors are keyed by *root-to-text tag paths*. To evaluate without
+//! decompressing the skeleton, the engine needs, for every DAG node, how
+//! many texts of each path lie below it: a subtree's positions in each
+//! vector then come out as prefix sums, and a subtree no query machine
+//! is alive in is passed over by bulk-advancing cursors.
 //!
-//! Because hash-consing shares a node across *different* ancestor
-//! contexts, per-path quantities are memoized on the node alone by keeping
-//! paths relative: `texts_below(node)` maps each downward tag path from
-//! `node` to its text count, independent of ancestry.
+//! Hash-consing shares a node across *different* ancestor contexts, so
+//! the summary keeps paths relative: [`PathIndex::texts_below`] lists
+//! each downward tag path from a node to a text with its count,
+//! independent of ancestry. The relative paths are hash-consed as well —
+//! a [`RelId`] is a cons cell of a first name and a shorter `RelId` — so
+//! a parent's entry `child/rel` is one table lookup away from the
+//! child's entry `rel`. The whole summary is two flat arrays (per-node
+//! offsets into one entry array), built in a single bottom-up pass over
+//! the arena with no recursion and no allocation per entry.
 
 use crate::arena::{NameId, NodeId, Skeleton};
 use crate::structural::StructIndex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// A downward tag path (possibly empty), e.g. `[Article, Abstract]`.
-pub type RelPath = Vec<NameId>;
+/// A multiply-rotate hasher for small integer keys a pass numbers
+/// itself: SipHash's flooding resistance buys nothing there.
+#[derive(Default, Clone, Copy)]
+pub struct IdHasher(u64);
 
-/// Path analysis over one skeleton rooted at `root`.
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A hash map keyed by pass-numbered ids.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A downward tag path relative to some node, hash-consed by the
+/// [`PathIndex`] that numbered it: [`RelId::EMPTY`], or a first name
+/// followed by a shorter path. [`PathIndex::rel_names`] spells it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RelId(pub u32);
+
+impl RelId {
+    /// The empty path: the text lies directly under the node.
+    pub const EMPTY: RelId = RelId(0);
+}
+
+/// The path summary of one skeleton rooted at `root`.
 ///
-/// The index owns only *derived* data (per-node text layouts keyed by
-/// [`NodeId`]); it holds no reference to the skeleton it was computed
+/// The index owns only *derived* data (arrays indexed by [`NodeId`] and
+/// [`RelId`]); it holds no reference to the skeleton it was computed
 /// from. That makes it storable next to the skeleton inside one shared
 /// immutable value (`vx-core`'s `StoreHandle`) and freely shareable
-/// across threads — methods that need to resolve names or edges take the
+/// across threads — methods that need to resolve names take the
 /// skeleton as an explicit argument instead.
 pub struct PathIndex {
     root: NodeId,
-    /// node -> (relative path from node's *children* downward, text count).
-    /// The node's own name is *not* part of the key paths.
-    below: HashMap<NodeId, Vec<(RelPath, u64)>>,
+    /// `[RelId]` → the path's first name (slot 0, the empty path, is
+    /// unused).
+    head: Vec<NameId>,
+    /// `[RelId]` → the path after its first name.
+    tail: Vec<RelId>,
+    /// `[NodeId]` → where the node's entries start; `offsets[v + 1]`
+    /// ends them. Nodes unreachable from the root have empty ranges.
+    offsets: Vec<u32>,
+    /// Every node's `(relative path, text count)` entries, node after
+    /// node in arena order.
+    entries: Vec<(RelId, u64)>,
     /// The structural self-index over the same arena (containment
     /// bitsets, depth bounds, expansion counts). Built here unless a
     /// persisted `.vxpi` copy was supplied via
@@ -57,14 +106,70 @@ impl PathIndex {
         Self::assemble(skeleton, root, structural)
     }
 
+    /// Builds the summary in one forward pass over the arena: `cons`
+    /// numbers every child before its parents, so each child's entries
+    /// are final when a parent reads them. A node's entries are its
+    /// children's, edge by edge, each prefixed with the child's name and
+    /// multiplied by the edge's run; a path met again adds to the entry
+    /// it first made, so entries stay in first-occurrence document order.
     fn assemble(skeleton: &Skeleton, root: NodeId, structural: StructIndex) -> Self {
-        let mut index = PathIndex {
+        // WAL replay leaves superseded roots in the arena; they are not
+        // part of the document and get no entries.
+        let reachable = skeleton.reachable(root);
+
+        let mut interned: IdMap<(NameId, RelId), RelId> = IdMap::default();
+        let mut head = vec![NameId(0)];
+        let mut tail = vec![RelId::EMPTY];
+        // `[RelId]` → the index in `entries` of the path's entry if the
+        // node being built has one; anything below the node's first
+        // entry is left over from an earlier node.
+        let mut slot = vec![usize::MAX];
+        let mut offsets = Vec::with_capacity(skeleton.len() + 1);
+        let mut entries: Vec<(RelId, u64)> = Vec::new();
+        offsets.push(0u32);
+        for (id, data) in skeleton.iter() {
+            let start = entries.len();
+            // Nodes the root does not reach keep an empty range.
+            if reachable[id.0 as usize] {
+                if data.name.is_none() {
+                    entries.push((RelId::EMPTY, 1));
+                }
+                for edge in &data.edges {
+                    let child = edge.child.0 as usize;
+                    let name = skeleton.node(edge.child).name;
+                    for i in offsets[child] as usize..offsets[child + 1] as usize {
+                        let (rel, count) = entries[i];
+                        let rel = match name {
+                            None => rel,
+                            Some(name) => *interned.entry((name, rel)).or_insert_with(|| {
+                                head.push(name);
+                                tail.push(rel);
+                                slot.push(usize::MAX);
+                                RelId(u32::try_from(head.len() - 1).expect("over 2^32 paths"))
+                            }),
+                        };
+                        let add = count * edge.run;
+                        let at = slot[rel.0 as usize];
+                        if (start..entries.len()).contains(&at) {
+                            entries[at].1 += add;
+                        } else {
+                            slot[rel.0 as usize] = entries.len();
+                            entries.push((rel, add));
+                        }
+                    }
+                }
+            }
+            offsets.push(u32::try_from(entries.len()).expect("path summary over 2^32 entries"));
+        }
+
+        PathIndex {
             root,
-            below: HashMap::new(),
+            head,
+            tail,
+            offsets,
+            entries,
             structural,
-        };
-        index.compute_below(skeleton, root);
-        index
+        }
     }
 
     pub fn root(&self) -> NodeId {
@@ -77,390 +182,45 @@ impl PathIndex {
         &self.structural
     }
 
-    /// Memoized: for each downward path from `node` (excluding `node`'s own
-    /// name) that ends in text, the number of text occurrences, runs
-    /// multiplied out. The empty path means `node` itself is `#`.
-    fn compute_below(&mut self, skeleton: &Skeleton, node: NodeId) -> &Vec<(RelPath, u64)> {
-        if !self.below.contains_key(&node) {
-            let data = skeleton.node(node);
-            let mut acc: Vec<(RelPath, u64)> = Vec::new();
-            let mut seen: HashMap<RelPath, usize> = HashMap::new();
-            if data.name.is_none() {
-                acc.push((Vec::new(), 1));
-            } else {
-                let edges = data.edges.clone();
-                for edge in edges {
-                    let child_name = skeleton.node(edge.child).name;
-                    let child_paths = self.compute_below(skeleton, edge.child).clone();
-                    for (rel, count) in child_paths {
-                        let mut path = Vec::with_capacity(rel.len() + 1);
-                        if let Some(n) = child_name {
-                            path.push(n);
-                        }
-                        path.extend_from_slice(&rel);
-                        let add = count * edge.run;
-                        match seen.get(&path) {
-                            Some(&i) => acc[i].1 += add,
-                            None => {
-                                seen.insert(path.clone(), acc.len());
-                                acc.push((path, add));
-                            }
-                        }
-                    }
-                }
-            }
-            self.below.insert(node, acc);
-        }
-        &self.below[&node]
+    /// The per-node text layout: for each downward text path from `node`
+    /// (excluding `node`'s own name), its text occurrence count with runs
+    /// multiplied out, in first-occurrence document order. The empty
+    /// path means `node` itself is `#` or has `#` children. Lets the
+    /// engine bulk-advance vector cursors over subtrees no machine is
+    /// alive in, without visiting them. Empty for nodes the root does
+    /// not reach.
+    pub fn texts_below(&self, node: NodeId) -> &[(RelId, u64)] {
+        let v = node.0 as usize;
+        &self.entries[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// All root-to-text tag paths with their occurrence counts, ordered by
-    /// first occurrence in document order (the catalog order). Each path
-    /// includes the root's own tag.
-    pub fn text_paths(&self, skeleton: &Skeleton) -> Vec<(RelPath, u64)> {
+    /// The names of `rel`, nearest the node first.
+    pub fn rel_names(&self, rel: RelId) -> impl Iterator<Item = NameId> + '_ {
+        let mut at = rel;
+        std::iter::from_fn(move || {
+            (at != RelId::EMPTY).then(|| {
+                let name = self.head[at.0 as usize];
+                at = self.tail[at.0 as usize];
+                name
+            })
+        })
+    }
+
+    /// All root-to-text tag paths, each starting with the root's own
+    /// tag, with their occurrence counts, in first-occurrence document
+    /// order (the catalog order): [`PathIndex::texts_below`] of the root,
+    /// spelled out. Allocates a path per entry; for tests and tools.
+    pub fn text_paths(&self, skeleton: &Skeleton) -> Vec<(Vec<NameId>, u64)> {
         let root_name = skeleton.node(self.root).name;
-        let mut counts: HashMap<RelPath, u64> = HashMap::new();
-        for (rel, count) in &self.below[&self.root] {
-            let mut path = Vec::with_capacity(rel.len() + 1);
-            if let Some(n) = root_name {
-                path.push(n);
-            }
-            path.extend_from_slice(rel);
-            *counts.entry(path).or_insert(0) += *count;
-        }
-        let order = self.first_occurrence_order(skeleton);
-        let mut out = Vec::new();
-        for path in order {
-            if let Some(count) = counts.remove(&path) {
-                out.push((path, count));
-            }
-        }
-        debug_assert!(counts.is_empty());
-        out
-    }
-
-    /// Document-order first occurrence of each complete text path.
-    fn first_occurrence_order(&self, skeleton: &Skeleton) -> Vec<RelPath> {
-        // DFS over (node, prefix) pairs, memoized per pair, children in
-        // edge order. Runs never change first-occurrence order.
-        let mut order: Vec<RelPath> = Vec::new();
-        let mut seen_paths: HashSet<RelPath> = HashSet::new();
-        let mut visited: HashSet<(NodeId, RelPath)> = HashSet::new();
-        let mut stack: Vec<(NodeId, RelPath)> = vec![(self.root, Vec::new())];
-        // Explicit stack in reverse order to get document order.
-        while let Some((node, prefix)) = stack.pop() {
-            let data = skeleton.node(node);
-            let mut path = prefix.clone();
-            if let Some(n) = data.name {
-                path.push(n);
-            }
-            if data.name.is_none() {
-                if seen_paths.insert(prefix.clone()) {
-                    order.push(prefix);
-                }
-                continue;
-            }
-            for edge in data.edges.iter().rev() {
-                let key = (edge.child, path.clone());
-                if visited.insert(key) {
-                    stack.push((edge.child, path.clone()));
-                }
-            }
-        }
-        order
-    }
-
-    /// The memoized per-node layout: for each downward text path from
-    /// `node` (excluding `node`'s own name), its text occurrence count.
-    /// Lets the engine bulk-advance vector cursors over subtrees no
-    /// machine is alive in, without visiting them.
-    pub fn texts_below(&self, node: NodeId) -> &[(RelPath, u64)] {
-        &self.below[&node]
-    }
-
-    /// Total text occurrences below `node` (any path).
-    pub fn text_count(&self, node: NodeId) -> u64 {
-        self.below[&node].iter().map(|(_, c)| c).sum()
-    }
-
-    /// Text occurrences below `node` along exactly `rel` (a downward path
-    /// excluding `node`'s name).
-    pub fn text_count_along(&self, node: NodeId, rel: &[NameId]) -> u64 {
-        self.below[&node]
+        self.texts_below(self.root)
             .iter()
-            .filter(|(p, _)| p == rel)
-            .map(|(_, c)| c)
-            .sum()
-    }
-
-    /// Number of occurrences of the element path `path` (starting with the
-    /// root's tag). The root path itself has one occurrence.
-    pub fn occurrences(&self, skeleton: &Skeleton, path: &[NameId]) -> u64 {
-        let root_name = skeleton.node(self.root).name;
-        match path.split_first() {
-            None => 0,
-            Some((&first, rest)) => {
-                if root_name != Some(first) {
-                    return 0;
-                }
-                self.count_occurrences(skeleton, self.root, rest)
-            }
-        }
-    }
-
-    fn count_occurrences(&self, skeleton: &Skeleton, node: NodeId, rest: &[NameId]) -> u64 {
-        match rest.split_first() {
-            None => 1,
-            Some((&next, tail)) => {
-                let mut total = 0;
-                for edge in &skeleton.node(node).edges {
-                    if skeleton.node(edge.child).name == Some(next) {
-                        total += edge.run * self.count_occurrences(skeleton, edge.child, tail);
-                    }
-                }
-                total
-            }
-        }
-    }
-
-    /// For each occurrence of `binding_path` (in document order), the
-    /// number of `rel`-path texts below it. Prefix-summing the result gives
-    /// each occurrence's contiguous range in the `binding_path + rel`
-    /// vector. `binding_path` starts with the root tag.
-    pub fn binding_text_counts(
-        &self,
-        skeleton: &Skeleton,
-        binding_path: &[NameId],
-        rel: &[NameId],
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        let root_name = skeleton.node(self.root).name;
-        if let Some((&first, rest)) = binding_path.split_first() {
-            if root_name == Some(first) {
-                self.collect_binding_counts(skeleton, self.root, rest, rel, 1, &mut out);
-            }
-        }
-        out
-    }
-
-    fn collect_binding_counts(
-        &self,
-        skeleton: &Skeleton,
-        node: NodeId,
-        rest: &[NameId],
-        rel: &[NameId],
-        repeat: u64,
-        out: &mut Vec<u64>,
-    ) {
-        match rest.split_first() {
-            None => {
-                let count = self.text_count_along(node, rel);
-                for _ in 0..repeat {
-                    out.push(count);
-                }
-            }
-            Some((&next, tail)) => {
-                for edge in &skeleton.node(node).edges {
-                    if skeleton.node(edge.child).name == Some(next) {
-                        self.collect_binding_counts(skeleton, edge.child, tail, rel, edge.run, out);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Per-occurrence *element* counts: for each occurrence of
-    /// `binding_path` (document order), the number of `rel`-path element
-    /// occurrences below it (`rel` empty counts the occurrence itself).
-    pub fn binding_element_counts(
-        &self,
-        skeleton: &Skeleton,
-        binding_path: &[NameId],
-        rel: &[NameId],
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        let root_name = skeleton.node(self.root).name;
-        let mut memo = HashMap::new();
-        if let Some((&first, rest)) = binding_path.split_first() {
-            if root_name == Some(first) {
-                self.walk_element_counts(skeleton, self.root, rest, rel, 1, &mut memo, &mut out);
-            }
-        }
-        out
-    }
-
-    fn count_elements(
-        &self,
-        skeleton: &Skeleton,
-        node: NodeId,
-        rel: &[NameId],
-        memo: &mut HashMap<(NodeId, Vec<NameId>), u64>,
-    ) -> u64 {
-        match rel.split_first() {
-            None => 1,
-            Some((&next, tail)) => {
-                let key = (node, rel.to_vec());
-                if let Some(&v) = memo.get(&key) {
-                    return v;
-                }
-                let mut total = 0;
-                for edge in &skeleton.node(node).edges {
-                    if skeleton.node(edge.child).name == Some(next) {
-                        total += edge.run * self.count_elements(skeleton, edge.child, tail, memo);
-                    }
-                }
-                memo.insert(key, total);
-                total
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn walk_element_counts(
-        &self,
-        skeleton: &Skeleton,
-        node: NodeId,
-        rest: &[NameId],
-        rel: &[NameId],
-        repeat: u64,
-        memo: &mut HashMap<(NodeId, Vec<NameId>), u64>,
-        out: &mut Vec<u64>,
-    ) {
-        match rest.split_first() {
-            None => {
-                let c = self.count_elements(skeleton, node, rel, memo);
-                for _ in 0..repeat {
-                    out.push(c);
-                }
-            }
-            Some((&next, tail)) => {
-                for edge in &skeleton.node(node).edges {
-                    if skeleton.node(edge.child).name == Some(next) {
-                        self.walk_element_counts(
-                            skeleton, edge.child, tail, rel, edge.run, memo, out,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Expands a [`PathPattern`] (wildcards, descendant steps) into the
-    /// set of concrete element tag paths — starting with the root's tag —
-    /// that occur in this document, in first-occurrence document order.
-    /// The paper resolves `*` and `//` against the structure summary, not
-    /// the data; this is that resolution over the hash-consed skeleton.
-    pub fn expand_pattern(&self, skeleton: &Skeleton, pattern: &PathPattern) -> Vec<RelPath> {
-        let mut out = Vec::new();
-        let mut seen: HashSet<RelPath> = HashSet::new();
-        let root_name = match skeleton.node(self.root).name {
-            Some(n) => n,
-            None => return out,
-        };
-        // The pattern's first step must match the root element.
-        let states = pattern.advance(PathPattern::START, root_name);
-        if states == 0 {
-            return out;
-        }
-        let mut prefix = vec![root_name];
-        let mut visited: HashSet<(NodeId, u64, RelPath)> = HashSet::new();
-        self.expand_walk(
-            skeleton,
-            self.root,
-            pattern,
-            states,
-            &mut prefix,
-            &mut seen,
-            &mut visited,
-            &mut out,
-        );
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn expand_walk(
-        &self,
-        skeleton: &Skeleton,
-        node: NodeId,
-        pattern: &PathPattern,
-        states: u64,
-        prefix: &mut RelPath,
-        seen: &mut HashSet<RelPath>,
-        visited: &mut HashSet<(NodeId, u64, RelPath)>,
-        out: &mut Vec<RelPath>,
-    ) {
-        if pattern.accepts(states) && seen.insert(prefix.clone()) {
-            out.push(prefix.clone());
-        }
-        for edge in &skeleton.node(node).edges {
-            let child = skeleton.node(edge.child);
-            let name = match child.name {
-                Some(n) => n,
-                None => continue,
-            };
-            let next = pattern.advance(states, name);
-            if next == 0 {
-                continue;
-            }
-            prefix.push(name);
-            if visited.insert((edge.child, next, prefix.clone())) {
-                self.expand_walk(
-                    skeleton, edge.child, pattern, next, prefix, seen, visited, out,
-                );
-            }
-            prefix.pop();
-        }
-    }
-
-    /// Memoized containment sets: for every DAG node reachable from the
-    /// root, the set of tag names occurring strictly below it. One shared
-    /// computation for the whole DAG (unlike [`PathIndex::containment`],
-    /// which answers for a single node).
-    pub fn reachable_names(&self, skeleton: &Skeleton) -> HashMap<NodeId, HashSet<NameId>> {
-        let mut memo: HashMap<NodeId, HashSet<NameId>> = HashMap::new();
-        fn go(
-            s: &Skeleton,
-            node: NodeId,
-            memo: &mut HashMap<NodeId, HashSet<NameId>>,
-        ) -> HashSet<NameId> {
-            if let Some(v) = memo.get(&node) {
-                return v.clone();
-            }
-            let mut tags: HashSet<NameId> = HashSet::new();
-            for edge in &s.node(node).edges {
-                if let Some(n) = s.node(edge.child).name {
-                    tags.insert(n);
-                }
-                tags.extend(go(s, edge.child, memo));
-            }
-            memo.insert(node, tags.clone());
-            tags
-        }
-        go(skeleton, self.root, &mut memo);
-        memo
-    }
-
-    /// Containment map: the set of tag names reachable strictly below
-    /// `node`. Used by the engine to prune impossible paths early.
-    pub fn containment(&self, skeleton: &Skeleton, node: NodeId) -> Vec<NameId> {
-        let mut memo: HashMap<NodeId, Vec<NameId>> = HashMap::new();
-        fn go(s: &Skeleton, node: NodeId, memo: &mut HashMap<NodeId, Vec<NameId>>) -> Vec<NameId> {
-            if let Some(v) = memo.get(&node) {
-                return v.clone();
-            }
-            let mut tags: Vec<NameId> = Vec::new();
-            for edge in &s.node(node).edges {
-                if let Some(n) = s.node(edge.child).name {
-                    tags.push(n);
-                }
-                tags.extend(go(s, edge.child, memo));
-            }
-            tags.sort();
-            tags.dedup();
-            memo.insert(node, tags.clone());
-            tags
-        }
-        go(skeleton, node, &mut memo)
+            .map(|&(rel, count)| {
+                (
+                    root_name.into_iter().chain(self.rel_names(rel)).collect(),
+                    count,
+                )
+            })
+            .collect()
     }
 }
 
@@ -648,22 +408,53 @@ mod tests {
     }
 
     #[test]
-    fn occurrences_and_binding_counts() {
+    fn texts_below_is_relative_and_multiplies_runs() {
         let (s, root, names) = sample();
         let index = PathIndex::new(&s, root);
-        let (lib, book, author) = (names[0], names[1], names[3]);
-        assert_eq!(index.occurrences(&s, &[lib]), 1);
-        assert_eq!(index.occurrences(&s, &[lib, book]), 2);
+        let (book, title, author, note) = (names[1], names[2], names[3], names[4]);
+        let spelled = |node: NodeId| -> Vec<(Vec<NameId>, u64)> {
+            index
+                .texts_below(node)
+                .iter()
+                .map(|&(rel, count)| (index.rel_names(rel).collect(), count))
+                .collect()
+        };
+        let book_n = s.node(root).edges[0].child;
+        assert_eq!(spelled(book_n), vec![(vec![title], 1), (vec![author], 2)]);
         assert_eq!(
-            index.binding_text_counts(&s, &[lib, book], &[author]),
-            vec![2, 2]
+            spelled(root),
+            vec![
+                (vec![book, title], 2),
+                (vec![book, author], 4),
+                (vec![note], 1)
+            ]
         );
-        assert_eq!(
-            index.binding_text_counts(&s, &[lib], &[book, author]),
-            vec![4]
-        );
+        assert_eq!(spelled(s.text_node()), vec![(vec![], 1)]);
+        // `title` under `book` is one cons cell whichever node reaches it.
+        let title_rel = index.texts_below(book_n)[0].0;
+        let (book_title_rel, _) = index.texts_below(root)[0];
+        assert_eq!(index.rel_names(book_title_rel).nth(1), Some(title));
+        assert_eq!(index.tail[book_title_rel.0 as usize], title_rel);
     }
 
+    #[test]
+    fn unreachable_nodes_have_empty_ranges() {
+        let (mut s, root, names) = sample();
+        // A superseded root: a second `lib` the document root does not reach.
+        let t = s.text_node();
+        let stray = s.cons(names[4], vec![Edge { child: t, run: 3 }]);
+        let old_root = s.cons(
+            names[0],
+            vec![Edge {
+                child: stray,
+                run: 1,
+            }],
+        );
+        let index = PathIndex::new(&s, root);
+        assert!(index.texts_below(old_root).is_empty());
+        assert!(index.texts_below(stray).is_empty());
+        assert_eq!(index.texts_below(root).len(), 3);
+    }
     fn pat(skeleton: &Skeleton, spec: &[(bool, Option<&str>)]) -> PathPattern {
         PathPattern::new(
             spec.iter()
@@ -678,40 +469,6 @@ mod tests {
             skeleton,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn expand_pattern_resolves_wildcard_and_descendant() {
-        let (s, root, names) = sample();
-        let index = PathIndex::new(&s, root);
-        let (lib, book, title, author, note) = (names[0], names[1], names[2], names[3], names[4]);
-
-        // lib/* — every child tag of the root.
-        let p = pat(&s, &[(false, Some("lib")), (false, None)]);
-        assert_eq!(
-            index.expand_pattern(&s, &p),
-            vec![vec![lib, book], vec![lib, note]]
-        );
-
-        // //author — authors anywhere.
-        let p = pat(&s, &[(true, Some("author"))]);
-        assert_eq!(index.expand_pattern(&s, &p), vec![vec![lib, book, author]]);
-
-        // lib//* — all strict descendants of the root.
-        let p = pat(&s, &[(false, Some("lib")), (true, None)]);
-        assert_eq!(
-            index.expand_pattern(&s, &p),
-            vec![
-                vec![lib, book],
-                vec![lib, book, title],
-                vec![lib, book, author],
-                vec![lib, note],
-            ]
-        );
-
-        // A tag absent from the document expands to nothing.
-        let p = pat(&s, &[(true, Some("absent-tag"))]);
-        assert_eq!(index.expand_pattern(&s, &p), Vec::<RelPath>::new());
     }
 
     #[test]
@@ -746,41 +503,5 @@ mod tests {
         // A named step still reaches the attribute.
         let named = pat(&s, &[(false, Some("item")), (false, Some("@id"))]);
         assert!(named.matches(&[item, id]));
-    }
-
-    #[test]
-    fn binding_element_counts_expand_runs() {
-        let (s, root, names) = sample();
-        let index = PathIndex::new(&s, root);
-        let (lib, book, author) = (names[0], names[1], names[3]);
-        assert_eq!(
-            index.binding_element_counts(&s, &[lib, book], &[author]),
-            vec![2, 2]
-        );
-        assert_eq!(
-            index.binding_element_counts(&s, &[lib, book], &[]),
-            vec![1, 1]
-        );
-    }
-
-    #[test]
-    fn reachable_names_cover_the_dag() {
-        let (s, root, names) = sample();
-        let index = PathIndex::new(&s, root);
-        let map = index.reachable_names(&s);
-        let below_root = &map[&root];
-        assert!(below_root.contains(&names[1]));
-        assert!(below_root.contains(&names[3]));
-        assert!(!below_root.contains(&names[0]));
-    }
-
-    #[test]
-    fn containment_lists_reachable_tags() {
-        let (s, root, names) = sample();
-        let index = PathIndex::new(&s, root);
-        let tags = index.containment(&s, root);
-        assert!(tags.contains(&names[1]));
-        assert!(tags.contains(&names[3]));
-        assert!(!tags.contains(&names[0])); // root tag not strictly below
     }
 }

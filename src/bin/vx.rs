@@ -347,41 +347,9 @@ fn stats(args: &[String]) {
     let root = handle.root();
     let sizes = StoreSizes::measure(dir).unwrap_or_else(|e| fail(e));
 
-    // Per-vector encoding survey (the handle's decoded vectors do not
-    // retain the on-disk encoding version).
-    let mut encodings: Vec<(u8, u64)> = Vec::with_capacity(catalog.vectors.len());
-    for entry in &catalog.vectors {
-        let vector = xmlvec::vector::Vector::open(&base_dir.join(&entry.file))
-            .unwrap_or_else(|e| fail(format!("vector `{}` ({}): {e}", entry.path, entry.file)));
-        encodings.push((vector.stats().version, vector.stats().index_bytes));
-        if entry.version != 0 && entry.version != vector.stats().version {
-            fail(format!(
-                "vector `{}` ({}): catalog says format v{}, file is v{}",
-                entry.path,
-                entry.file,
-                entry.version,
-                vector.stats().version
-            ));
-        }
-        if vector.len() != entry.count {
-            fail(format!(
-                "vector `{}` ({}): catalog says {} records, file has {}",
-                entry.path,
-                entry.file,
-                entry.count,
-                vector.len()
-            ));
-        }
-        if vector.stats().data_bytes != entry.data_bytes {
-            fail(format!(
-                "vector `{}` ({}): catalog says {} data bytes, file has {}",
-                entry.path,
-                entry.file,
-                entry.data_bytes,
-                vector.stats().data_bytes
-            ));
-        }
-    }
+    // Per-vector encoding survey: the strict open already checked each
+    // file against its catalog row and kept its stats.
+    let encodings = handle.vector_stats();
 
     // A WAL overlay leaves superseded roots in the arena: count the
     // nodes the served document reaches, not the arena.
@@ -448,8 +416,8 @@ fn stats(args: &[String]) {
                 catalog.vectors.len()
             );
         }
-        let indexed = encodings.iter().filter(|(v, _)| *v == 3).count();
-        let index_bytes: u64 = encodings.iter().map(|(_, b)| *b).sum();
+        let indexed = encodings.iter().filter(|s| s.version == 3).count();
+        let index_bytes: u64 = encodings.iter().map(|s| s.index_bytes).sum();
         let _ = writeln!(
             out,
             "value index  {indexed} of {} vectors, {index_bytes} bytes",
@@ -459,7 +427,7 @@ fn stats(args: &[String]) {
     let _ = writeln!(out, "vectors      {}", catalog.vectors.len());
     for (i, entry) in catalog.vectors.iter().enumerate() {
         if metrics {
-            let (version, index_bytes) = encodings[i];
+            let (version, index_bytes) = (encodings[i].version, encodings[i].index_bytes);
             let encoding = match version {
                 2 => "v2 dict ",
                 3 => "v3 index",

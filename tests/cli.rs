@@ -372,6 +372,39 @@ fn damaged_store_is_refused_whole() {
     assert_eq!(stdout(&out), "");
 }
 
+/// The strict open checks each vector file's format version against its
+/// catalog row: a catalog that misstates one makes `query` exit 1 with no
+/// output.
+#[test]
+fn tampered_catalog_version_is_refused() {
+    let scratch = Scratch::new("version");
+    let (_, store) = ingest(&scratch, "ml", &xmlvec::data::medline(3, 30), &[]);
+    let store_arg = store.to_str().unwrap();
+    let catalog = store.join("catalog.json");
+    let text = std::fs::read_to_string(&catalog).unwrap();
+    let key = "\"version\": ";
+    let at = text.find(key).expect("catalog records versions") + key.len();
+    let tampered = if &text[at..at + 1] == "2" { "1" } else { "2" };
+    std::fs::write(
+        &catalog,
+        format!("{}{tampered}{}", &text[..at], &text[at + 1..]),
+    )
+    .unwrap();
+
+    let out = run(&[
+        "query",
+        store_arg,
+        r#"for $c in doc("ml")//MedlineCitation return $c/PMID"#,
+    ]);
+    assert_code(&out, 1, "query with tampered catalog version");
+    assert_eq!(stdout(&out), "");
+    assert!(
+        stderr(&out).contains("catalog says format v"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 /// Malformed command lines are usage errors: exit 2 with the usage text
 /// on stderr — distinct from operational failures.
 #[test]
