@@ -603,14 +603,14 @@ fn overlay_catalog(base: &Catalog, doc: &VecDoc) -> Catalog {
                 path: v.path.clone(),
                 file: e.file.clone(),
                 count: v.values.len() as u64,
-                data_bytes: v.values.iter().map(|b| b.len() as u64).sum(),
+                data_bytes: v.values.value_bytes(),
                 version: 0,
             },
             None => CatalogEntry {
                 path: v.path.clone(),
                 file: String::new(),
                 count: v.values.len() as u64,
-                data_bytes: v.values.iter().map(|b| b.len() as u64).sum(),
+                data_bytes: v.values.value_bytes(),
                 version: 0,
             },
         })

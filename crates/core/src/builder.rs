@@ -36,8 +36,7 @@ impl ValueSink for VecDoc {
     type Output = VecDoc;
 
     fn push(&mut self, path: &str, value: &[u8]) -> vx_ingest::Result<()> {
-        self.push_value(path, value.to_vec());
-        Ok(())
+        Ok(self.push_value(path, value)?)
     }
 
     fn finish(mut self, skeleton: Skeleton, root: NodeId, _: PipelineStats) -> VecDoc {

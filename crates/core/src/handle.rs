@@ -113,7 +113,7 @@ impl StoreHandle {
                     path: v.path.clone(),
                     file: format!("v{i:06}.vec"),
                     count: v.values.len() as u64,
-                    data_bytes: v.values.iter().map(|b| b.len() as u64).sum(),
+                    data_bytes: v.values.value_bytes(),
                     version: 0,
                 })
                 .collect(),
@@ -382,7 +382,7 @@ mod tests {
         let path = v.vectors()[0].path.clone();
         v.insert_vector(crate::vecdoc::PathVector {
             path,
-            values: vec![b"1".to_vec()],
+            values: [b"1"].into_iter().collect(),
         });
         assert!(StoreHandle::from_doc("bad", v).is_err());
     }

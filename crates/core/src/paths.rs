@@ -145,7 +145,7 @@ mod tests {
         assert_eq!(check_text_counts(&doc, &index), Ok(()));
         doc.insert_vector(PathVector {
             path: "a/b".into(),
-            values: vec![b"1".to_vec()],
+            values: [b"1"].into_iter().collect(),
         });
         assert_eq!(
             check_text_counts(&doc, &index),
@@ -177,7 +177,7 @@ mod tests {
                 let mut doc = VecDoc::new(skeleton, Some(node));
                 doc.insert_vector(PathVector {
                     path: vec!["a"; DEPTH].join("/"),
-                    values: vec![b"x".to_vec()],
+                    values: [b"x"].into_iter().collect(),
                 });
                 let gate = check_text_counts(&doc, &index);
                 (root_entries.len(), root_entries[0].1, names, gate)

@@ -223,9 +223,11 @@ mod tests {
         let v = vectorize(&doc).unwrap();
         let mut corrupted = crate::vecdoc::VecDoc::new(v.skeleton.clone(), v.root);
         for vec in v.vectors() {
-            let mut vec = vec.clone();
-            vec.values.pop();
-            corrupted.insert_vector(vec);
+            let short = vec.values.iter().take(vec.values.len() - 1).collect();
+            corrupted.insert_vector(crate::PathVector {
+                path: vec.path.clone(),
+                values: short,
+            });
         }
         assert!(reconstruct(&corrupted).is_err());
         let (_, report) = reconstruct_salvage(&corrupted).unwrap();

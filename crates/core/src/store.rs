@@ -153,7 +153,7 @@ impl Store {
             // record stream only until its file is written.
             let mut spill = Spill::new(io::Cursor::new(Vec::new()));
             let mut encoder = SpillVector::default();
-            for value in &vector.values {
+            for value in vector.values.iter() {
                 encoder.append(&mut spill, value)?;
             }
             let (entry, _) =
@@ -191,41 +191,31 @@ impl Store {
         let mut doc = VecDoc::new(skeleton, Some(root));
         let mut stats = Vec::with_capacity(catalog.vectors.len());
         for entry in &catalog.vectors {
-            let vector = Vector::open(&dir.join(&entry.file))?;
+            let (values, file) = Vector::open(&dir.join(&entry.file))?;
             // Version 0 is a catalog written before the field existed.
-            if entry.version != 0 && entry.version != vector.stats().version {
+            if entry.version != 0 && entry.version != file.version {
                 return Err(CoreError::Corrupt(format!(
                     "vector `{}`: catalog says format v{}, file is v{}",
-                    entry.path,
-                    entry.version,
-                    vector.stats().version
+                    entry.path, entry.version, file.version
                 )));
             }
-            if vector.len() != entry.count {
+            if file.count != entry.count {
                 return Err(CoreError::Corrupt(format!(
                     "vector `{}`: catalog says {} records, file has {}",
-                    entry.path,
-                    entry.count,
-                    vector.len()
+                    entry.path, entry.count, file.count
                 )));
             }
-            if vector.stats().data_bytes != entry.data_bytes {
+            if file.data_bytes != entry.data_bytes {
                 return Err(CoreError::Corrupt(format!(
                     "vector `{}`: catalog says {} data bytes, file has {}",
-                    entry.path,
-                    entry.data_bytes,
-                    vector.stats().data_bytes
+                    entry.path, entry.data_bytes, file.data_bytes
                 )));
             }
             doc.insert_vector(PathVector {
                 path: entry.path.clone(),
-                values: vector.iter().map(<[u8]>::to_vec).collect(),
+                values,
             });
-            if let Some(order) = vector.sorted_order() {
-                let pos = doc.vector_position(&entry.path).expect("just inserted");
-                doc.set_sorted_run(pos, order.to_vec());
-            }
-            stats.push(vector.stats());
+            stats.push(file);
         }
         Ok((doc, catalog, stats))
     }
@@ -261,31 +251,26 @@ impl Store {
                 missing_files.push(entry.file.clone());
                 doc.insert_vector(PathVector {
                     path: entry.path.clone(),
-                    values: Vec::new(),
+                    values: Vector::default(),
                 });
                 continue;
             }
             // A damaged record-length varint can throw the whole stream
             // off; keep whatever the reader managed and carry on.
-            let (values, sorted) = match Vector::open_salvage(&path, entry.count) {
-                Ok(vector) => {
+            let values = match Vector::open_salvage(&path, entry.count) {
+                Ok((values, _)) => {
                     loaded += 1;
-                    let sorted = vector.sorted_order().map(<[u32]>::to_vec);
-                    (vector.iter().map(<[u8]>::to_vec).collect(), sorted)
+                    values
                 }
                 Err(e) => {
                     damaged_files.push((entry.file.clone(), e.to_string()));
-                    (Vec::new(), None)
+                    Vector::default()
                 }
             };
             doc.insert_vector(PathVector {
                 path: entry.path.clone(),
                 values,
             });
-            if let Some(order) = sorted {
-                let pos = doc.vector_position(&entry.path).expect("just inserted");
-                doc.set_sorted_run(pos, order);
-            }
         }
         Ok(SalvageStore {
             doc,
@@ -444,14 +429,16 @@ mod tests {
         let (loaded, reread) = Store::open(&dir).unwrap();
         assert_eq!(reread.vectors, catalog.vectors);
         let pos = loaded.vector_position(&catalog.vectors[0].path).unwrap();
-        let order = loaded
-            .sorted_run(pos)
+        let values = &loaded.vectors()[pos].values;
+        let order = values
+            .sorted_order()
             .expect("v3 store populates sorted run");
         assert_eq!(order.len(), 200);
-        let values = &loaded.vectors()[pos].values;
         assert!(order
             .windows(2)
             .all(|w| values[w[0] as usize] < values[w[1] as usize]));
+        // The loaded column equals the vectorized one, run or no run.
+        assert_eq!(loaded.vectors(), v.vectors());
         assert_eq!(reconstruct(&loaded).unwrap().root, doc.root);
 
         // Plain saves of the same doc record version 1 and load no run.
@@ -459,7 +446,7 @@ mod tests {
         let plain = Store::save(&dir2, &v, Compaction::None).unwrap();
         assert_eq!(plain.vectors[0].version, 1);
         let (loaded2, _) = Store::open(&dir2).unwrap();
-        assert!(loaded2.sorted_run(pos).is_none());
+        assert!(loaded2.vectors()[pos].values.sorted_order().is_none());
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&dir2);
     }

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use vx_skeleton::{NodeId, Skeleton};
+use vx_vector::Vector;
 
 /// One data vector: every text value of one root-to-text tag path, in
 /// document order.
@@ -10,7 +11,9 @@ pub struct PathVector {
     /// Tag path joined with `/`, e.g. `MedlineCitationSet/MedlineCitation/PMID`.
     /// Attributes appear as a final `@name` component.
     pub path: String,
-    pub values: Vec<Vec<u8>>,
+    /// The values as one column; a store-loaded version-3 vector also
+    /// carries its persistent value index here until it gains a value.
+    pub values: Vector,
 }
 
 /// A vectorized document: compressed skeleton + data vectors.
@@ -23,10 +26,6 @@ pub struct VecDoc {
     pub root: Option<NodeId>,
     vectors: Vec<PathVector>,
     lookup: HashMap<String, usize>,
-    /// Persistent value indexes, keyed by vector index: record positions
-    /// sorted by `(value bytes, position)`. Populated from version-3
-    /// `.vec` files at store-open time; in-memory documents have none.
-    sorted: HashMap<usize, Vec<u32>>,
 }
 
 impl VecDoc {
@@ -36,7 +35,6 @@ impl VecDoc {
             root,
             vectors: Vec::new(),
             lookup: HashMap::new(),
-            sorted: HashMap::new(),
         }
     }
 
@@ -53,52 +51,30 @@ impl VecDoc {
         let i = self.vectors.len();
         self.vectors.push(PathVector {
             path: path.to_string(),
-            values: Vec::new(),
+            values: Vector::default(),
         });
         self.lookup.insert(path.to_string(), i);
         i
     }
 
-    /// Appends a value to the vector of `path`. A vector that gains a
-    /// value drops its persistent value index: the run no longer covers
-    /// every position, so serving it would lose the new value. Vectors
-    /// that gain nothing keep theirs (a WAL overlay extends only some).
-    pub fn push_value(&mut self, path: &str, value: Vec<u8>) {
+    /// Appends a value to the vector of `path`. The column drops its
+    /// persistent value index if it had one (see [`Vector::push`]);
+    /// vectors that gain nothing keep theirs (a WAL overlay extends only
+    /// some).
+    pub fn push_value(&mut self, path: &str, value: &[u8]) -> vx_vector::Result<()> {
         let i = self.vector_index(path);
-        if !self.sorted.is_empty() {
-            self.sorted.remove(&i);
-        }
-        self.vectors[i].values.push(value);
+        self.vectors[i].values.push(value)
     }
 
     /// Inserts a whole vector (store loading); replaces an existing path.
-    /// Replacement drops any persistent value index recorded for the
-    /// slot — the new values make it stale.
     pub fn insert_vector(&mut self, vector: PathVector) {
         match self.lookup.get(&vector.path) {
-            Some(&i) => {
-                self.sorted.remove(&i);
-                self.vectors[i] = vector;
-            }
+            Some(&i) => self.vectors[i] = vector,
             None => {
                 self.lookup.insert(vector.path.clone(), self.vectors.len());
                 self.vectors.push(vector);
             }
         }
-    }
-
-    /// Records the persistent value index for the vector at `vec_index`
-    /// (store loading, version-3 files).
-    pub fn set_sorted_run(&mut self, vec_index: usize, order: Vec<u32>) {
-        debug_assert_eq!(order.len(), self.vectors[vec_index].values.len());
-        self.sorted.insert(vec_index, order);
-    }
-
-    /// The persistent value index for the vector at `vec_index`, if one
-    /// was loaded: record positions ordered by value bytes ascending,
-    /// ties in document order.
-    pub fn sorted_run(&self, vec_index: usize) -> Option<&[u32]> {
-        self.sorted.get(&vec_index).map(|v| v.as_slice())
     }
 
     /// Vector lookup by path.
@@ -113,11 +89,7 @@ impl VecDoc {
 
     /// Total text bytes across all vectors.
     pub fn text_bytes(&self) -> u64 {
-        self.vectors
-            .iter()
-            .flat_map(|v| v.values.iter())
-            .map(|v| v.len() as u64)
-            .sum()
+        self.vectors.iter().map(|v| v.values.value_bytes()).sum()
     }
 
     /// Total number of text occurrences across all vectors.

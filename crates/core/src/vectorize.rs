@@ -73,8 +73,8 @@ mod tests {
     fn attributes_become_at_paths() {
         let doc = parse(r#"<r><item id="7">x</item></r>"#).unwrap();
         let v = vectorize(&doc).unwrap();
-        assert_eq!(v.vector("r/item/@id").unwrap().values, vec![b"7".to_vec()]);
-        assert_eq!(v.vector("r/item").unwrap().values, vec![b"x".to_vec()]);
+        assert!(v.vector("r/item/@id").unwrap().values.iter().eq([b"7"]));
+        assert!(v.vector("r/item").unwrap().values.iter().eq([b"x"]));
     }
 
     #[test]

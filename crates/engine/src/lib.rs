@@ -288,12 +288,8 @@ impl Query {
     /// `run`/`run_corpus`/`run_handle`/… family is gone; [`Targets`]
     /// conversions cover every shape it handled).
     ///
-    /// Multi-document collection fans out over scoped threads when
-    /// [`RunOptions::parallel`] is set (subject to `VX_PARALLEL` and the
-    /// host CPU count); results are byte-identical to the serial pass.
     /// With [`RunOptions::profile`] the outcome carries a
-    /// [`QueryProfile`] and collection stays serial so the per-step
-    /// spans tile the total.
+    /// [`QueryProfile`].
     pub fn run_with<'a>(
         &'a self,
         targets: impl Into<Targets<'a>>,

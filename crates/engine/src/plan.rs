@@ -43,10 +43,6 @@ impl IndexSource {
 /// for every kind of target.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Fan multi-document collection out over scoped threads (subject to
-    /// `VX_PARALLEL` and the host CPU count). Profiled runs always
-    /// collect serially so the per-step spans tile the total.
-    pub parallel: bool,
     /// Collect a [`crate::QueryProfile`] into
     /// [`crate::RunOutcome::profile`].
     pub profile: bool,
@@ -56,10 +52,10 @@ pub struct RunOptions {
     pub use_indexes: bool,
     /// Whether `*`/`//` step patterns are matched through the
     /// structural self-index (containment bitsets prune subtrees the
-    /// remaining steps provably cannot complete in). `None` defers to
-    /// the `VX_STRUCT_INDEX` environment variable (`0`/`off` disables;
-    /// unset or anything else enables).
-    pub struct_index: Option<bool>,
+    /// remaining steps provably cannot complete in). On by default;
+    /// off walks every pattern as a plain NFA, the reference the tests
+    /// compare against.
+    pub struct_index: bool,
     /// Request-scoped trace id attached to every `engine.step` /
     /// `engine.join` / `engine.reduce` event this run emits through the
     /// `VX_LOG` sink, so concurrent callers (the server runs one query
@@ -72,10 +68,9 @@ pub struct RunOptions {
 impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
-            parallel: true,
             profile: false,
             use_indexes: true,
-            struct_index: None,
+            struct_index: true,
             trace: None,
         }
     }

@@ -88,8 +88,7 @@ pub fn reduce(graph: &QueryGraph, docs: &[(&str, &VecDoc)]) -> Result<QueryOutpu
 
 /// The one evaluation entry point: everything [`crate::Query::run_with`]
 /// exposes routes through here. `hint` labels `VX_LOG` events (the query
-/// source). Profiled runs always collect serially — per-step spans must
-/// tile the total, which interleaved document passes would break.
+/// source).
 pub(crate) fn reduce_with(
     graph: &QueryGraph,
     docs: &[DocBinding<'_>],
@@ -117,30 +116,6 @@ pub fn reduce_profiled(
         output,
         profile.expect("reduce_inner profiles when asked to"),
     ))
-}
-
-/// Whether multi-document collection may fan out on scoped threads.
-/// Auto: only when the host reports ≥ 2 CPUs — on a single core the
-/// fan-out is pure spawn/merge overhead. The `VX_PARALLEL` environment
-/// variable overrides: `0`/`off` never fans out, `force` always does
-/// (the concurrency differential tests and `bench_serve` use `force`
-/// so the scoped-thread merge path is exercised and measured even on
-/// single-core hosts).
-fn fan_out_enabled() -> bool {
-    match std::env::var("VX_PARALLEL") {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => false,
-        Ok(v) if v.eq_ignore_ascii_case("force") => true,
-        _ => std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2),
-    }
-}
-
-/// Resolves [`RunOptions::struct_index`]: an explicit option wins,
-/// otherwise `VX_STRUCT_INDEX=0`/`off` disables summary pruning and
-/// anything else (including unset) enables it.
-fn struct_index_enabled(options: &RunOptions) -> bool {
-    options.struct_index.unwrap_or_else(|| {
-        !std::env::var("VX_STRUCT_INDEX").is_ok_and(|v| v == "0" || v.eq_ignore_ascii_case("off"))
-    })
 }
 
 /// Where each variable and reference of a graph lives.
@@ -225,8 +200,7 @@ fn reduce_inner(
         graph,
         docs,
         &layout,
-        struct_index_enabled(options),
-        options.parallel,
+        options.struct_index,
         profiling.then_some(&mut spans),
     )?;
 
@@ -408,25 +382,6 @@ impl State {
         }
     }
 
-    /// Moves document `doc_idx`'s slots out of `sub` (a state filled by
-    /// a parallel per-document pass) into `self`. Each variable and
-    /// reference belongs to exactly one document, so the moves are
-    /// disjoint and the merged state matches a serial pass exactly.
-    fn adopt(&mut self, mut sub: State, doc_idx: usize, var_doc: &[usize], graph: &QueryGraph) {
-        for (v, &owner) in var_doc.iter().enumerate().take(graph.vars.len()) {
-            if owner == doc_idx {
-                self.occ_parent[v] = std::mem::take(&mut sub.occ_parent[v]);
-            }
-        }
-        for (r, vref) in graph.refs.iter().enumerate() {
-            if var_doc[vref.var] == doc_idx {
-                self.ref_data[r] =
-                    std::mem::replace(&mut sub.ref_data[r], RefData::Exists(Vec::new()));
-            }
-        }
-        self.paths[doc_idx] = sub.paths[doc_idx].take();
-    }
-
     fn flatten_values(&mut self) {
         for data in &mut self.ref_data {
             if let RefData::Values(groups) = data {
@@ -489,23 +444,6 @@ struct WalkTally {
     /// structural index was on — summary-opaque patterns with no named
     /// step (`struct.fallbacks`).
     fallbacks: u64,
-}
-
-impl WalkTally {
-    /// Folds a per-document tally into the run total. All counters are
-    /// plain sums, so parallel per-document collection reports exactly
-    /// the numbers the serial pass would.
-    fn add(&mut self, other: &WalkTally) {
-        self.visits += other.visits;
-        self.bulk_skips += other.bulk_skips;
-        self.nfa_advances += other.nfa_advances;
-        self.nfa_accepts += other.nfa_accepts;
-        self.values_passed += other.values_passed;
-        self.values_skipped += other.values_skipped;
-        self.summary_hits += other.summary_hits;
-        self.nodes_skipped += other.nodes_skipped;
-        self.fallbacks += other.fallbacks;
-    }
 }
 
 /// Counters accumulated during tuple enumeration. `Cell`s because the
@@ -639,81 +577,34 @@ fn pattern_of(steps: &[PatStep], skeleton: &Skeleton) -> Result<PathPattern> {
     })
 }
 
-/// The collection phase: one skeleton pass per referenced document,
-/// then each reference's values flattened per occurrence.
-///
-/// Documents are independent (each variable and reference belongs to
-/// exactly one), so with `parallel` set the per-document passes fan out
-/// over scoped threads when there is more than one, the host has more
-/// than one CPU, and nobody is watching the clock: each thread fills a
-/// private `State`, and the merge moves each document's slots into the
-/// shared one — the result is byte-identical to the serial pass. The
-/// last document is collected on the calling thread (spawning buys
-/// nothing for it). With `spans` given (a profiled run) collection stays
-/// serial and tiles one `match:{doc}` span per document.
+/// The collection phase: one skeleton pass per referenced document, in
+/// document order, then each reference's values flattened per
+/// occurrence. With `spans` given (a profiled run) it tiles one
+/// `match:{doc}` span per document.
 fn collect(
     graph: &QueryGraph,
     docs: &[DocBinding<'_>],
     layout: &Layout,
     struct_enabled: bool,
-    parallel: bool,
     mut spans: Option<&mut Spans>,
 ) -> Result<(State, WalkTally)> {
-    let referenced: Vec<usize> = (0..docs.len())
-        .filter(|i| layout.var_doc.contains(i))
-        .collect();
     let mut state = State::new(graph, docs.len());
     let mut walk_tally = WalkTally::default();
-    if parallel && spans.is_none() && referenced.len() >= 2 && fan_out_enabled() {
-        let collect_one = |doc_idx: usize| -> Result<(State, WalkTally)> {
-            let mut sub = State::new(graph, docs.len());
-            let mut tally = WalkTally::default();
-            collect_doc(
-                graph,
-                docs[doc_idx],
-                doc_idx,
-                layout,
-                &mut sub,
-                &mut tally,
-                struct_enabled,
-            )?;
-            Ok((sub, tally))
-        };
-        let collected: Vec<Result<(State, WalkTally)>> = std::thread::scope(|scope| {
-            let (&last_idx, rest) = referenced.split_last().expect("len >= 2");
-            let workers: Vec<_> = rest
-                .iter()
-                .map(|&doc_idx| scope.spawn(move || collect_one(doc_idx)))
-                .collect();
-            let last = collect_one(last_idx);
-            let mut results: Vec<Result<(State, WalkTally)>> = workers
-                .into_iter()
-                .map(|w| w.join().expect("document collector thread panicked"))
-                .collect();
-            results.push(last);
-            results
-        });
-        // Merge in document order; errors surface in document order too,
-        // matching what the serial loop would have reported first.
-        for (&doc_idx, sub) in referenced.iter().zip(collected) {
-            let (sub_state, sub_tally) = sub?;
-            state.adopt(sub_state, doc_idx, &layout.var_doc, graph);
-            walk_tally.add(&sub_tally);
+    for (doc_idx, &binding) in docs.iter().enumerate() {
+        if !layout.var_doc.contains(&doc_idx) {
+            continue;
         }
-    } else {
-        for &doc_idx in &referenced {
-            collect_doc(
-                graph,
-                docs[doc_idx],
-                doc_idx,
-                layout,
-                &mut state,
-                &mut walk_tally,
-                struct_enabled,
-            )?;
-            if let Some(spans) = spans.as_deref_mut() {
-                spans.tile(Some(&format!("match:{}", docs[doc_idx].name)));
-            }
+        collect_doc(
+            graph,
+            binding,
+            doc_idx,
+            layout,
+            &mut state,
+            &mut walk_tally,
+            struct_enabled,
+        )?;
+        if let Some(spans) = spans.as_deref_mut() {
+            spans.tile(Some(&format!("match:{}", binding.name)));
         }
     }
     state.flatten_values();
@@ -898,7 +789,7 @@ struct Walker<'a> {
     skeleton: &'a Skeleton,
     index: &'a PathIndex,
     /// The structural self-index when summary pruning is enabled
-    /// (`None` = pure NFA walk, the `VX_STRUCT_INDEX=off` behavior).
+    /// (`None` = pure NFA walk, `RunOptions::struct_index` off).
     structural: Option<&'a StructIndex>,
     graph: &'a QueryGraph,
     var_pat: Vec<Option<PathPattern>>,
@@ -1393,7 +1284,7 @@ fn persistent_vector_of(doc: &VecDoc, state: &State, r: usize, occs: usize) -> O
             }
         }
     }
-    vec_idx.filter(|&v| doc.sorted_run(v).is_some())
+    vec_idx.filter(|&v| doc.vectors()[v].values.sorted_order().is_some())
 }
 
 /// `vector position → occurrences referencing it` for a single-vector
@@ -1410,7 +1301,7 @@ fn occs_of_positions(state: &State, r: usize, occs: usize, len: usize) -> (Vec<u
 
 /// The bytes of the value at `(vector index, value index)`.
 fn value_at<'d>(doc: &'d VecDoc, &(vec, idx): &(usize, usize)) -> &'d [u8] {
-    doc.vectors()[vec].values[idx].as_slice()
+    &doc.vectors()[vec].values[idx]
 }
 
 /// One side of a planned join edge, as the [`Planner`] decided it.
@@ -1502,17 +1393,17 @@ impl<'a> Planner<'a> {
         let doc = self.docs[self.var_doc[var]].doc;
         let occs = self.state.occ_parent[var].len();
         let vec_idx = persistent_vector_of(doc, self.state, *r, occs)?;
-        let order = doc
-            .sorted_run(vec_idx)
-            .expect("checked by persistent_vector_of");
         let values = &doc.vectors()[vec_idx].values;
+        let order = values
+            .sorted_order()
+            .expect("checked by persistent_vector_of");
         let (offsets, owners) = occs_of_positions(self.state, *r, occs, values.len());
         let target = lit.as_bytes();
-        let lo = order.partition_point(|&pos| values[pos as usize].as_slice() < target);
+        let lo = order.partition_point(|&pos| &values[pos as usize] < target);
         let mut passing: Vec<usize> = order[lo..]
             .iter()
             .map(|&pos| pos as usize)
-            .take_while(|&pos| values[pos].as_slice() == target)
+            .take_while(|&pos| &values[pos] == target)
             .flat_map(|pos| &owners[offsets[pos]..offsets[pos + 1]])
             .copied()
             .collect();
@@ -1528,17 +1419,16 @@ impl<'a> Planner<'a> {
 /// query time.
 fn sorted_run_for<'a>(state: &State, side: &EdgeSide<'a>) -> Vec<(&'a [u8], usize)> {
     if let Some(vec_idx) = side.run {
-        let order = side
-            .doc
-            .sorted_run(vec_idx)
-            .expect("planned from a persistent run");
         let values = &side.doc.vectors()[vec_idx].values;
+        let order = values
+            .sorted_order()
+            .expect("planned from a persistent run");
         let (offsets, owners) = occs_of_positions(state, side.r, side.occs, values.len());
         let mut run = Vec::with_capacity(owners.len());
         for &pos in order {
             let pos = pos as usize;
             for &occ in &owners[offsets[pos]..offsets[pos + 1]] {
-                run.push((values[pos].as_slice(), occ));
+                run.push((&values[pos], occ));
             }
         }
         return run;
@@ -1651,8 +1541,8 @@ pub(crate) fn explain_with(
     options: &RunOptions,
 ) -> Result<Plan> {
     let layout = layout(graph, docs)?;
-    let struct_enabled = struct_index_enabled(options);
-    let (state, _) = collect(graph, docs, &layout, struct_enabled, false, None)?;
+    let struct_enabled = options.struct_index;
+    let (state, _) = collect(graph, docs, &layout, struct_enabled, None)?;
     let planner = Planner {
         graph,
         docs,
@@ -1911,7 +1801,7 @@ impl Eval<'_> {
                 for &(vec, idx) in self.state.values(*r, occ) {
                     let bytes = &doc.vectors()[vec].values[idx];
                     match sink {
-                        Sink::Values(out) => out.push(bytes.clone()),
+                        Sink::Values(out) => out.push(bytes.to_vec()),
                         Sink::Builder(b) => b.text(bytes)?,
                     }
                 }

@@ -806,14 +806,14 @@ fn documents_deeper_than_the_state_width_agree() {
         };
         assert!(!expected.is_empty(), "degenerate oracle result for {src}");
         let query = Query::new(src).expect(src);
-        for struct_index in [Some(true), Some(false)] {
+        for struct_index in [true, false] {
             let options = RunOptions {
                 struct_index,
                 ..RunOptions::default()
             };
             match query.run_with(&vecs, &options).expect(src).output {
                 QueryOutput::Values(got) => {
-                    assert_eq!(got, expected, "{src} struct_index={struct_index:?}");
+                    assert_eq!(got, expected, "{src} struct_index={struct_index}");
                 }
                 QueryOutput::Document(_) => panic!("expected values for {src}"),
             }
@@ -855,7 +855,7 @@ fn patterns_past_the_state_width_are_rejected() {
     };
     assert_eq!(expected, vec![b"n61".to_vec()]);
     let query = Query::new(&at_limit).expect("63-step pattern is within the state width");
-    for struct_index in [Some(true), Some(false)] {
+    for struct_index in [true, false] {
         let options = RunOptions {
             struct_index,
             ..RunOptions::default()

@@ -145,7 +145,7 @@ fn treebank_struct_index_prunes_skeleton_visits() {
     let run = |on: bool| {
         let options = RunOptions {
             profile: true,
-            struct_index: Some(on),
+            struct_index: on,
             ..RunOptions::default()
         };
         let outcome = q.run_with(&vdoc, &options).unwrap();

@@ -55,8 +55,7 @@ fn measure(sentences: usize) -> (u64, u64) {
     let handle = StoreHandle::from_doc("tb", doc).unwrap();
     let query = Query::new(QUERY).unwrap();
     let options = RunOptions {
-        struct_index: Some(false),
-        parallel: false,
+        struct_index: false,
         ..RunOptions::default()
     };
 

@@ -354,7 +354,7 @@ mod tests {
         let (_, sv) = output.vectors.remove(i);
         let mut bytes = Vec::new();
         sv.finish_plain(&mut output.spill, &mut bytes).unwrap();
-        let vec = vx_vector::Vector::decode(&bytes).unwrap();
+        let (vec, _) = vx_vector::Vector::decode(&bytes).unwrap();
         vec.iter().map(<[u8]>::to_vec).collect()
     }
 

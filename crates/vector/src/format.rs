@@ -1,7 +1,9 @@
-//! `.vec` reading. The one writer is [`crate::SpillVector`].
+//! `.vec` reading into [`Vector`], the one in-memory column. The one
+//! writer is [`crate::SpillVector`].
 
 use crate::{Result, VectorError};
 use std::fs;
+use std::ops::Range;
 use std::path::Path;
 use vx_storage::varint;
 
@@ -33,36 +35,50 @@ pub struct VectorStats {
     pub version: u8,
 }
 
-enum Body {
-    Plain {
-        /// `(offset, len)` into `data` per record.
-        index: Vec<(u32, u32)>,
-        data: Vec<u8>,
-        skips: Vec<u64>,
-        /// Version-3 value index: record positions sorted by value.
-        sorted: Option<Vec<u32>>,
-    },
-    Dict {
-        dict: Vec<Vec<u8>>,
-        codes: Vec<u8>,
-    },
+/// One data vector in memory: the values of one root-to-text path in
+/// document order, as `len + 1` offsets into one byte arena, plus the
+/// version-3 value index when the column was read from a file that
+/// carries one. Every reader decodes into it and every in-memory
+/// document holds its vectors as it.
+#[derive(Debug, Clone)]
+pub struct Vector {
+    /// `offsets[i]..offsets[i + 1]` is value `i` in `bytes`; the first
+    /// entry is 0.
+    offsets: Vec<u32>,
+    bytes: Vec<u8>,
+    /// Record positions sorted by `(value bytes, position)`.
+    sorted: Option<Vec<u32>>,
 }
 
-/// A fully loaded, randomly accessible vector.
-pub struct Vector {
-    body: Body,
-    stats: VectorStats,
+impl Default for Vector {
+    fn default() -> Self {
+        Vector {
+            offsets: vec![0],
+            bytes: Vec::new(),
+            sorted: None,
+        }
+    }
 }
+
+/// Equal values, in the same order. The value index is derived from the
+/// values, so whether a column carries one does not matter.
+impl PartialEq for Vector {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.bytes == other.bytes
+    }
+}
+
+impl Eq for Vector {}
 
 impl Vector {
     /// Strict load: validates magic, version, trailer, skip index, and
     /// record-stream integrity.
-    pub fn open(path: &Path) -> Result<Self> {
+    pub fn open(path: &Path) -> Result<(Vector, VectorStats)> {
         Self::decode(&fs::read(path)?)
     }
 
     /// Strict decode from bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
+    pub fn decode(bytes: &[u8]) -> Result<(Vector, VectorStats)> {
         let version = check_header(bytes)?;
         if bytes.len() < DATA_START + 28 {
             return Err(VectorError::BadHeader("file too short for trailer".into()));
@@ -87,9 +103,9 @@ impl Vector {
             });
         }
         match version {
-            V1_PLAIN => Self::decode_plain(bytes, data_end, count, true),
-            V2_DICT => Self::decode_dict(bytes, data_end, count, true),
-            V3_SORTED => Self::decode_v3(bytes, data_end, Some(skip_start), count),
+            V1_PLAIN => decode_plain(bytes, data_end, count, true),
+            V2_DICT => decode_dict(bytes, data_end, count, true),
+            V3_SORTED => decode_v3(bytes, data_end, Some(skip_start), count),
             _ => unreachable!("check_header validated version"),
         }
     }
@@ -98,283 +114,263 @@ impl Vector {
     /// capture's sanitizer: trusts the caller's record count (from
     /// `catalog.json`) and parses the record stream forward, ignoring the
     /// trailer entirely.
-    pub fn open_salvage(path: &Path, expected_count: u64) -> Result<Self> {
+    pub fn open_salvage(path: &Path, expected_count: u64) -> Result<(Vector, VectorStats)> {
         let bytes = fs::read(path)?;
         let version = check_header(&bytes)?;
+        let end = bytes.len();
         match version {
-            V1_PLAIN => Self::decode_plain(&bytes, usize::MAX, expected_count, false),
-            V2_DICT => Self::decode_dict(&bytes, usize::MAX, expected_count, false),
-            V3_SORTED => Self::decode_v3(&bytes, usize::MAX, None, expected_count),
+            V1_PLAIN => decode_plain(&bytes, end, expected_count, false),
+            V2_DICT => decode_dict(&bytes, end, expected_count, false),
+            V3_SORTED => decode_v3(&bytes, end, None, expected_count),
             _ => unreachable!("check_header validated version"),
         }
     }
 
-    fn decode_plain(bytes: &[u8], data_end: usize, count: u64, strict: bool) -> Result<Self> {
-        let parsed = parse_records(bytes, data_end, count, strict)?;
-        if strict {
-            if parsed.end != data_end {
-                return Err(VectorError::Corrupt {
-                    offset: parsed.end,
-                    message: "record stream does not end at data_end".into(),
-                });
-            }
-            validate_skips(bytes, data_end, &parsed.record_starts)?;
-        }
-        Ok(Vector {
-            stats: VectorStats {
-                count,
-                data_bytes: (parsed.end - DATA_START) as u64,
-                value_bytes: parsed.data.len() as u64,
-                index_bytes: 0,
-                version: V1_PLAIN,
-            },
-            body: Body::Plain {
-                index: parsed.index,
-                data: parsed.data,
-                skips: parsed.record_starts,
-                sorted: None,
-            },
-        })
-    }
-
-    /// Version 3: plain records, then the value index in
-    /// `[data_end, skip_start)`, then the skip index. `skip_start` is
-    /// `None` in salvage mode — the index is parsed right after the
-    /// forward-recovered record stream, and any damage to it degrades
-    /// the vector to "no index" rather than failing the load.
-    fn decode_v3(
-        bytes: &[u8],
-        data_end: usize,
-        skip_start: Option<usize>,
-        count: u64,
-    ) -> Result<Self> {
-        let strict = skip_start.is_some();
-        let parsed = parse_records(bytes, data_end, count, strict)?;
-        let sorted: Option<Vec<u32>>;
-        let index_bytes: u64;
-        if let Some(skip_start) = skip_start {
-            if parsed.end != data_end {
-                return Err(VectorError::Corrupt {
-                    offset: parsed.end,
-                    message: "record stream does not end at data_end".into(),
-                });
-            }
-            let (order, index_end) = parse_value_index(bytes, data_end, count)?;
-            if index_end != skip_start {
-                return Err(VectorError::Corrupt {
-                    offset: index_end,
-                    message: "value index does not end at skip_start".into(),
-                });
-            }
-            validate_value_index(&order, &parsed, data_end)?;
-            validate_skips(bytes, skip_start, &parsed.record_starts)?;
-            index_bytes = (skip_start - data_end) as u64;
-            sorted = Some(order);
-        } else {
-            // Salvage: a short or inconsistent index section means the
-            // vector simply loads without one.
-            (sorted, index_bytes) = match parse_value_index(bytes, parsed.end, count) {
-                Ok((order, end)) if validate_value_index(&order, &parsed, parsed.end).is_ok() => {
-                    let len = (end - parsed.end) as u64;
-                    (Some(order), len)
-                }
-                _ => (None, 0),
-            };
-        }
-        Ok(Vector {
-            stats: VectorStats {
-                count,
-                data_bytes: (parsed.end - DATA_START) as u64,
-                value_bytes: parsed.data.len() as u64,
-                index_bytes,
-                version: V3_SORTED,
-            },
-            body: Body::Plain {
-                index: parsed.index,
-                data: parsed.data,
-                skips: parsed.record_starts,
-                sorted,
-            },
-        })
-    }
-
-    fn decode_dict(bytes: &[u8], data_end: usize, count: u64, strict: bool) -> Result<Self> {
-        let (dict_len, mut pos) = varint::read(bytes, DATA_START)?;
-        let mut dict = Vec::with_capacity(dict_len as usize);
-        for i in 0..dict_len {
-            let (len, next) = varint::read(bytes, pos)?;
-            let end = next
-                .checked_add(len as usize)
-                .filter(|&e| e <= bytes.len())
-                .ok_or(VectorError::Corrupt {
-                    offset: pos,
-                    message: format!("dictionary entry {i} runs past end"),
-                })?;
-            dict.push(bytes[next..end].to_vec());
-            pos = end;
-        }
-        let codes_end = pos + count as usize;
-        if codes_end > bytes.len() {
-            return Err(VectorError::Corrupt {
-                offset: pos,
-                message: "code stream truncated".into(),
-            });
-        }
-        let codes = bytes[pos..codes_end].to_vec();
-        if strict && codes_end != data_end {
-            return Err(VectorError::Corrupt {
-                offset: codes_end,
-                message: "code stream does not end at data_end".into(),
-            });
-        }
-        let mut value_bytes = 0u64;
-        for (i, &code) in codes.iter().enumerate() {
-            let entry = dict.get(code as usize).ok_or(VectorError::Corrupt {
-                offset: pos + i,
-                message: format!("code {code} out of dictionary range"),
-            })?;
-            value_bytes += entry.len() as u64;
-        }
-        Ok(Vector {
-            body: Body::Dict { dict, codes },
-            stats: VectorStats {
-                count,
-                data_bytes: count,
-                value_bytes,
-                index_bytes: 0,
-                version: V2_DICT,
-            },
-        })
-    }
-
-    pub fn stats(&self) -> VectorStats {
-        self.stats
-    }
-
-    pub fn len(&self) -> u64 {
-        self.stats.count
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     pub fn is_empty(&self) -> bool {
-        self.stats.count == 0
+        self.len() == 0
     }
 
-    /// Random access by occurrence position.
-    pub fn get(&self, i: u64) -> Result<&[u8]> {
-        if i >= self.stats.count {
-            return Err(VectorError::OutOfBounds {
-                index: i,
-                count: self.stats.count,
+    /// The value at occurrence position `i`.
+    pub fn get(&self, i: usize) -> Option<&[u8]> {
+        (i < self.len()).then(|| &self[i])
+    }
+
+    /// All values in document order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.bytes[w[0] as usize..w[1] as usize])
+    }
+
+    /// Appends a value. The value index no longer covers every position,
+    /// so the column drops it. Fails when the arena would pass
+    /// `u32::MAX` bytes.
+    pub fn push(&mut self, value: &[u8]) -> Result<()> {
+        let bytes = self.bytes.len() + value.len();
+        let end = u32::try_from(bytes).map_err(|_| VectorError::TooLarge {
+            bytes: bytes as u64,
+        })?;
+        self.bytes.extend_from_slice(value);
+        self.offsets.push(end);
+        self.sorted = None;
+        Ok(())
+    }
+
+    /// The persistent value index, when this column has one (read from
+    /// a version-3 file and not pushed to since): record positions
+    /// ordered by value bytes ascending, ties in document order.
+    pub fn sorted_order(&self) -> Option<&[u32]> {
+        self.sorted.as_deref()
+    }
+
+    /// Sum of the value lengths.
+    pub fn value_bytes(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+}
+
+impl std::ops::Index<usize> for Vector {
+    type Output = [u8];
+
+    /// The value at position `i`; panics when `i` is out of range.
+    fn index(&self, i: usize) -> &[u8] {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// Collects values into a column; panics when the arena would pass
+/// `u32::MAX` bytes ([`Vector::push`] reports that as an error).
+impl<V: AsRef<[u8]>> FromIterator<V> for Vector {
+    fn from_iter<I: IntoIterator<Item = V>>(values: I) -> Self {
+        let mut column = Vector::default();
+        for value in values {
+            column
+                .push(value.as_ref())
+                .expect("column within u32::MAX bytes");
+        }
+        column
+    }
+}
+
+fn decode_plain(
+    bytes: &[u8],
+    limit: usize,
+    count: u64,
+    strict: bool,
+) -> Result<(Vector, VectorStats)> {
+    let parsed = parse_records(bytes, limit, count)?;
+    if strict {
+        if parsed.end != limit {
+            return Err(VectorError::Corrupt {
+                offset: parsed.end,
+                message: "record stream does not end at data_end".into(),
             });
         }
-        Ok(match &self.body {
-            Body::Plain { index, data, .. } => {
-                let (off, len) = index[i as usize];
-                &data[off as usize..off as usize + len as usize]
+        validate_skips(bytes, limit, &parsed.record_starts)?;
+    }
+    let stats = VectorStats {
+        count,
+        data_bytes: (parsed.end - DATA_START) as u64,
+        value_bytes: parsed.column.value_bytes(),
+        index_bytes: 0,
+        version: V1_PLAIN,
+    };
+    Ok((parsed.column, stats))
+}
+
+/// Version 3: plain records, then the value index in
+/// `[data_end, skip_start)`, then the skip index. `skip_start` is
+/// `None` in salvage mode (`limit` is then the file length) — the index
+/// is parsed right after the forward-recovered record stream, and any
+/// damage to it degrades the vector to "no index" rather than failing
+/// the load.
+fn decode_v3(
+    bytes: &[u8],
+    limit: usize,
+    skip_start: Option<usize>,
+    count: u64,
+) -> Result<(Vector, VectorStats)> {
+    let mut parsed = parse_records(bytes, limit, count)?;
+    let index_bytes: u64;
+    if let Some(skip_start) = skip_start {
+        if parsed.end != limit {
+            return Err(VectorError::Corrupt {
+                offset: parsed.end,
+                message: "record stream does not end at data_end".into(),
+            });
+        }
+        let (order, index_end) = parse_value_index(bytes, limit, count)?;
+        if index_end != skip_start {
+            return Err(VectorError::Corrupt {
+                offset: index_end,
+                message: "value index does not end at skip_start".into(),
+            });
+        }
+        validate_value_index(&order, &parsed.column, limit)?;
+        validate_skips(bytes, skip_start, &parsed.record_starts)?;
+        index_bytes = (skip_start - limit) as u64;
+        parsed.column.sorted = Some(order);
+    } else {
+        // Salvage: a short or inconsistent index section means the
+        // vector simply loads without one.
+        index_bytes = match parse_value_index(bytes, parsed.end, count) {
+            Ok((order, end))
+                if validate_value_index(&order, &parsed.column, parsed.end).is_ok() =>
+            {
+                parsed.column.sorted = Some(order);
+                (end - parsed.end) as u64
             }
-            Body::Dict { dict, codes } => &dict[codes[i as usize] as usize],
-        })
+            _ => 0,
+        };
     }
-
-    /// Skip-index entries (versions 1 and 3): data-relative byte offsets
-    /// of records `0, 256, 512, …` as written on disk.
-    pub fn skip_entries(&self) -> &[u64] {
-        match &self.body {
-            Body::Plain { skips, .. } => skips,
-            Body::Dict { .. } => &[],
-        }
-    }
-
-    /// The persistent value index, when this vector has one (version 3):
-    /// record positions ordered by value bytes ascending, ties in
-    /// document order. `None` for versions 1/2 and for salvaged
-    /// version-3 files whose index section was damaged.
-    pub fn sorted_order(&self) -> Option<&[u32]> {
-        match &self.body {
-            Body::Plain { sorted, .. } => sorted.as_deref(),
-            Body::Dict { .. } => None,
-        }
-    }
-
-    /// Sequential scan cursor starting at record `start`.
-    pub fn cursor(&self, start: u64) -> Cursor<'_> {
-        Cursor {
-            vector: self,
-            next: start,
-            stats: CursorStats::default(),
-        }
-    }
-
-    /// Iterates all values.
-    pub fn iter(&self) -> Cursor<'_> {
-        self.cursor(0)
-    }
+    let stats = VectorStats {
+        count,
+        data_bytes: (parsed.end - DATA_START) as u64,
+        value_bytes: parsed.column.value_bytes(),
+        index_bytes,
+        version: V3_SORTED,
+    };
+    Ok((parsed.column, stats))
 }
 
-/// What one cursor did: values it decoded versus values it jumped over
-/// without touching (forward seeks). Deterministic for a given access
-/// pattern.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CursorStats {
-    /// Values returned by `next()`.
-    pub decoded: u64,
-    /// Values skipped by forward `seek`s without being decoded.
-    pub skipped: u64,
-}
-
-/// Sequential scan over a vector.
-pub struct Cursor<'a> {
-    vector: &'a Vector,
-    next: u64,
-    stats: CursorStats,
-}
-
-impl Cursor<'_> {
-    /// Repositions the cursor. Forward moves count the jumped-over
-    /// values as skipped.
-    pub fn seek(&mut self, index: u64) {
-        if index > self.next {
-            self.stats.skipped += index - self.next;
-        }
-        self.next = index;
+/// Version 2: the dictionary entries, then one code per record, expanded
+/// into the column.
+fn decode_dict(
+    bytes: &[u8],
+    data_end: usize,
+    count: u64,
+    strict: bool,
+) -> Result<(Vector, VectorStats)> {
+    let (dict_len, mut pos) = varint::read(bytes, DATA_START)?;
+    // Every entry takes at least its length byte.
+    let mut dict: Vec<Range<usize>> = Vec::with_capacity((dict_len as usize).min(bytes.len()));
+    for i in 0..dict_len {
+        let (len, next) = varint::read(bytes, pos)?;
+        let end = next
+            .checked_add(len as usize)
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(|| VectorError::Corrupt {
+                offset: pos,
+                message: format!("dictionary entry {i} runs past end"),
+            })?;
+        dict.push(next..end);
+        pos = end;
     }
-
-    /// Current position (index of the value `next()` would return).
-    pub fn position(&self) -> u64 {
-        self.next
+    let codes_end = pos
+        .checked_add(count as usize)
+        .filter(|&e| e <= bytes.len())
+        .ok_or_else(|| VectorError::Corrupt {
+            offset: pos,
+            message: "code stream truncated".into(),
+        })?;
+    if strict && codes_end != data_end {
+        return Err(VectorError::Corrupt {
+            offset: codes_end,
+            message: "code stream does not end at data_end".into(),
+        });
     }
-
-    /// Decoded/skipped tallies for this cursor so far.
-    pub fn stats(&self) -> CursorStats {
-        self.stats
+    let codes = &bytes[pos..codes_end];
+    let mut value_bytes = 0u64;
+    for (i, &code) in codes.iter().enumerate() {
+        let entry = dict
+            .get(code as usize)
+            .ok_or_else(|| VectorError::Corrupt {
+                offset: pos + i,
+                message: format!("code {code} out of dictionary range"),
+            })?;
+        value_bytes += entry.len() as u64;
     }
-}
-
-impl<'a> Iterator for Cursor<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        let v = self.vector.get(self.next).ok()?;
-        self.next += 1;
-        self.stats.decoded += 1;
-        Some(v)
+    if value_bytes > u64::from(u32::MAX) {
+        return Err(VectorError::Corrupt {
+            offset: pos,
+            message: format!("{value_bytes} value bytes do not fit one column"),
+        });
     }
+    let mut offsets = Vec::with_capacity(codes.len() + 1);
+    offsets.push(0);
+    let mut arena = Vec::with_capacity(value_bytes as usize);
+    for &code in codes {
+        arena.extend_from_slice(&bytes[dict[code as usize].clone()]);
+        offsets.push(arena.len() as u32);
+    }
+    let column = Vector {
+        offsets,
+        bytes: arena,
+        sorted: None,
+    };
+    let stats = VectorStats {
+        count,
+        data_bytes: count,
+        value_bytes,
+        index_bytes: 0,
+        version: V2_DICT,
+    };
+    Ok((column, stats))
 }
 
 /// Records parsed forward from `DATA_START`.
 struct ParsedRecords {
-    /// `(offset, len)` into `data` per record.
-    index: Vec<(u32, u32)>,
-    data: Vec<u8>,
-    /// Data-relative byte offsets of records `0, 256, 512, …`.
+    column: Vector,
+    /// Data-relative byte offsets of records `0, 256, 512, …`: what the
+    /// skip index must say.
     record_starts: Vec<u64>,
     /// Absolute offset one past the last record.
     end: usize,
 }
 
-fn parse_records(bytes: &[u8], data_end: usize, count: u64, strict: bool) -> Result<ParsedRecords> {
-    let mut index = Vec::with_capacity(count as usize);
-    let mut data = Vec::new();
+/// Parses `count` records forward from `DATA_START` straight into a
+/// column; every record must end by `limit`.
+fn parse_records(bytes: &[u8], limit: usize, count: u64) -> Result<ParsedRecords> {
+    let section = limit.saturating_sub(DATA_START);
+    // Every record takes at least its length byte, and the values fit in
+    // the section: neither reservation trusts a damaged count.
+    let mut offsets = Vec::with_capacity((count as usize).min(section) + 1);
+    offsets.push(0u32);
+    let mut arena: Vec<u8> = Vec::with_capacity(section);
     let mut pos = DATA_START;
     let mut record_starts: Vec<u64> = Vec::new();
     for i in 0..count {
@@ -384,18 +380,27 @@ fn parse_records(bytes: &[u8], data_end: usize, count: u64, strict: bool) -> Res
         let (len, next) = varint::read(bytes, pos)?;
         let end = next
             .checked_add(len as usize)
-            .filter(|&e| e <= if strict { data_end } else { bytes.len() })
-            .ok_or(VectorError::Corrupt {
+            .filter(|&e| e <= limit)
+            .ok_or_else(|| VectorError::Corrupt {
                 offset: pos,
                 message: format!("record {i} runs past data section"),
             })?;
-        index.push((data.len() as u32, len as u32));
-        data.extend_from_slice(&bytes[next..end]);
+        arena.extend_from_slice(&bytes[next..end]);
+        let offset = u32::try_from(arena.len()).map_err(|_| VectorError::Corrupt {
+            offset: pos,
+            message: format!("record {i} ends past u32::MAX value bytes"),
+        })?;
+        offsets.push(offset);
         pos = end;
     }
+    // The reservation counted the length varints too; give that back.
+    arena.shrink_to_fit();
     Ok(ParsedRecords {
-        index,
-        data,
+        column: Vector {
+            offsets,
+            bytes: arena,
+            sorted: None,
+        },
         record_starts,
         end: pos,
     })
@@ -412,10 +417,11 @@ fn parse_value_index(bytes: &[u8], start: usize, count: u64) -> Result<(Vec<u32>
             message: format!("value index covers {n} records, expected {count}"),
         });
     }
-    let end = pos
-        .checked_add(4 * n as usize)
+    let end = (n as usize)
+        .checked_mul(4)
+        .and_then(|len| pos.checked_add(len))
         .filter(|&e| e <= bytes.len())
-        .ok_or(VectorError::Corrupt {
+        .ok_or_else(|| VectorError::Corrupt {
             offset: pos,
             message: "value index truncated".into(),
         })?;
@@ -429,14 +435,10 @@ fn parse_value_index(bytes: &[u8], start: usize, count: u64) -> Result<(Vec<u32>
     Ok((order, end))
 }
 
-/// Checks that `order` is a permutation of the record positions sorted
-/// by `(value bytes, position)`.
-fn validate_value_index(order: &[u32], parsed: &ParsedRecords, at: usize) -> Result<()> {
-    let value = |p: u32| -> &[u8] {
-        let (off, len) = parsed.index[p as usize];
-        &parsed.data[off as usize..(off + len) as usize]
-    };
-    let count = parsed.index.len();
+/// Checks that `order` is a permutation of the column's positions
+/// sorted by `(value bytes, position)`.
+fn validate_value_index(order: &[u32], column: &Vector, at: usize) -> Result<()> {
+    let count = column.len();
     let mut seen = vec![false; count];
     for (k, &p) in order.iter().enumerate() {
         if p as usize >= count || std::mem::replace(&mut seen[p as usize], true) {
@@ -447,7 +449,7 @@ fn validate_value_index(order: &[u32], parsed: &ParsedRecords, at: usize) -> Res
         }
         if k > 0 {
             let q = order[k - 1];
-            if (value(q), q) >= (value(p), p) {
+            if (&column[q as usize], q) >= (&column[p as usize], p) {
                 return Err(VectorError::Corrupt {
                     offset: at,
                     message: format!("value index not sorted at entry {k}"),
@@ -510,14 +512,13 @@ mod tests {
             w.push(v);
         }
         let bytes = w.encode_plain();
-        let vec = Vector::decode(&bytes).unwrap();
+        let (vec, stats) = Vector::decode(&bytes).unwrap();
         assert_eq!(vec.len(), 1000);
-        assert_eq!(vec.skip_entries().len(), 4); // records 0, 256, 512, 768
         for (i, v) in values.iter().enumerate() {
-            assert_eq!(vec.get(i as u64).unwrap(), v.as_slice());
+            assert_eq!(vec.get(i).unwrap(), v.as_slice());
         }
         assert_eq!(
-            vec.stats().value_bytes,
+            stats.value_bytes,
             values.iter().map(|v| v.len() as u64).sum::<u64>()
         );
     }
@@ -525,9 +526,9 @@ mod tests {
     #[test]
     fn empty_vector_round_trips() {
         let bytes = Writer::new().encode_plain();
-        let vec = Vector::decode(&bytes).unwrap();
+        let (vec, _) = Vector::decode(&bytes).unwrap();
         assert!(vec.is_empty());
-        assert!(vec.get(0).is_err());
+        assert!(vec.get(0).is_none());
     }
 
     #[test]
@@ -538,7 +539,7 @@ mod tests {
         w.push(b"");
         w.push(&big);
         let bytes = w.encode_plain();
-        let vec = Vector::decode(&bytes).unwrap();
+        let (vec, _) = Vector::decode(&bytes).unwrap();
         assert_eq!(vec.get(0).unwrap().len(), 100_000);
         assert_eq!(vec.get(1).unwrap(), b"");
         assert_eq!(vec.get(2).unwrap(), &big[..]);
@@ -551,10 +552,10 @@ mod tests {
             w.push(format!("{}", i % 7).as_bytes());
         }
         let bytes = w.encode_dictionary().unwrap();
-        let vec = Vector::decode(&bytes).unwrap();
-        assert_eq!(vec.stats().version, 2);
-        assert_eq!(vec.stats().data_bytes, 500);
-        for i in 0..500u64 {
+        let (vec, stats) = Vector::decode(&bytes).unwrap();
+        assert_eq!(stats.version, 2);
+        assert_eq!(stats.data_bytes, 500);
+        for i in 0..500 {
             assert_eq!(vec.get(i).unwrap(), format!("{}", i % 7).as_bytes());
         }
     }
@@ -567,8 +568,8 @@ mod tests {
         }
         assert!(w.encode_dictionary().is_none());
         // encode_auto falls back to the indexed plain form.
-        let vec = Vector::decode(&w.encode_auto()).unwrap();
-        assert_eq!(vec.stats().version, 3);
+        let (vec, stats) = Vector::decode(&w.encode_auto()).unwrap();
+        assert_eq!(stats.version, 3);
         assert!(vec.sorted_order().is_some());
     }
 
@@ -580,18 +581,17 @@ mod tests {
             w.push(v);
         }
         let bytes = w.encode_indexed();
-        let vec = Vector::decode(&bytes).unwrap();
-        assert_eq!(vec.stats().version, 3);
-        assert_eq!(vec.stats().index_bytes, 2 + 4 * 300);
-        assert_eq!(vec.skip_entries().len(), 2); // records 0, 256
+        let (vec, stats) = Vector::decode(&bytes).unwrap();
+        assert_eq!(stats.version, 3);
+        assert_eq!(stats.index_bytes, 2 + 4 * 300);
         for (i, v) in values.iter().rev().enumerate() {
-            assert_eq!(vec.get(i as u64).unwrap(), v.as_slice());
+            assert_eq!(vec.get(i).unwrap(), v.as_slice());
         }
         let order = vec.sorted_order().unwrap();
         assert_eq!(order.len(), 300);
         for pair in order.windows(2) {
-            let a = vec.get(pair[0] as u64).unwrap();
-            let b = vec.get(pair[1] as u64).unwrap();
+            let a = &vec[pair[0] as usize];
+            let b = &vec[pair[1] as usize];
             assert!((a, pair[0]) < (b, pair[1]), "index out of order");
         }
     }
@@ -602,11 +602,11 @@ mod tests {
         for i in 0..100usize {
             w.push(format!("{}", i % 3).as_bytes());
         }
-        let vec = Vector::decode(&w.encode_indexed()).unwrap();
+        let (vec, _) = Vector::decode(&w.encode_indexed()).unwrap();
         let order = vec.sorted_order().unwrap();
         // Equal values keep ascending positions.
         for pair in order.windows(2) {
-            if vec.get(pair[0] as u64).unwrap() == vec.get(pair[1] as u64).unwrap() {
+            if vec[pair[0] as usize] == vec[pair[1] as usize] {
                 assert!(pair[0] < pair[1]);
             }
         }
@@ -619,31 +619,22 @@ mod tests {
         for i in 0..(INDEX_MIN_COUNT - 1) as usize {
             small.push(format!("v{i}").as_bytes());
         }
-        let small = Vector::decode(&small.encode_auto()).unwrap();
-        assert_eq!(small.stats().version, 1);
+        let (_, small) = Vector::decode(&small.encode_auto()).unwrap();
+        assert_eq!(small.version, 1);
         // At scale with > 128 distinct values (dictionary impossible)
         // the indexed form wins.
         let mut big = Writer::new();
         for i in 0..200usize {
             big.push(format!("v{i}").as_bytes());
         }
-        assert_eq!(
-            Vector::decode(&big.encode_auto()).unwrap().stats().version,
-            3
-        );
+        assert_eq!(Vector::decode(&big.encode_auto()).unwrap().1.version, 3);
         // Low-cardinality data still prefers the dictionary: one byte
         // per record beats plain data plus a four-byte index entry.
         let mut dictish = Writer::new();
         for i in 0..200usize {
             dictish.push(format!("{}", i % 5).as_bytes());
         }
-        assert_eq!(
-            Vector::decode(&dictish.encode_auto())
-                .unwrap()
-                .stats()
-                .version,
-            2
-        );
+        assert_eq!(Vector::decode(&dictish.encode_auto()).unwrap().1.version, 2);
     }
 
     #[test]
@@ -653,14 +644,11 @@ mod tests {
             w.push(&v);
         }
         let good = w.encode_indexed();
-        let vec = Vector::decode(&good).unwrap();
-        assert_eq!(vec.stats().version, 3);
+        let (_, stats) = Vector::decode(&good).unwrap();
+        assert_eq!(stats.version, 3);
         // Swap the first two index entries: positions stay a permutation
         // but the value order breaks.
-        let data_end = good.len()
-            - 28
-            - vec.skip_entries().len() // 1-byte varints at this size
-            - vec.stats().index_bytes as usize;
+        let data_end = DATA_START + stats.data_bytes as usize;
         let mut bad = good.clone();
         let e0 = data_end + 1; // past the 1-byte varint count
         for k in 0..4 {
@@ -682,37 +670,21 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("vx-vec-salvage-v3-{}.vec", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let vec = Vector::open_salvage(&path, 90).unwrap();
+        let (vec, stats) = Vector::open_salvage(&path, 90).unwrap();
         for (i, v) in values.iter().enumerate() {
-            assert_eq!(vec.get(i as u64).unwrap(), v.as_slice());
+            assert_eq!(vec.get(i).unwrap(), v.as_slice());
         }
         // The index section survives trailer loss intact.
         assert!(vec.sorted_order().is_some());
 
         // Truncating into the index itself degrades to "no index"
         // without failing the load.
-        let index_start = DATA_START + vec.stats().data_bytes as usize;
+        let index_start = DATA_START + stats.data_bytes as usize;
         std::fs::write(&path, &bytes[..index_start + 10]).unwrap();
-        let vec = Vector::open_salvage(&path, 90).unwrap();
+        let (vec, _) = Vector::open_salvage(&path, 90).unwrap();
         assert!(vec.sorted_order().is_none());
         assert_eq!(vec.len(), 90);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn cursor_scans_and_seeks() {
-        let values = sample_values(300);
-        let mut w = Writer::new();
-        for v in &values {
-            w.push(v);
-        }
-        let vec = Vector::decode(&w.encode_plain()).unwrap();
-        let collected: Vec<_> = vec.iter().map(|v| v.to_vec()).collect();
-        assert_eq!(collected, values);
-        let mut c = vec.cursor(0);
-        c.seek(299);
-        assert_eq!(c.next().unwrap(), values[299].as_slice());
-        assert!(c.next().is_none());
     }
 
     #[test]
@@ -744,10 +716,82 @@ mod tests {
         bytes.truncate(n - 20);
         let path = std::env::temp_dir().join(format!("vx-vec-salvage-{}.vec", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        let vec = Vector::open_salvage(&path, 50).unwrap();
+        let (vec, _) = Vector::open_salvage(&path, 50).unwrap();
         for (i, v) in values.iter().enumerate() {
-            assert_eq!(vec.get(i as u64).unwrap(), v.as_slice());
+            assert_eq!(vec.get(i).unwrap(), v.as_slice());
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Values that exercise every encoding edge: empty ones, one over
+    /// 64 KiB (a three-byte length varint), and `distinct` different
+    /// values in all, around the 128-entry dictionary cut-off.
+    fn edge_values(distinct: usize) -> Vec<Vec<u8>> {
+        let mut values: Vec<Vec<u8>> = (0..300)
+            .map(|i| format!("d{}", i % (distinct - 2)).into_bytes())
+            .collect();
+        values[3] = Vec::new();
+        values[200] = Vec::new();
+        values[150] = vec![b'w'; 70_000];
+        values
+    }
+
+    fn encodings(w: &Writer) -> Vec<(u8, Vec<u8>)> {
+        let mut out = vec![
+            (V1_PLAIN, w.encode_plain()),
+            (V3_SORTED, w.encode_indexed()),
+        ];
+        out.extend(w.encode_dictionary().map(|d| (V2_DICT, d)));
+        out
+    }
+
+    /// Strict and salvage decodes of v1, v2 and v3 each equal the column
+    /// built by `push`, value for value.
+    #[test]
+    fn every_version_decodes_to_the_pushed_column() {
+        let path = std::env::temp_dir().join(format!("vx-vec-column-{}.vec", std::process::id()));
+        let mut versions = Vec::new();
+        for distinct in [128, 129] {
+            let values = edge_values(distinct);
+            let mut pushed = Vector::default();
+            let mut w = Writer::new();
+            for v in &values {
+                pushed.push(v).unwrap();
+                w.push(v);
+            }
+            assert_eq!(pushed.len(), values.len());
+            assert!(pushed.iter().eq(values.iter().map(Vec::as_slice)));
+            for (version, bytes) in encodings(&w) {
+                let (strict, stats) = Vector::decode(&bytes).unwrap();
+                assert_eq!(stats.version, version);
+                assert_eq!(strict, pushed, "strict v{version}, {distinct} distinct");
+                assert_eq!(stats.value_bytes, pushed.value_bytes());
+                assert_eq!(strict.sorted_order().is_some(), version == V3_SORTED);
+                std::fs::write(&path, &bytes).unwrap();
+                let (salvaged, _) = Vector::open_salvage(&path, values.len() as u64).unwrap();
+                assert_eq!(salvaged, pushed, "salvage v{version}, {distinct} distinct");
+                versions.push(version);
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+        // 128 distinct values still fit the dictionary; 129 do not.
+        assert_eq!(versions, [1, 3, 2, 1, 3]);
+    }
+
+    /// Equality ignores the value index, and `push` drops it.
+    #[test]
+    fn push_clears_the_value_index() {
+        let mut w = Writer::new();
+        for v in sample_values(100) {
+            w.push(&v);
+        }
+        let (mut indexed, _) = Vector::decode(&w.encode_indexed()).unwrap();
+        let plain: Vector = sample_values(100).iter().collect();
+        assert!(indexed.sorted_order().is_some());
+        assert_eq!(indexed, plain);
+        indexed.push(b"late").unwrap();
+        assert!(indexed.sorted_order().is_none());
+        assert_eq!(indexed.get(100), Some(&b"late"[..]));
+        assert_eq!(indexed.len(), 101);
     }
 }

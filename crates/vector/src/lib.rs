@@ -37,7 +37,7 @@ mod format;
 mod reference;
 mod spill;
 
-pub use format::{Cursor, CursorStats, Vector, VectorStats, INDEX_MIN_COUNT, SKIP_STRIDE};
+pub use format::{Vector, VectorStats, INDEX_MIN_COUNT, SKIP_STRIDE};
 pub use spill::{Spill, SpillStats, SpillVector};
 
 use std::fmt;
@@ -54,10 +54,10 @@ pub enum VectorError {
         offset: usize,
         message: String,
     },
-    /// Requested record index ≥ record count.
-    OutOfBounds {
-        index: u64,
-        count: u64,
+    /// A column would pass `u32::MAX` value bytes, the most its
+    /// offsets address.
+    TooLarge {
+        bytes: u64,
     },
 }
 
@@ -70,8 +70,11 @@ impl fmt::Display for VectorError {
             VectorError::Corrupt { offset, message } => {
                 write!(f, "corrupt .vec at byte {offset}: {message}")
             }
-            VectorError::OutOfBounds { index, count } => {
-                write!(f, "record {index} out of bounds (vector has {count})")
+            VectorError::TooLarge { bytes } => {
+                write!(
+                    f,
+                    "column of {bytes} value bytes passes the u32 offset limit"
+                )
             }
         }
     }

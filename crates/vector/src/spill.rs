@@ -454,7 +454,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             stats,
-            Vector::decode(&out).unwrap().stats(),
+            Vector::decode(&out).unwrap().1,
             "returned stats must be what a strict decode reads"
         );
         out

@@ -1,35 +1,28 @@
-//! `bench_serve` — closed-loop load harness for `vx serve`, plus the
-//! parallel-vs-serial reduce differential, emitted as `BENCH_serve.json`.
+//! `bench_serve` — closed-loop load harness for `vx serve`, emitted as
+//! `BENCH_serve.json`.
 //!
 //! ```text
 //! bench_serve [--xk N] [--tb N] [--ml N] [--ss N] [--clients C]
-//!             [--requests R] [--threads T] [--iters K] [--out FILE]
+//!             [--requests R] [--threads T] [--out FILE]
 //! ```
 //!
-//! Two sections:
-//!
-//! 1. **serve** — the four bench corpora are ingested into on-disk
-//!    stores, a real [`xmlvec::serve::Server`] is started on a loopback
-//!    port, and `C` closed-loop client threads each issue `R` rounds of
-//!    the 13-query table3 workload over keep-alive connections (with
-//!    `/stats`, `/metrics` and `/healthz` probes mixed in). Latency is
-//!    measured twice: client-side wall time per request, and the
-//!    server's own per-endpoint histograms scraped from `/stats`. A
-//!    sampler thread polls `/stats` throughout the run recording the
-//!    queue-depth and slow-log-occupancy gauges, and the final
-//!    `/metrics` answer is validated against the Prometheus text
-//!    exposition format before the report is written.
-//! 2. **reduce** — for each corpus at the configured scale, a
-//!    two-document join (the corpus paired with a copy of itself under
-//!    a second name) is evaluated with the scoped-thread per-document
-//!    collection fan-out and serially; outputs must be byte-identical
-//!    and both times are reported.
+//! The four bench corpora are ingested into on-disk stores, a real
+//! [`xmlvec::serve::Server`] is started on a loopback port, and `C`
+//! closed-loop client threads each issue `R` rounds of the 13-query
+//! table3 workload over keep-alive connections (with `/stats`,
+//! `/metrics` and `/healthz` probes mixed in). Latency is measured
+//! twice: client-side wall time per request, and the server's own
+//! per-endpoint histograms scraped from `/stats`. A sampler thread polls
+//! `/stats` throughout the run recording the queue-depth and
+//! slow-log-occupancy gauges, and the final `/metrics` answer is
+//! validated against the Prometheus text exposition format before the
+//! report is written.
 //!
 //! Scales default from `BenchScales::DEFAULT`, overridable by the
 //! `VX_BENCH_XK`/`VX_BENCH_TB`/`VX_BENCH_ML`/`VX_BENCH_SS` environment
-//! and then flags; `VX_BENCH_CLIENTS`, `VX_BENCH_REQUESTS` and
-//! `VX_BENCH_ITERS` seed the load-shape knobs the same way, so CI can
-//! run the whole harness at tiny scale without touching flags.
+//! and then flags; `VX_BENCH_CLIENTS` and `VX_BENCH_REQUESTS` seed the
+//! load-shape knobs the same way, so CI can run the whole harness at
+//! tiny scale without touching flags.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -39,10 +32,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xmlvec::bench::{build_corpus_store, corpus, BenchScales, DATASETS};
+use xmlvec::bench::{build_corpus_store, BenchScales, DATASETS};
 use xmlvec::core::json::{to_string_pretty, Json};
-use xmlvec::core::{vectorize, StoreHandle};
-use xmlvec::engine::Query;
 use xmlvec::obs::Histogram;
 use xmlvec::serve::Server;
 
@@ -51,7 +42,6 @@ struct Config {
     clients: usize,
     requests: usize,
     threads: usize,
-    iters: u32,
     out: PathBuf,
 }
 
@@ -68,7 +58,6 @@ fn parse_args() -> Config {
         clients: env_num("VX_BENCH_CLIENTS", 8),
         requests: env_num("VX_BENCH_REQUESTS", 25),
         threads: env_num("VX_BENCH_THREADS", 4),
-        iters: env_num("VX_BENCH_ITERS", 3),
         out: PathBuf::from("BENCH_serve.json"),
     };
     let mut args = std::env::args().skip(1);
@@ -93,13 +82,12 @@ fn parse_args() -> Config {
             "--clients" => config.clients = parse_num("--clients", value("--clients")),
             "--requests" => config.requests = parse_num("--requests", value("--requests")),
             "--threads" => config.threads = parse_num("--threads", value("--threads")),
-            "--iters" => config.iters = parse_num("--iters", value("--iters")) as u32,
             "--out" => config.out = PathBuf::from(value("--out")),
             other => {
                 eprintln!("bench_serve: unknown flag `{other}`");
                 eprintln!(
                     "usage: bench_serve [--xk N] [--tb N] [--ml N] [--ss N] [--clients C] \
-                     [--requests R] [--threads T] [--iters K] [--out FILE]"
+                     [--requests R] [--threads T] [--out FILE]"
                 );
                 exit(2);
             }
@@ -108,7 +96,6 @@ fn parse_args() -> Config {
     config.clients = config.clients.max(1);
     config.requests = config.requests.max(1);
     config.threads = config.threads.max(1);
-    config.iters = config.iters.max(1);
     config
 }
 
@@ -395,126 +382,6 @@ fn load_phase(config: &Config, addr: SocketAddr) -> (ClientSide, Json, LoadSampl
     (side, scraped, samples)
 }
 
-/// The per-dataset two-document join: the same corpus under the names
-/// `a` and `b`, so the collection phase has two documents to fan out
-/// over while the join itself mirrors a table3 workload query.
-fn join_query(dataset: &str) -> &'static str {
-    match dataset {
-        "xk" => {
-            r#"for $p in doc("a")/site/people/person,
-                   $q in doc("b")/site/people/person
-               where $p/@id = $q/@id
-               return $p/name"#
-        }
-        "tb" => {
-            r#"for $a in doc("a")//NP, $b in doc("b")//PP
-               where $a/NN = $b/NP/NN
-               return $a/NN"#
-        }
-        "ml" => {
-            r#"for $a in doc("a")//MedlineCitation,
-                   $b in doc("b")//MedlineCitation
-               where $a/Language = "FRE"
-                 and $a/PubData/Year = $b/PubData/Year
-               return $b/PMID"#
-        }
-        "ss" => {
-            r#"for $a in doc("a")//PhotoObj, $b in doc("b")//PhotoObj
-               where $a/objID = $b/objID
-               return $b/ra"#
-        }
-        other => {
-            eprintln!("bench_serve: no join query for dataset `{other}`");
-            exit(1);
-        }
-    }
-}
-
-fn canon(output: &xmlvec::QueryOutput) -> Vec<u8> {
-    match output {
-        xmlvec::QueryOutput::Values(values) => {
-            let mut bytes = Vec::new();
-            for value in values {
-                bytes.extend_from_slice(value);
-                bytes.push(b'\n');
-            }
-            bytes
-        }
-        xmlvec::QueryOutput::Document(_) => output
-            .to_xml()
-            .expect("constructor output serializes")
-            .into_bytes(),
-    }
-}
-
-/// Times the parallel per-document collection against the serial walk
-/// for every corpus; best-of-`iters` per mode, byte-identical outputs.
-/// `VX_PARALLEL=force` pins the fan-out on so the mechanism is really
-/// measured — the engine's auto gate would silently fall back to the
-/// serial walk on a single-core host (the report records the host's
-/// parallelism so a ~1x speedup there is explained, not alarming).
-fn reduce_phase(config: &Config) -> Vec<Json> {
-    std::env::set_var("VX_PARALLEL", "force");
-    let mut rows = Vec::new();
-    for dataset in DATASETS {
-        let records = config.scales.records(dataset);
-        let doc = corpus(dataset, records);
-        let vec_doc = vectorize(&doc).unwrap_or_else(|e| {
-            eprintln!("bench_serve: vectorizing {dataset}: {e}");
-            exit(1);
-        });
-        let handles = vec![
-            StoreHandle::from_doc("a", vec_doc.clone()).expect("handle a"),
-            StoreHandle::from_doc("b", vec_doc).expect("handle b"),
-        ];
-        let query = Query::new(join_query(dataset)).expect("join query compiles");
-
-        let time_best = |serial: bool| -> (f64, Vec<u8>) {
-            let mut best = f64::INFINITY;
-            let mut bytes = Vec::new();
-            for _ in 0..config.iters {
-                let options = xmlvec::RunOptions {
-                    parallel: !serial,
-                    ..Default::default()
-                };
-                let start = Instant::now();
-                let output = query
-                    .run_with(&handles, &options)
-                    .unwrap_or_else(|e| {
-                        eprintln!("bench_serve: {dataset} join: {e}");
-                        exit(1);
-                    })
-                    .output;
-                best = best.min(start.elapsed().as_secs_f64());
-                bytes = canon(&output);
-            }
-            (best, bytes)
-        };
-        let (serial_secs, serial_bytes) = time_best(true);
-        let (parallel_secs, parallel_bytes) = time_best(false);
-        if serial_bytes != parallel_bytes {
-            eprintln!("bench_serve: {dataset}: parallel output diverged from serial");
-            exit(1);
-        }
-        let cardinality = serial_bytes.iter().filter(|&&b| b == b'\n').count();
-        let speedup = serial_secs / parallel_secs;
-        println!(
-            "reduce {dataset:>2}: {records:>6} records  serial {:>8.2}ms  parallel {:>8.2}ms  x{speedup:.2}",
-            serial_secs * 1e3,
-            parallel_secs * 1e3,
-        );
-        rows.push(Json::Object(vec![
-            ("dataset".into(), Json::Str(dataset.into())),
-            ("records".into(), Json::Num(records as f64)),
-            ("cardinality".into(), Json::Num(cardinality as f64)),
-            ("serial_secs".into(), Json::Num(serial_secs)),
-            ("parallel_secs".into(), Json::Num(parallel_secs)),
-            ("speedup".into(), Json::Num(speedup)),
-        ]));
-    }
-    rows
-}
-
 fn histogram_row(hist: &Histogram) -> Json {
     Json::Object(vec![
         ("count".into(), Json::Num(hist.count() as f64)),
@@ -587,8 +454,6 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let reduce_rows = reduce_phase(&config);
-
     let client_side = Json::Object(vec![
         ("query".into(), histogram_row(&side.query)),
         ("stats".into(), histogram_row(&side.stats)),
@@ -608,7 +473,6 @@ fn main() {
             Json::Num(config.requests as f64),
         ),
         ("server_threads".into(), Json::Num(config.threads as f64)),
-        ("iters".into(), Json::Num(f64::from(config.iters))),
         (
             "host_parallelism".into(),
             Json::Num(
@@ -628,7 +492,6 @@ fn main() {
                 ),
             ]),
         ),
-        ("reduce".into(), Json::Array(reduce_rows)),
     ]);
     if let Err(e) = std::fs::write(&config.out, to_string_pretty(&report)) {
         eprintln!("bench_serve: writing {}: {e}", config.out.display());

@@ -1,23 +1,13 @@
-//! Concurrency differentials for the shared-immutable store refactor.
+//! Concurrency differentials for the shared-immutable store.
 //!
 //! One [`StoreHandle`] per bench corpus is shared (by `Arc`-bump clone)
 //! across 8 threads, each running the full table3 workload; every
-//! thread's output must be byte-identical to the serial baseline. A
-//! second differential pins the parallel per-document collection path:
-//! a two-document join evaluated with the fan-out enabled must match
-//! the serial pass byte for byte.
+//! thread's output must be byte-identical to a single-threaded baseline.
 
 use std::collections::HashMap;
 use xmlvec::core::{vectorize, StoreHandle};
 use xmlvec::engine::Query;
 use xmlvec::{QueryOutput, RunOptions};
-
-fn serial() -> RunOptions {
-    RunOptions {
-        parallel: false,
-        ..RunOptions::default()
-    }
-}
 
 /// Tiny corpora — large enough that every workload query returns rows,
 /// small enough to keep the 8×13 query matrix fast in CI.
@@ -53,17 +43,8 @@ fn canon(output: &QueryOutput) -> Vec<u8> {
     }
 }
 
-/// The engine auto-disables the multi-document fan-out on single-core
-/// hosts; the differentials here are about the scoped-thread merge
-/// path, so they force it regardless of the machine CI runs on. Every
-/// test sets the same value, so concurrent test threads don't race.
-fn force_parallel() {
-    std::env::set_var("VX_PARALLEL", "force");
-}
-
 #[test]
 fn eight_threads_match_serial_on_the_workload() {
-    force_parallel();
     let handles = tiny_handles();
     let specs = xmlvec::data::workload();
 
@@ -76,7 +57,14 @@ fn eight_threads_match_serial_on_the_workload() {
 
     let serial: Vec<Vec<u8>> = compiled
         .iter()
-        .map(|(name, query)| canon(&query.run_with(&handles, &serial()).expect(name).output))
+        .map(|(name, query)| {
+            canon(
+                &query
+                    .run_with(&handles, &RunOptions::default())
+                    .expect(name)
+                    .output,
+            )
+        })
         .collect();
     assert!(
         serial.iter().any(|bytes| !bytes.is_empty()),
@@ -103,41 +91,6 @@ fn eight_threads_match_serial_on_the_workload() {
             });
         }
     });
-}
-
-#[test]
-fn parallel_multi_document_collection_matches_serial() {
-    force_parallel();
-    // Two handles over the same XMark corpus under different names: the
-    // self-join references both documents, so the default options take
-    // the scoped-thread collection path while `parallel: false` walks
-    // the documents one after the other.
-    let doc = xmlvec::bench::corpus("xk", 60);
-    let vec_doc = vectorize(&doc).expect("xmark vectorizes");
-    let handles = vec![
-        StoreHandle::from_doc("a", vec_doc.clone()).unwrap(),
-        StoreHandle::from_doc("b", vec_doc).unwrap(),
-    ];
-    let query = Query::new(
-        r#"for $p in doc("a")/site/people/person,
-               $q in doc("b")/site/people/person
-           where $p/@id = $q/@id
-           return $p/name"#,
-    )
-    .unwrap();
-
-    let serial = canon(&query.run_with(&handles, &serial()).unwrap().output);
-    let parallel = canon(
-        &query
-            .run_with(&handles, &RunOptions::default())
-            .unwrap()
-            .output,
-    );
-    assert!(!serial.is_empty(), "self-join should match every person");
-    assert_eq!(
-        parallel, serial,
-        "parallel collection must be byte-identical"
-    );
 }
 
 #[test]

@@ -311,7 +311,7 @@ fn generated_queries_agree_with_the_oracle_under_every_mode() {
                     {
                         let options = RunOptions {
                             use_indexes,
-                            struct_index: Some(struct_index),
+                            struct_index,
                             ..RunOptions::default()
                         };
                         let label = format!(

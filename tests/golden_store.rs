@@ -159,9 +159,9 @@ fn ss_1500_compact_dictionary_vector_decodes() {
     // survived sanitization completely (only the trailer is damaged —
     // hence the salvage reader, with the count from the catalog).
     let path = store_dir("ss-1500-compact").join("v000008.vec");
-    let vector = Vector::open_salvage(&path, 1500).unwrap();
+    let (vector, stats) = Vector::open_salvage(&path, 1500).unwrap();
     assert_eq!(vector.len(), 1500);
-    assert_eq!(vector.stats().version, 2);
+    assert_eq!(stats.version, 2);
     let mut distinct: Vec<Vec<u8>> = Vec::new();
     for value in vector.iter() {
         assert_eq!(value.len(), 1);
