@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use vx_ingest::{Pipeline, PipelineOptions};
 use vx_skeleton::format as skformat;
 use vx_wal::{Record, SyncMode, Wal, FLAG_DROP_UNREPRESENTABLE, KIND_APPEND_DOC};
-use vx_xml::{Event, Events};
+use vx_xml::{EventRef, Events};
 
 /// Name of the generation manifest file.
 pub const CURRENT_FILE: &str = "CURRENT";
@@ -557,9 +557,10 @@ fn splice(
     });
     // Depth inside the appended document; 0 = prolog/epilog, 1 = its root.
     let mut depth = 0usize;
-    for event in Events::new(bytes) {
-        match (depth, event?) {
-            (0, Event::Start(name)) => {
+    let mut events = Events::new(bytes);
+    while let Some(event) = events.next_ref()? {
+        match (depth, event) {
+            (0, EventRef::Start(name)) => {
                 if name != root_name {
                     return Err(CoreError::Unsupported(format!(
                         "appended document root `{name}` does not match store root `{root_name}`"
@@ -568,16 +569,16 @@ fn splice(
                 depth = 1;
             }
             (0, _) => {}
-            (1, Event::Attr { .. }) => {
+            (1, EventRef::Attr { .. }) => {
                 return Err(CoreError::Unsupported(
                     "appended document root must not carry attributes".into(),
                 ));
             }
-            (1, Event::End(_)) => depth = 0,
+            (1, EventRef::End(_)) => depth = 0,
             (_, event) => {
                 match event {
-                    Event::Start(_) => depth += 1,
-                    Event::End(_) => depth -= 1,
+                    EventRef::Start(_) => depth += 1,
+                    EventRef::End(_) => depth -= 1,
                     _ => {}
                 }
                 pipeline.feed(event)?;

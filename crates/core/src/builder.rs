@@ -35,8 +35,12 @@ use vx_skeleton::{NodeId, Skeleton};
 impl ValueSink for VecDoc {
     type Output = VecDoc;
 
-    fn push(&mut self, path: &str, value: &[u8]) -> vx_ingest::Result<()> {
-        Ok(self.push_value(path, value)?)
+    fn vector(&mut self, path: &str) -> vx_ingest::Result<usize> {
+        Ok(self.vector_index(path))
+    }
+
+    fn push(&mut self, vector: usize, value: &[u8]) -> vx_ingest::Result<()> {
+        Ok(self.push_value(vector, value)?)
     }
 
     fn finish(mut self, skeleton: Skeleton, root: NodeId, _: PipelineStats) -> VecDoc {

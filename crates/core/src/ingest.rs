@@ -25,7 +25,7 @@ use std::path::Path;
 use vx_ingest::{IngestOutput, PipelineOptions};
 use vx_skeleton::format as skformat;
 use vx_vector::{Spill, SpillStats};
-use vx_xml::{Event, Events};
+use vx_xml::Events;
 
 /// Streaming-ingest policy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -77,22 +77,15 @@ impl Store {
         reader: R,
         options: &IngestOptions,
     ) -> Result<IngestReport> {
-        Store::ingest_events(dir, Events::new(reader), options)
-    }
-
-    /// Same, over an already-constructed parse-event stream.
-    pub fn ingest_events(
-        dir: &Path,
-        events: impl Iterator<Item = vx_xml::Result<Event>>,
-        options: &IngestOptions,
-    ) -> Result<IngestReport> {
         fs::create_dir_all(dir)?;
         let spill = Spill::create(&dir.join(".ingest.spill"))?;
         let pipeline_options = PipelineOptions {
             drop_unrepresentable: options.drop_unrepresentable,
         };
+        // Only `Compaction::Auto` weighs the dictionary form.
+        let dictionary = options.compaction == Compaction::Auto;
         let timer = vx_obs::Timer::start();
-        let output = vx_ingest::run(events, spill, pipeline_options)?;
+        let output = vx_ingest::run(Events::new(reader), spill, pipeline_options, dictionary)?;
         let pipeline_secs = timer.secs();
         write_output(dir, output, options, pipeline_secs)
     }

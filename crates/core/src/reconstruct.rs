@@ -88,7 +88,7 @@ fn walk(
         return Err(CoreError::Corrupt("root node is a text marker".into()));
     };
     let mut paths = PathIds::default();
-    let root_path = paths.child(SUPER_ROOT, root_name, doc);
+    let root_path = doc.path_id(&mut paths, SUPER_ROOT, root_name);
     let mut walk = Walk {
         doc,
         paths,
@@ -128,7 +128,7 @@ impl<'a, S: Sink> Walk<'a, S> {
                 continue;
             };
             if let Some(attr) = skeleton.name(child).strip_prefix('@') {
-                let attr_path = self.paths.child(path, child, self.doc);
+                let attr_path = self.doc.path_id(&mut self.paths, path, child);
                 for _ in 0..edge.run {
                     let value = self.take(attr_path)?;
                     self.sink.attr(attr, &value)?;
@@ -145,7 +145,7 @@ impl<'a, S: Sink> Walk<'a, S> {
                 }
                 Some(child) if skeleton.name(child).starts_with('@') => {}
                 Some(child) => {
-                    let child_path = self.paths.child(path, child, self.doc);
+                    let child_path = self.doc.path_id(&mut self.paths, path, child);
                     for _ in 0..edge.run {
                         self.element(edge.child, child_path)?;
                     }

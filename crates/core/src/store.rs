@@ -152,7 +152,10 @@ impl Store {
             // One in-memory spill per vector: it holds that vector's
             // record stream only until its file is written.
             let mut spill = Spill::new(io::Cursor::new(Vec::new()));
-            let mut encoder = SpillVector::default();
+            let mut encoder = match compaction {
+                Compaction::None => SpillVector::plain(),
+                Compaction::Auto => SpillVector::default(),
+            };
             for value in vector.values.iter() {
                 encoder.append(&mut spill, value)?;
             }

@@ -1,7 +1,7 @@
 //! The in-memory vectorized document `VEC(T) = (S, V)`.
 
 use std::collections::HashMap;
-use vx_skeleton::{NodeId, Skeleton};
+use vx_skeleton::{NameId, NodeId, PathId, PathIds, Skeleton};
 use vx_vector::Vector;
 
 /// One data vector: every text value of one root-to-text tag path, in
@@ -57,13 +57,12 @@ impl VecDoc {
         i
     }
 
-    /// Appends a value to the vector of `path`. The column drops its
-    /// persistent value index if it had one (see [`Vector::push`]);
-    /// vectors that gain nothing keep theirs (a WAL overlay extends only
-    /// some).
-    pub fn push_value(&mut self, path: &str, value: &[u8]) -> vx_vector::Result<()> {
-        let i = self.vector_index(path);
-        self.vectors[i].values.push(value)
+    /// Appends a value to the vector at position `vector` (see
+    /// [`VecDoc::vector_index`]). The column drops its persistent value
+    /// index if it had one (see [`Vector::push`]); vectors that gain
+    /// nothing keep theirs (a WAL overlay extends only some).
+    pub fn push_value(&mut self, vector: usize, value: &[u8]) -> vx_vector::Result<()> {
+        self.vectors[vector].values.push(value)
     }
 
     /// Inserts a whole vector (store loading); replaces an existing path.
@@ -85,6 +84,17 @@ impl VecDoc {
     /// Index of the vector for `path` in [`VecDoc::vectors`], if present.
     pub fn vector_position(&self, path: &str) -> Option<usize> {
         self.lookup.get(path).copied()
+    }
+
+    /// The id of `parent`'s child path `name` in `ids`, a path seen for
+    /// the first time resolving its vector here once: the walks over the
+    /// document (output, query) find each text's vector this way without
+    /// building or hashing a path string per value.
+    #[inline]
+    pub fn path_id(&self, ids: &mut PathIds, parent: PathId, name: NameId) -> PathId {
+        ids.child_resolved(parent, name, &self.skeleton, |path| {
+            self.vector_position(path)
+        })
     }
 
     /// Total text bytes across all vectors.

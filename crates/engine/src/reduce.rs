@@ -681,7 +681,7 @@ fn collect_doc(
     };
 
     let mut paths = PathTrie::new();
-    let root_path = paths.ids.child(SUPER_ROOT, root_name, doc);
+    let root_path = doc.path_id(&mut paths.ids, SUPER_ROOT, root_name);
     let mut walker = Walker {
         doc,
         skeleton,
@@ -766,7 +766,7 @@ impl PathTrie {
         for &(rel, count) in index.texts_below(node) {
             let mut at = id;
             for name in index.rel_names(rel) {
-                at = self.ids.child(at, name, doc);
+                at = doc.path_id(&mut self.ids, at, name);
             }
             let pos = self.text_vector(at, &doc.skeleton)?;
             self.texts.push((pos, count));
@@ -949,7 +949,7 @@ impl Walker<'_> {
                     }
                 }
                 Some(child_name) => {
-                    let child_path = self.paths.ids.child(path, child_name, self.doc);
+                    let child_path = self.doc.path_id(&mut self.paths.ids, path, child_name);
                     if live_lo == live_hi {
                         // No machine can match anything below: bulk-advance
                         // the cursors over the subtree without entering it.

@@ -2,10 +2,14 @@
 //! events into `VEC(T) = (S, V)` in one pass, with no tree (Prop 2.1).
 //!
 //! [`Pipeline`] drives [`vx_skeleton::SkeletonBuilder`], which hash-conses
-//! each subtree the moment its end tag arrives, keeps the root-to-node tag
-//! path (attributes as a final `@name` component), applies the comment/PI
-//! rule and the [`PipelineStats`] tallies. Only where a value goes varies,
-//! behind [`ValueSink`]: [`run`] feeds each path's values to one
+//! each subtree the moment its end tag arrives, applies the comment/PI
+//! rule and the [`PipelineStats`] tallies. It takes borrowed events
+//! ([`vx_xml::EventRef`]) and keeps one [`PathId`] per open element —
+//! the root-to-node tag path, numbered by [`PathIds`], attributes as a
+//! final `@name` component — so a value reaches its vector by index:
+//! the path is spelled once, when its first value arrives, and nothing
+//! is allocated or hashed as a string per event. Only where a value goes
+//! varies, behind [`ValueSink`]: [`run`] feeds each path's values to one
 //! [`vx_vector::SpillVector`], whose full 8 KiB pages go to an
 //! append-only [`vx_vector::Spill`] file (store ingest: peak memory
 //! `O(compressed skeleton + open-element stack + one page per path)`),
@@ -16,12 +20,12 @@
 //! appends byte-identical; the root `tests/ingest_stream.rs` suite pins
 //! it differentially.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
-use vx_skeleton::{NodeId, Skeleton, SkeletonBuilder};
+use std::io::Read;
+use vx_skeleton::{NodeId, PathId, PathIds, Skeleton, SkeletonBuilder, SUPER_ROOT};
 use vx_vector::{Spill, SpillVector};
-use vx_xml::Event;
+use vx_xml::{EventRef, Events};
 
 /// Errors produced by the streaming pipeline.
 #[derive(Debug)]
@@ -115,9 +119,14 @@ pub trait ValueSink {
     /// What [`Pipeline::finish`] returns.
     type Output;
 
-    /// Appends `value` to the vector of `path` (created on first use, so
-    /// vectors come out in first-occurrence document order).
-    fn push(&mut self, path: &str, value: &[u8]) -> Result<()>;
+    /// The index of the vector of `path`, creating it if new. Called once
+    /// per distinct path, when its first value arrives, so vectors come
+    /// out in first-occurrence document order.
+    fn vector(&mut self, path: &str) -> Result<usize>;
+
+    /// Appends `value` to the vector [`ValueSink::vector`] numbered
+    /// `vector`.
+    fn push(&mut self, vector: usize, value: &[u8]) -> Result<()>;
 
     /// Combines the sink with the finished skeleton.
     fn finish(self, skeleton: Skeleton, root: NodeId, stats: PipelineStats) -> Self::Output;
@@ -139,25 +148,26 @@ pub struct IngestOutput {
 struct SpillSink {
     spill: Spill<File>,
     vectors: Vec<(String, SpillVector)>,
-    by_path: HashMap<String, usize>,
+    /// Whether the vectors keep a dictionary candidate (see
+    /// [`SpillVector::plain`]).
+    dictionary: bool,
 }
 
 impl ValueSink for SpillSink {
     type Output = IngestOutput;
 
-    fn push(&mut self, path: &str, value: &[u8]) -> Result<()> {
-        let idx = match self.by_path.get(path) {
-            Some(&i) => i,
-            None => {
-                let i = self.vectors.len();
-                self.vectors
-                    .push((path.to_string(), SpillVector::default()));
-                self.by_path.insert(path.to_string(), i);
-                i
-            }
+    fn vector(&mut self, path: &str) -> Result<usize> {
+        let vector = if self.dictionary {
+            SpillVector::default()
+        } else {
+            SpillVector::plain()
         };
-        self.vectors[idx].1.append(&mut self.spill, value)?;
-        Ok(())
+        self.vectors.push((path.to_string(), vector));
+        Ok(self.vectors.len() - 1)
+    }
+
+    fn push(&mut self, vector: usize, value: &[u8]) -> Result<()> {
+        Ok(self.vectors[vector].1.append(&mut self.spill, value)?)
     }
 
     fn finish(self, skeleton: Skeleton, root: NodeId, stats: PipelineStats) -> IngestOutput {
@@ -176,8 +186,13 @@ impl ValueSink for SpillSink {
 pub struct Pipeline<S> {
     builder: SkeletonBuilder,
     sink: S,
-    path: String,
-    parent_lens: Vec<usize>,
+    /// Numbers the document's paths, and remembers each one's vector in
+    /// `sink` once its first value has arrived.
+    paths: PathIds,
+    /// The path of each open element, innermost last.
+    open: Vec<PathId>,
+    /// Scratch for spelling a path for [`ValueSink::vector`] or an error.
+    spelled: String,
     options: PipelineOptions,
     stats: PipelineStats,
 }
@@ -188,8 +203,9 @@ impl<S: ValueSink> Pipeline<S> {
         Pipeline {
             builder: SkeletonBuilder::new(),
             sink,
-            path: String::new(),
-            parent_lens: Vec::new(),
+            paths: PathIds::default(),
+            open: Vec::new(),
+            spelled: String::new(),
             options,
             stats: PipelineStats::default(),
         }
@@ -206,16 +222,19 @@ impl<S: ValueSink> Pipeline<S> {
         sink: S,
         options: PipelineOptions,
     ) -> Result<Self> {
-        let path = match skeleton.node(root).name {
-            Some(name) => skeleton.name(name).to_string(),
-            None => String::new(),
-        };
+        let root_name = skeleton.node(root).name;
         let builder = SkeletonBuilder::resume(skeleton, root)?;
+        let mut paths = PathIds::default();
+        let open = root_name
+            .map(|name| paths.child(SUPER_ROOT, name))
+            .into_iter()
+            .collect();
         Ok(Pipeline {
             builder,
             sink,
-            path,
-            parent_lens: vec![0],
+            paths,
+            open,
+            spelled: String::new(),
             options,
             stats: PipelineStats::default(),
         })
@@ -231,15 +250,17 @@ impl<S: ValueSink> Pipeline<S> {
         self.stats
     }
 
+    /// The path of the innermost open element.
+    fn innermost(&self) -> PathId {
+        self.open.last().copied().unwrap_or(SUPER_ROOT)
+    }
+
     /// Opens an element.
     pub fn start(&mut self, name: &str) -> Result<()> {
         self.stats.elements += 1;
-        self.builder.start_element(name)?;
-        self.parent_lens.push(self.path.len());
-        if !self.path.is_empty() {
-            self.path.push('/');
-        }
-        self.path.push_str(name);
+        let name = self.builder.start_element(name)?;
+        let path = self.paths.child(self.innermost(), name);
+        self.open.push(path);
         Ok(())
     }
 
@@ -248,13 +269,9 @@ impl<S: ValueSink> Pipeline<S> {
     /// `path/@name`.
     pub fn attr(&mut self, name: &str, value: &[u8]) -> Result<()> {
         self.stats.attr_values += 1;
-        self.builder.attribute(name)?;
-        let len = self.path.len();
-        self.path.push_str("/@");
-        self.path.push_str(name);
-        let result = self.sink.push(&self.path, value);
-        self.path.truncate(len);
-        result
+        let name = self.builder.attribute(name)?;
+        let path = self.paths.child(self.innermost(), name);
+        self.push(path, value)
     }
 
     /// A text (or CDATA) child of the innermost open element: a `#`
@@ -263,17 +280,35 @@ impl<S: ValueSink> Pipeline<S> {
     pub fn text(&mut self, value: &[u8]) -> Result<()> {
         self.stats.text_values += 1;
         self.builder.text()?;
-        self.sink.push(&self.path, value)
+        self.push(self.innermost(), value)
+    }
+
+    /// Appends `value` to the vector of `path`, asking the sink for that
+    /// vector when the path's first value arrives.
+    fn push(&mut self, path: PathId, value: &[u8]) -> Result<()> {
+        let vector = match self.paths.vector(path) {
+            Some(vector) => vector,
+            None => {
+                self.spell(path);
+                let vector = self.sink.vector(&self.spelled)?;
+                self.paths.set_vector(path, vector);
+                vector
+            }
+        };
+        self.sink.push(vector, value)
+    }
+
+    /// Spells `path` into `spelled`.
+    fn spell(&mut self, path: PathId) {
+        self.spelled.clear();
+        self.paths
+            .spell(path, self.builder.skeleton(), &mut self.spelled);
     }
 
     /// Closes the innermost open element.
     pub fn end(&mut self) -> Result<()> {
         self.builder.end_element()?;
-        let parent_len = self
-            .parent_lens
-            .pop()
-            .expect("builder accepted end_element, so an element was open");
-        self.path.truncate(parent_len);
+        self.open.pop();
         Ok(())
     }
 
@@ -282,25 +317,26 @@ impl<S: ValueSink> Pipeline<S> {
     /// an error unless [`PipelineOptions::drop_unrepresentable`].
     pub fn misc(&mut self) -> Result<()> {
         if self.builder.depth() > 0 && !self.options.drop_unrepresentable {
+            self.spell(self.innermost());
             return Err(IngestError::Unsupported(format!(
                 "comment/processing instruction under `{}`; \
                  vectorization drops these only with drop_unrepresentable",
-                self.path
+                self.spelled
             )));
         }
         Ok(())
     }
 
     /// Consumes one parse event.
-    pub fn feed(&mut self, event: Event) -> Result<()> {
+    pub fn feed(&mut self, event: EventRef<'_>) -> Result<()> {
         self.stats.events += 1;
         match event {
-            Event::Decl(_) => Ok(()),
-            Event::Start(name) => self.start(&name),
-            Event::Attr { name, value } => self.attr(&name, value.as_bytes()),
-            Event::Text(t) | Event::CData(t) => self.text(t.as_bytes()),
-            Event::End(_) => self.end(),
-            Event::Comment(_) | Event::Pi { .. } => self.misc(),
+            EventRef::Decl(_) => Ok(()),
+            EventRef::Start(name) => self.start(name),
+            EventRef::Attr { name, value } => self.attr(name, value.as_bytes()),
+            EventRef::Text(t) | EventRef::CData(t) => self.text(t.as_bytes()),
+            EventRef::End(_) => self.end(),
+            EventRef::Comment(_) | EventRef::Pi { .. } => self.misc(),
         }
     }
 
@@ -311,21 +347,24 @@ impl<S: ValueSink> Pipeline<S> {
     }
 }
 
-/// Runs a whole event stream through a [`Pipeline`] whose values spill
-/// to `spill` — the store ingest.
-pub fn run(
-    events: impl Iterator<Item = vx_xml::Result<Event>>,
+/// Runs a whole document through a [`Pipeline`] whose values spill to
+/// `spill` — the store ingest. `dictionary` says whether the vectors
+/// will be finished with [`SpillVector::finish_auto`], which needs a
+/// dictionary candidate; plain ones keep none.
+pub fn run<R: Read>(
+    mut events: Events<R>,
     spill: Spill<File>,
     options: PipelineOptions,
+    dictionary: bool,
 ) -> Result<IngestOutput> {
     let sink = SpillSink {
         spill,
         vectors: Vec::new(),
-        by_path: HashMap::new(),
+        dictionary,
     };
     let mut pipeline = Pipeline::new(sink, options);
-    for event in events {
-        pipeline.feed(event?)?;
+    while let Some(event) = events.next_ref()? {
+        pipeline.feed(event)?;
     }
     pipeline.finish()
 }
@@ -334,7 +373,6 @@ pub fn run(
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use vx_xml::Events;
 
     fn temp_spill(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("vx-ingest-{}-{name}.spill", std::process::id()))
@@ -342,7 +380,7 @@ mod tests {
 
     fn ingest(xml: &str, name: &str, options: PipelineOptions) -> Result<IngestOutput> {
         let spill = Spill::create(&temp_spill(name)).unwrap();
-        run(Events::new(xml.as_bytes()), spill, options)
+        run(Events::new(xml.as_bytes()), spill, options, true)
     }
 
     fn values(output: &mut IngestOutput, path: &str) -> Vec<Vec<u8>> {

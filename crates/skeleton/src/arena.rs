@@ -1,6 +1,8 @@
 //! The hash-consing arena.
 
+use crate::paths::IdHasher;
 use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// Interned tag name (index into [`Skeleton::names`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,13 +33,83 @@ pub struct NodeData {
 ///
 /// Nodes are created bottom-up through [`Skeleton::cons`], which returns an
 /// existing id whenever an identical `(name, edges)` node already exists —
-/// identical subtrees therefore share one node by construction.
+/// identical subtrees therefore share one node by construction, and a
+/// node's children always have lower ids than the node.
 #[derive(Debug, Clone)]
 pub struct Skeleton {
     names: Vec<String>,
     name_lookup: HashMap<String, NameId>,
     nodes: Vec<NodeData>,
-    cons_table: HashMap<(Option<NameId>, Vec<Edge>), NodeId>,
+    cons_table: ConsTable,
+}
+
+/// The element nodes of an arena as an open-addressing hash set of ids,
+/// hashed and compared by their `(name, edges)`: a lookup hashes the
+/// borrowed edges and compares them in place, so finding an existing
+/// node builds no key, and the table holds no second copy of the edges.
+#[derive(Debug, Clone, Default)]
+struct ConsTable {
+    /// `node id + 1`, or 0 for an empty slot; the length is a power of
+    /// two, kept at least twice the number of ids.
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl ConsTable {
+    fn hash(name: NameId, edges: &[Edge]) -> u64 {
+        let mut h = IdHasher::default();
+        h.write_u32(name.0);
+        for e in edges {
+            h.write_u32(e.child.0);
+            h.write_u64(e.run);
+        }
+        h.finish()
+    }
+
+    /// The first slot to probe: the hash's top bits, which the
+    /// multiply-rotate hash mixes best.
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (hash >> (64 - bits)) as usize
+    }
+
+    /// The node `(name, edges)` if it exists, else the empty slot where
+    /// it belongs.
+    fn find(&self, nodes: &[NodeData], name: NameId, edges: &[Edge]) -> Result<NodeId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(Self::hash(name, edges));
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                slot => {
+                    let node = &nodes[slot as usize - 1];
+                    if node.name == Some(name) && node.edges == edges {
+                        return Ok(NodeId(slot - 1));
+                    }
+                }
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Makes room for one more id, rehashing every element node of
+    /// `nodes` into a table twice the size when the load would pass one
+    /// half.
+    fn reserve(&mut self, nodes: &[NodeData]) {
+        if 2 * (self.len + 1) <= self.slots.len() {
+            return;
+        }
+        self.slots = vec![0; (2 * self.slots.len()).max(16)];
+        let mask = self.slots.len() - 1;
+        for (id, node) in nodes.iter().enumerate() {
+            let Some(name) = node.name else { continue };
+            let mut i = self.home(Self::hash(name, &node.edges));
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id as u32 + 1;
+        }
+    }
 }
 
 impl Default for Skeleton {
@@ -49,18 +121,15 @@ impl Default for Skeleton {
 impl Skeleton {
     /// An empty skeleton containing only the `#` node (id 0).
     pub fn new() -> Self {
-        let mut s = Skeleton {
+        Skeleton {
             names: Vec::new(),
             name_lookup: HashMap::new(),
-            nodes: Vec::new(),
-            cons_table: HashMap::new(),
-        };
-        s.nodes.push(NodeData {
-            name: None,
-            edges: Vec::new(),
-        });
-        s.cons_table.insert((None, Vec::new()), TEXT_NODE);
-        s
+            nodes: vec![NodeData {
+                name: None,
+                edges: Vec::new(),
+            }],
+            cons_table: ConsTable::default(),
+        }
     }
 
     /// The `#` text-marker node.
@@ -121,23 +190,27 @@ impl Skeleton {
 
     /// Hash-conses an element node. Children must already exist (bottom-up
     /// construction); consecutive equal children in `edges` are expected to
-    /// be run-length merged (see [`push_child`]).
-    pub fn cons(&mut self, name: NameId, edges: Vec<Edge>) -> NodeId {
+    /// be run-length merged (see [`push_child`]). An existing node is
+    /// found without copying `edges`; only a new node clones them.
+    pub fn cons(&mut self, name: NameId, edges: &[Edge]) -> NodeId {
         debug_assert!(edges
             .iter()
             .all(|e| (e.child.0 as usize) < self.nodes.len()));
         debug_assert!(edges.iter().all(|e| e.run > 0));
-        let key = (Some(name), edges);
-        if let Some(&id) = self.cons_table.get(&key) {
-            return id;
+        self.cons_table.reserve(&self.nodes);
+        match self.cons_table.find(&self.nodes, name, edges) {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = NodeId(self.nodes.len() as u32);
+                self.nodes.push(NodeData {
+                    name: Some(name),
+                    edges: edges.to_vec(),
+                });
+                self.cons_table.slots[slot] = id.0 + 1;
+                self.cons_table.len += 1;
+                id
+            }
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
-            name: Some(name),
-            edges: key.1.clone(),
-        });
-        self.cons_table.insert(key, id);
-        id
     }
 
     /// Verifies the hash-consing invariant: no two nodes share the same
@@ -181,19 +254,23 @@ impl Skeleton {
     /// `id`: the element/text node itself plus all descendants, with runs
     /// multiplied out. This is the `|T|`-side count of the paper's
     /// compression ratio.
+    ///
+    /// One forward pass over the nodes `id` reaches, children before
+    /// parents as [`Skeleton::cons`] numbers them: no recursion, so any
+    /// depth fits on any stack.
     pub fn expanded_size(&self, id: NodeId) -> u64 {
-        fn go(s: &Skeleton, id: NodeId, memo: &mut HashMap<NodeId, u64>) -> u64 {
-            if let Some(&v) = memo.get(&id) {
-                return v;
+        let reached = self.reachable(id);
+        let mut size = vec![0u64; id.0 as usize + 1];
+        for v in 0..=id.0 as usize {
+            if reached[v] {
+                size[v] = 1 + self.nodes[v]
+                    .edges
+                    .iter()
+                    .map(|e| e.run * size[e.child.0 as usize])
+                    .sum::<u64>();
             }
-            let mut total = 1u64;
-            for e in &s.node(id).edges {
-                total += e.run * go(s, e.child, memo);
-            }
-            memo.insert(id, total);
-            total
         }
-        go(self, id, &mut HashMap::new())
+        size[id.0 as usize]
     }
 }
 
@@ -219,7 +296,7 @@ mod tests {
         let a = s.intern("a");
         let leaf = s.cons(
             a,
-            vec![Edge {
+            &[Edge {
                 child: TEXT_NODE,
                 run: 1,
             }],
@@ -243,14 +320,14 @@ mod tests {
         let a = s.intern("a");
         let n1 = s.cons(
             a,
-            vec![Edge {
+            &[Edge {
                 child: TEXT_NODE,
                 run: 1,
             }],
         );
         let n2 = s.cons(
             a,
-            vec![Edge {
+            &[Edge {
                 child: TEXT_NODE,
                 run: 1,
             }],
@@ -267,14 +344,14 @@ mod tests {
         let table = s.intern("table");
         let leaf = s.cons(
             row,
-            vec![Edge {
+            &[Edge {
                 child: TEXT_NODE,
                 run: 1,
             }],
         );
         let root = s.cons(
             table,
-            vec![Edge {
+            &[Edge {
                 child: leaf,
                 run: 1000,
             }],

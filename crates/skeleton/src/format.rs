@@ -272,6 +272,7 @@ fn rebuild(raw: &RawSkeleton) -> Result<(Skeleton, NodeId)> {
     let mut skeleton = Skeleton::new();
     let name_ids: Vec<NameId> = raw.names.iter().map(|n| skeleton.intern(n)).collect();
     let mut map: Vec<NodeId> = Vec::with_capacity(raw.nodes.len());
+    let mut edges = Vec::new();
     for (i, node) in raw.nodes.iter().enumerate() {
         if node.name_code == 0 {
             if !node.edges.is_empty() {
@@ -284,15 +285,12 @@ fn rebuild(raw: &RawSkeleton) -> Result<(Skeleton, NodeId)> {
             continue;
         }
         let name = name_ids[(node.name_code - 1) as usize];
-        let edges = node
-            .edges
-            .iter()
-            .map(|&(child, run)| Edge {
-                child: map[child as usize],
-                run,
-            })
-            .collect();
-        map.push(skeleton.cons(name, edges));
+        edges.clear();
+        edges.extend(node.edges.iter().map(|&(child, run)| Edge {
+            child: map[child as usize],
+            run,
+        }));
+        map.push(skeleton.cons(name, &edges));
     }
     let root = *map.last().ok_or(SkeletonError::Corrupt {
         offset: 0,
@@ -308,21 +306,19 @@ pub fn rebuild_lenient(raw: &RawSkeleton, root_record: usize) -> Result<(Skeleto
     let mut skeleton = Skeleton::new();
     let name_ids: Vec<NameId> = raw.names.iter().map(|n| skeleton.intern(n)).collect();
     let mut map: Vec<NodeId> = Vec::with_capacity(raw.nodes.len());
+    let mut edges = Vec::new();
     for node in &raw.nodes {
         if node.name_code == 0 {
             map.push(skeleton.text_node());
             continue;
         }
         let name = name_ids[(node.name_code - 1) as usize];
-        let edges = node
-            .edges
-            .iter()
-            .map(|&(child, run)| Edge {
-                child: map[child as usize],
-                run,
-            })
-            .collect();
-        map.push(skeleton.cons(name, edges));
+        edges.clear();
+        edges.extend(node.edges.iter().map(|&(child, run)| Edge {
+            child: map[child as usize],
+            run,
+        }));
+        map.push(skeleton.cons(name, &edges));
     }
     let root = *map.get(root_record).ok_or(SkeletonError::Corrupt {
         offset: 0,
@@ -351,15 +347,15 @@ mod tests {
         let name_row = s.intern("row");
         let name_cell = s.intern("cell");
         let name_table = s.intern("table");
-        let cell = s.cons(name_cell, vec![Edge { child: t, run: 1 }]);
+        let cell = s.cons(name_cell, &[Edge { child: t, run: 1 }]);
         let mut row_edges = Vec::new();
         for _ in 0..3 {
             push_child(&mut row_edges, cell);
         }
-        let row = s.cons(name_row, row_edges);
+        let row = s.cons(name_row, &row_edges);
         let root = s.cons(
             name_table,
-            vec![Edge {
+            &[Edge {
                 child: row,
                 run: 500,
             }],
@@ -417,7 +413,7 @@ mod tests {
     fn garbage_collection_drops_unreachable_nodes() {
         let (mut s, root) = sample();
         let junk_name = s.intern("junk");
-        let _unreachable = s.cons(junk_name, vec![]);
+        let _unreachable = s.cons(junk_name, &[]);
         let bytes = write(&s, root);
         let (s2, _) = read(&bytes).unwrap();
         assert!(s2.name_id("junk").is_none());

@@ -12,7 +12,9 @@
 //! * the binary `.vxsk` format, both a strict reader/writer and a lenient
 //!   salvage reader for damaged files ([`mod@format`]),
 //! * the path summary — per-node text counts over hash-consed relative
-//!   paths — and the step patterns the query engine matches ([`paths`]),
+//!   paths — the step patterns the query engine matches, and
+//!   [`PathIds`], the absolute-path numbering the vectorizer and the
+//!   engine's and the output's walks share ([`paths`]),
 //! * the structural self-index over the DAG — per-node containment
 //!   bitsets and the `.vxpi` persistence format ([`structural`]).
 
@@ -24,7 +26,10 @@ pub mod structural;
 
 pub use arena::{Edge, NameId, NodeId, Skeleton};
 pub use format::{read, read_lenient, write, RawSkeleton, SalvageReport};
-pub use paths::{IdHasher, IdMap, PathIndex, PathPattern, PatternStep, PatternTest, RelId};
+pub use paths::{
+    IdHasher, IdMap, PathId, PathIds, PathIndex, PathPattern, PatternStep, PatternTest, RelId,
+    SUPER_ROOT,
+};
 pub use stream::SkeletonBuilder;
 pub use structural::{read_index, write_index, StructIndex};
 

@@ -49,6 +49,146 @@ impl Hasher for IdHasher {
 /// A hash map keyed by pass-numbered ids.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
+/// A dense id for one absolute element tag path of a document. Id
+/// [`SUPER_ROOT`] is the virtual super-root above the root element.
+pub type PathId = u32;
+
+/// The [`PathId`] of the virtual super-root.
+pub const SUPER_ROOT: PathId = 0;
+
+/// Numbers every absolute element path a pass meets as
+/// `(parent PathId, NameId) → PathId`, lazily, and remembers the index
+/// of the vector holding the texts directly under each, so after a
+/// path's first sight no string is built or hashed for it. Attributes
+/// are `@name` elements here, as in the skeleton.
+///
+/// Vectors are the caller's: the walks over a finished document resolve
+/// a new path's vector when it is numbered ([`PathIds::child_resolved`]);
+/// the vectorizer, which creates vectors as their first values arrive,
+/// sets one later ([`PathIds::set_vector`]).
+#[derive(Debug)]
+pub struct PathIds {
+    ids: IdMap<(PathId, NameId), PathId>,
+    /// `[PathId]` → `(parent, tag)`; the super-root's entry is unused.
+    parent: Vec<(PathId, NameId)>,
+    /// `[PathId]` → the vector of the text values directly under the
+    /// path, if it has one.
+    vector: Vec<Option<usize>>,
+    /// Scratch for spelling out a newly numbered path.
+    spelled: String,
+}
+
+impl Default for PathIds {
+    fn default() -> Self {
+        PathIds {
+            ids: IdMap::default(),
+            parent: vec![(SUPER_ROOT, NameId(0))],
+            vector: vec![None],
+            spelled: String::new(),
+        }
+    }
+}
+
+impl PathIds {
+    /// The id of `parent`'s child path `name`, numbered on first sight
+    /// with no vector.
+    #[inline]
+    pub fn child(&mut self, parent: PathId, name: NameId) -> PathId {
+        match self.ids.get(&(parent, name)) {
+            Some(&id) => id,
+            None => self.number(parent, name),
+        }
+    }
+
+    /// As [`PathIds::child`], but a path seen for the first time gets
+    /// `resolve` of its spelling (see [`PathIds::spell`]) as its vector.
+    #[inline]
+    pub fn child_resolved(
+        &mut self,
+        parent: PathId,
+        name: NameId,
+        skeleton: &Skeleton,
+        resolve: impl FnOnce(&str) -> Option<usize>,
+    ) -> PathId {
+        match self.ids.get(&(parent, name)) {
+            Some(&id) => id,
+            None => self.number_resolved(parent, name, skeleton, resolve),
+        }
+    }
+
+    fn number(&mut self, parent: PathId, name: NameId) -> PathId {
+        let id = self.parent.len() as PathId;
+        self.parent.push((parent, name));
+        self.vector.push(None);
+        self.ids.insert((parent, name), id);
+        id
+    }
+
+    fn number_resolved(
+        &mut self,
+        parent: PathId,
+        name: NameId,
+        skeleton: &Skeleton,
+        resolve: impl FnOnce(&str) -> Option<usize>,
+    ) -> PathId {
+        let id = self.number(parent, name);
+        let mut spelled = std::mem::take(&mut self.spelled);
+        spelled.clear();
+        self.spell(id, skeleton, &mut spelled);
+        self.vector[id as usize] = resolve(&spelled);
+        self.spelled = spelled;
+        id
+    }
+
+    /// The id of `parent`'s child path `name`, if it was numbered.
+    #[inline]
+    pub fn get(&self, parent: PathId, name: NameId) -> Option<PathId> {
+        self.ids.get(&(parent, name)).copied()
+    }
+
+    /// The vector of the text values directly under `id`, if it has one.
+    #[inline]
+    pub fn vector(&self, id: PathId) -> Option<usize> {
+        self.vector[id as usize]
+    }
+
+    /// Records `vector` as the one holding the texts directly under `id`.
+    pub fn set_vector(&mut self, id: PathId, vector: usize) {
+        self.vector[id as usize] = Some(vector);
+    }
+
+    /// Appends `id` spelled out as `a/b/c` (the vector key) to `out`.
+    /// Iterative, so any depth fits on any stack; the names are gathered
+    /// leaf to root on the stack, or on the heap past 32 of them.
+    pub fn spell(&self, id: PathId, skeleton: &Skeleton, out: &mut String) {
+        const INLINE: usize = 32;
+        let mut inline = [NameId(0); INLINE];
+        let mut deep = Vec::new();
+        let mut len = 0;
+        let mut at = id;
+        while at != SUPER_ROOT {
+            let (parent, name) = self.parent[at as usize];
+            if len < INLINE {
+                inline[len] = name;
+            } else {
+                if len == INLINE {
+                    deep.extend_from_slice(&inline);
+                }
+                deep.push(name);
+            }
+            len += 1;
+            at = parent;
+        }
+        let names = if len <= INLINE { &inline[..len] } else { &deep };
+        for (i, &name) in names.iter().rev().enumerate() {
+            if i > 0 {
+                out.push('/');
+            }
+            out.push_str(skeleton.name(name));
+        }
+    }
+}
+
 /// A downward tag path relative to some node, hash-consed by the
 /// [`PathIndex`] that numbered it: [`RelId::EMPTY`], or a first name
 /// followed by a shorter path. [`PathIndex::rel_names`] spells it.
@@ -375,19 +515,19 @@ mod tests {
         let title = s.intern("title");
         let author = s.intern("author");
         let note = s.intern("note");
-        let title_n = s.cons(title, vec![Edge { child: t, run: 1 }]);
-        let author_n = s.cons(author, vec![Edge { child: t, run: 1 }]);
+        let title_n = s.cons(title, &[Edge { child: t, run: 1 }]);
+        let author_n = s.cons(author, &[Edge { child: t, run: 1 }]);
         let mut book_edges = Vec::new();
         push_child(&mut book_edges, title_n);
         push_child(&mut book_edges, author_n);
         push_child(&mut book_edges, author_n);
-        let book_n = s.cons(book, book_edges);
-        let note_n = s.cons(note, vec![Edge { child: t, run: 1 }]);
+        let book_n = s.cons(book, &book_edges);
+        let note_n = s.cons(note, &[Edge { child: t, run: 1 }]);
         let mut root_edges = Vec::new();
         push_child(&mut root_edges, book_n);
         push_child(&mut root_edges, book_n);
         push_child(&mut root_edges, note_n);
-        let root = s.cons(lib, root_edges);
+        let root = s.cons(lib, &root_edges);
         (s, root, vec![lib, book, title, author, note])
     }
 
@@ -442,10 +582,10 @@ mod tests {
         let (mut s, root, names) = sample();
         // A superseded root: a second `lib` the document root does not reach.
         let t = s.text_node();
-        let stray = s.cons(names[4], vec![Edge { child: t, run: 3 }]);
+        let stray = s.cons(names[4], &[Edge { child: t, run: 3 }]);
         let old_root = s.cons(
             names[0],
-            vec![Edge {
+            &[Edge {
                 child: stray,
                 run: 1,
             }],
@@ -490,12 +630,12 @@ mod tests {
         let item = s.intern("item");
         let id = s.intern("@id");
         let name = s.intern("name");
-        let id_n = s.cons(id, vec![Edge { child: t, run: 1 }]);
-        let name_n = s.cons(name, vec![Edge { child: t, run: 1 }]);
+        let id_n = s.cons(id, &[Edge { child: t, run: 1 }]);
+        let name_n = s.cons(name, &[Edge { child: t, run: 1 }]);
         let mut edges = Vec::new();
         push_child(&mut edges, id_n);
         push_child(&mut edges, name_n);
-        s.cons(item, edges);
+        s.cons(item, &edges);
 
         let star = pat(&s, &[(false, Some("item")), (false, None)]);
         assert!(star.matches(&[item, name]));
@@ -503,5 +643,63 @@ mod tests {
         // A named step still reaches the attribute.
         let named = pat(&s, &[(false, Some("item")), (false, Some("@id"))]);
         assert!(named.matches(&[item, id]));
+    }
+
+    #[test]
+    fn path_ids_number_spell_and_resolve() {
+        let (s, _, names) = sample();
+        let (lib, book, title) = (names[0], names[1], names[2]);
+        let mut ids = PathIds::default();
+        let mut resolved = Vec::new();
+        let mut child = |ids: &mut PathIds, parent, name| {
+            ids.child_resolved(parent, name, &s, |path| {
+                resolved.push(path.to_string());
+                (path == "lib/book/title").then_some(7)
+            })
+        };
+        let lib_p = child(&mut ids, SUPER_ROOT, lib);
+        let book_p = child(&mut ids, lib_p, book);
+        let title_p = child(&mut ids, book_p, title);
+        assert_eq!(child(&mut ids, book_p, title), title_p, "numbered once");
+        assert_eq!(resolved, ["lib", "lib/book", "lib/book/title"]);
+        assert_eq!((ids.vector(book_p), ids.vector(title_p)), (None, Some(7)));
+        assert_eq!(ids.get(lib_p, book), Some(book_p));
+        assert_eq!(ids.get(lib_p, title), None);
+        ids.set_vector(book_p, 3);
+        assert_eq!(ids.vector(book_p), Some(3));
+    }
+
+    /// Neither `expanded_size` nor spelling a path recurses: a
+    /// 40 000-deep chain is measured and spelled on a 256 KiB stack.
+    #[test]
+    fn expanded_size_and_spelling_survive_a_deep_chain_on_a_small_stack() {
+        const DEPTH: usize = 40_000;
+        let outcome = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut skeleton = Skeleton::new();
+                let a = skeleton.intern("a");
+                let mut node = skeleton.text_node();
+                for _ in 0..DEPTH {
+                    let edge = Edge {
+                        child: node,
+                        run: 1,
+                    };
+                    node = skeleton.cons(a, &[edge]);
+                }
+                let mut ids = PathIds::default();
+                let mut path = SUPER_ROOT;
+                for _ in 0..DEPTH {
+                    path = ids.child(path, a);
+                }
+                let mut spelled = String::new();
+                ids.spell(path, &skeleton, &mut spelled);
+                (skeleton.expanded_size(node), spelled)
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(outcome.0, DEPTH as u64 + 1, "DEPTH elements and the text");
+        assert_eq!(outcome.1, vec!["a"; DEPTH].join("/"));
     }
 }

@@ -4,8 +4,8 @@
 //! end-element notifications (one per parse event) and hash-conses each
 //! subtree the moment its end tag arrives, run-length-coalescing
 //! consecutive repeated edges as they are appended. Memory is therefore
-//! the compressed DAG plus one pending edge list per *open* element —
-//! never the document tree.
+//! the compressed DAG plus the pending edges of the *open* elements, on
+//! one stack — never the document tree.
 //!
 //! Construction order: element name interned on entry, then `@attr`
 //! pseudo-children in attribute order, then children in document order.
@@ -14,18 +14,26 @@
 //! `.vxsk` serialization of the result is byte-identical to that of a
 //! builder fed the combined document from scratch.
 
-use crate::arena::{push_child, Edge, NodeId, Skeleton, TEXT_NODE};
+use crate::arena::{push_child, Edge, NameId, NodeId, Skeleton, TEXT_NODE};
 use crate::{Result, SkeletonError};
 
-/// One open element: its interned name and the edges consed so far.
-type Frame = (crate::arena::NameId, Vec<Edge>);
-
 /// Builds a hash-consed [`Skeleton`] incrementally from parse events.
+///
+/// The open elements' pending edges share one stack, each element's a
+/// slice of it from its frame's start offset: closing an element conses
+/// that slice in place and truncates it away, so building allocates
+/// nothing per element once the stack has grown to the document's
+/// widest open path.
 #[derive(Debug, Default)]
 pub struct SkeletonBuilder {
     skeleton: Skeleton,
-    stack: Vec<Frame>,
+    /// The pending edges of every open element, outermost first.
+    edges: Vec<Edge>,
+    /// Per open element: its name, and where its edges start in `edges`.
+    frames: Vec<(NameId, usize)>,
     root: Option<NodeId>,
+    /// Scratch for spelling an attribute's `@name`.
+    attr_name: String,
 }
 
 impl SkeletonBuilder {
@@ -51,14 +59,16 @@ impl SkeletonBuilder {
         let edges = data.edges.clone();
         Ok(SkeletonBuilder {
             skeleton,
-            stack: vec![(name, edges)],
+            edges,
+            frames: vec![(name, 0)],
             root: None,
+            attr_name: String::new(),
         })
     }
 
     /// Number of currently open elements.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.frames.len()
     }
 
     /// Read access to the arena being built (names interned so far, etc.).
@@ -66,69 +76,73 @@ impl SkeletonBuilder {
         &self.skeleton
     }
 
-    /// Opens an element. Errors on a second root (the first element after
-    /// the root element closed).
-    pub fn start_element(&mut self, name: &str) -> Result<()> {
-        if self.stack.is_empty() && self.root.is_some() {
+    /// Opens an element and returns its interned name. Errors on a
+    /// second root (the first element after the root element closed).
+    pub fn start_element(&mut self, name: &str) -> Result<NameId> {
+        if self.frames.is_empty() && self.root.is_some() {
             return Err(SkeletonError::Builder(
                 "second root element in stream".to_string(),
             ));
         }
         let id = self.skeleton.intern(name);
-        self.stack.push((id, Vec::new()));
-        Ok(())
+        self.frames.push((id, self.edges.len()));
+        Ok(id)
     }
 
     /// Records an attribute of the innermost open element as an `@name`
     /// pseudo-child with a single `#` child (the value itself goes to the
-    /// vector layer, not the skeleton).
-    pub fn attribute(&mut self, name: &str) -> Result<()> {
-        let attr_id = self.skeleton.intern(&format!("@{name}"));
-        let node = self.skeleton.cons(
-            attr_id,
-            vec![Edge {
-                child: TEXT_NODE,
-                run: 1,
-            }],
-        );
-        let (_, edges) = self
-            .stack
-            .last_mut()
-            .ok_or_else(|| SkeletonError::Builder("attribute outside element".to_string()))?;
-        push_child(edges, node);
-        Ok(())
+    /// vector layer, not the skeleton), and returns the interned `@name`.
+    pub fn attribute(&mut self, name: &str) -> Result<NameId> {
+        let start = self.innermost("attribute outside element")?;
+        self.attr_name.clear();
+        self.attr_name.push('@');
+        self.attr_name.push_str(name);
+        let attr_id = self.skeleton.intern(&self.attr_name);
+        let text = Edge {
+            child: TEXT_NODE,
+            run: 1,
+        };
+        let node = self.skeleton.cons(attr_id, &[text]);
+        push_edge(&mut self.edges, start, node);
+        Ok(attr_id)
     }
 
     /// Records a text (or CDATA) child of the innermost open element as a
     /// `#` marker.
     pub fn text(&mut self) -> Result<()> {
-        let (_, edges) = self
-            .stack
-            .last_mut()
-            .ok_or_else(|| SkeletonError::Builder("text outside element".to_string()))?;
-        push_child(edges, TEXT_NODE);
+        let start = self.innermost("text outside element")?;
+        push_edge(&mut self.edges, start, TEXT_NODE);
         Ok(())
     }
 
     /// Closes the innermost open element: its subtree is hash-consed now
     /// and appended (run-length merged) to its parent's edge list.
     pub fn end_element(&mut self) -> Result<()> {
-        let (name, edges) = self
-            .stack
+        let (name, start) = self
+            .frames
             .pop()
             .ok_or_else(|| SkeletonError::Builder("end tag without open element".to_string()))?;
-        let node = self.skeleton.cons(name, edges);
-        match self.stack.last_mut() {
-            Some((_, parent_edges)) => push_child(parent_edges, node),
+        let node = self.skeleton.cons(name, &self.edges[start..]);
+        self.edges.truncate(start);
+        match self.frames.last() {
+            Some(&(_, parent_start)) => push_edge(&mut self.edges, parent_start, node),
             None => self.root = Some(node),
         }
         Ok(())
     }
 
+    /// Where the innermost open element's edges start.
+    fn innermost(&self, misuse: &str) -> Result<usize> {
+        self.frames
+            .last()
+            .map(|&(_, start)| start)
+            .ok_or_else(|| SkeletonError::Builder(misuse.to_string()))
+    }
+
     /// Finishes the build, returning the arena and the root node.
     pub fn finish(self) -> Result<(Skeleton, NodeId)> {
-        if let Some((open, _)) = self.stack.last() {
-            let name = self.skeleton.name(*open).to_string();
+        if let Some(&(open, _)) = self.frames.last() {
+            let name = self.skeleton.name(open).to_string();
             return Err(SkeletonError::Builder(format!(
                 "unclosed element `{name}` at end of stream"
             )));
@@ -137,6 +151,16 @@ impl SkeletonBuilder {
             .root
             .ok_or_else(|| SkeletonError::Builder("empty stream: no root element".to_string()))?;
         Ok((self.skeleton, root))
+    }
+}
+
+/// Appends `child` to the open element whose edges are `edges[start..]`,
+/// run-length merged with its last edge, never with its parent's.
+fn push_edge(edges: &mut Vec<Edge>, start: usize, child: NodeId) {
+    if edges.len() > start {
+        push_child(edges, child);
+    } else {
+        edges.push(Edge { child, run: 1 });
     }
 }
 
@@ -162,14 +186,14 @@ mod tests {
         let row = s.intern("row");
         let leaf = s.cons(
             row,
-            vec![Edge {
+            &[Edge {
                 child: TEXT_NODE,
                 run: 1,
             }],
         );
         let root = s.cons(
             table,
-            vec![Edge {
+            &[Edge {
                 child: leaf,
                 run: 2,
             }],
@@ -211,6 +235,31 @@ mod tests {
         assert_eq!(s.node(root).edges[0].run, 1000);
         assert_eq!(s.expanded_size(root), 1 + 1000 * 2);
         assert_eq!(s.len(), 3); // '#', r-leaf, root
+    }
+
+    /// The edge stack is shared, but a child's first edge never merges
+    /// into its parent's last one.
+    #[test]
+    fn frames_on_the_shared_stack_stay_apart() {
+        let mut b = SkeletonBuilder::new();
+        b.start_element("t").unwrap();
+        b.text().unwrap();
+        b.start_element("s").unwrap();
+        b.text().unwrap();
+        b.text().unwrap();
+        b.end_element().unwrap();
+        b.text().unwrap();
+        b.end_element().unwrap();
+        let (s, root) = b.finish().unwrap();
+        let edges = &s.node(root).edges;
+        assert_eq!(edges.len(), 3, "#, s, #");
+        assert_eq!((edges[0].child, edges[0].run), (TEXT_NODE, 1));
+        assert_eq!((edges[2].child, edges[2].run), (TEXT_NODE, 1));
+        let inner = &s.node(edges[1].child).edges;
+        assert_eq!(
+            (inner.len(), inner[0].child, inner[0].run),
+            (1, TEXT_NODE, 2)
+        );
     }
 
     #[test]

@@ -306,11 +306,11 @@ mod tests {
         let author = s.intern("author");
         let note = s.intern("note");
         let text = |child| Edge { child, run: 1 };
-        let t = s.cons(title, vec![text(TEXT_NODE)]);
-        let a = s.cons(author, vec![text(TEXT_NODE)]);
-        let b = s.cons(book, vec![text(t), text(a)]);
-        let n = s.cons(note, vec![text(TEXT_NODE)]);
-        let root = s.cons(lib, vec![Edge { child: b, run: 2 }, text(n)]);
+        let t = s.cons(title, &[text(TEXT_NODE)]);
+        let a = s.cons(author, &[text(TEXT_NODE)]);
+        let b = s.cons(book, &[text(t), text(a)]);
+        let n = s.cons(note, &[text(TEXT_NODE)]);
+        let root = s.cons(lib, &[Edge { child: b, run: 2 }, text(n)]);
         (s, root)
     }
 
@@ -383,7 +383,7 @@ mod tests {
             let a = s2.intern("a");
             let root = s2.cons(
                 a,
-                vec![Edge {
+                &[Edge {
                     child: TEXT_NODE,
                     run: 1,
                 }],

@@ -5,7 +5,8 @@
 //! page is appended to a shared [`Spill`] — a file for streaming ingest,
 //! an in-memory cursor for `Store::save` — so peak memory per path is one
 //! 8 KiB page plus the ≤ 128-entry dictionary candidate, however many
-//! values the path accumulates.
+//! values the path accumulates. A vector that will be written plain
+//! ([`SpillVector::plain`]) keeps no candidate at all.
 //!
 //! `finish_plain` / `finish_indexed` / `finish_auto` then read the
 //! path's pages back once, in order, through the spill's one page
@@ -134,6 +135,17 @@ pub struct SpillVector {
 }
 
 impl SpillVector {
+    /// A vector that keeps no dictionary candidate, for a caller that
+    /// will only finish it plain or indexed: appending then compares and
+    /// copies no value. [`SpillVector::finish_auto`] on it never picks
+    /// the dictionary form.
+    pub fn plain() -> Self {
+        SpillVector {
+            dict_overflow: true,
+            ..SpillVector::default()
+        }
+    }
+
     /// Appends one value, spilling the tail page when it fills.
     pub fn append<B: Read + Write + Seek>(
         &mut self,
@@ -290,7 +302,9 @@ impl SpillVector {
             &arena[start..start + len]
         };
         let mut order: Vec<u32> = (0..self.count as u32).collect();
-        order.sort_by(|&a, &b| value(a).cmp(value(b)).then(a.cmp(&b)));
+        // Ties break by position, so the order is total and an unstable
+        // sort gives the stable sort's permutation.
+        order.sort_unstable_by(|&a, &b| value(a).cmp(value(b)).then(a.cmp(&b)));
 
         let mut index = Vec::with_capacity(varint::MAX_LEN + 4 * order.len());
         varint::write(&mut index, self.count);
@@ -585,6 +599,35 @@ mod tests {
         let values = vec![b"only".to_vec()];
         let (reference, streamed) = finish_both(&values, "tiny", Finish::Auto);
         assert_eq!(reference, streamed);
+    }
+
+    /// A vector without a dictionary candidate still writes the plain
+    /// and indexed encodings byte for byte.
+    #[test]
+    fn plain_vectors_keep_no_candidate_and_match() {
+        let values: Vec<Vec<u8>> = (0..700)
+            .map(|i| format!("{}", i % 5).into_bytes())
+            .collect();
+        let mut w = Writer::new();
+        for v in &values {
+            w.push(v);
+        }
+        for indexed in [false, true] {
+            let mut spill = Spill::new(Cursor::new(Vec::new()));
+            let mut sv = SpillVector::plain();
+            for v in &values {
+                sv.append(&mut spill, v).unwrap();
+            }
+            assert!(sv.dict.is_empty(), "no candidate is kept");
+            let mut out = Vec::new();
+            if indexed {
+                sv.finish_indexed(&mut spill, &mut out).unwrap();
+                assert_eq!(out, w.encode_indexed());
+            } else {
+                sv.finish_plain(&mut spill, &mut out).unwrap();
+                assert_eq!(out, w.encode_plain());
+            }
+        }
     }
 
     #[test]

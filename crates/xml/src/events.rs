@@ -1,6 +1,5 @@
-//! Streaming pull tokenizer: an [`Events`] iterator over any [`Read`]
-//! source that yields start/attr/text/end events without ever building a
-//! DOM.
+//! Streaming pull tokenizer: [`Events`] reads any [`Read`] source and
+//! hands out start/attr/text/end events without ever building a DOM.
 //!
 //! This is the crate's only XML tokenizer. Store ingest and WAL appends
 //! feed its events straight to the vectorizer; [`crate::parse`] feeds
@@ -9,16 +8,31 @@
 //! predefined entities, numeric character references, skipped internal
 //! DTD subset) with the usual well-formedness checks, and coalesces text
 //! the way the DOM keeps it: consecutive character data and references
-//! merge into one [`Event::Text`], CDATA sections stay separate.
+//! merge into one text event, CDATA sections stay separate.
 //!
-//! Memory is bounded by one look-ahead buffer plus the open-element name
-//! stack plus the event currently being assembled; the input is never
-//! materialized as a whole. This is what makes DOM-free, bounded-memory
-//! vectorization (`vx-ingest`) possible.
+//! [`Events::next_ref`] is the tokenizer. It scans its look-ahead buffer
+//! a slice at a time (to the next `<`, `&`, quote or end of name),
+//! checks each name or text slice for UTF-8 once, and hands out an
+//! [`EventRef`] that borrows from the buffer: text without references is
+//! a slice of it, text with references is expanded into one reused
+//! scratch string, and open element names live in one string arena. So
+//! a pass over a document allocates nothing per event once its buffers
+//! have grown. Line and column are not tracked per byte: the consumed
+//! bytes are counted in bulk when the buffer is compacted or an error is
+//! built. The [`Iterator`] impl is a thin adapter that copies each
+//! [`EventRef`] into an owned [`Event`].
+//!
+//! Memory is bounded by one look-ahead buffer (8 KiB reads, the consumed
+//! prefix compacted away between events; a token longer than the buffer
+//! grows it) plus the open-element names plus the event being handed
+//! out; the input is never materialized as a whole. This is what makes
+//! DOM-free, bounded-memory vectorization (`vx-ingest`) possible.
 
 use crate::dom::XmlDecl;
 use crate::{Result, XmlError};
+use std::cell::Cell;
 use std::io::Read;
+use std::str;
 
 /// Refill granularity of the look-ahead buffer.
 const CHUNK: usize = 8192;
@@ -50,6 +64,50 @@ pub enum Event {
     Pi { target: String, data: String },
 }
 
+/// One parsing event as [`Events::next_ref`] hands it out: an [`Event`]
+/// whose strings borrow from the tokenizer, valid until its next call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventRef<'a> {
+    /// See [`Event::Decl`].
+    Decl(&'a XmlDecl),
+    /// See [`Event::Start`].
+    Start(&'a str),
+    /// See [`Event::Attr`].
+    Attr { name: &'a str, value: &'a str },
+    /// See [`Event::Text`].
+    Text(&'a str),
+    /// See [`Event::CData`].
+    CData(&'a str),
+    /// See [`Event::End`].
+    End(&'a str),
+    /// See [`Event::Comment`].
+    Comment(&'a str),
+    /// See [`Event::Pi`].
+    Pi { target: &'a str, data: &'a str },
+}
+
+impl EventRef<'_> {
+    /// The owned copy of the event.
+    pub fn to_owned(self) -> Event {
+        match self {
+            EventRef::Decl(decl) => Event::Decl(decl.clone()),
+            EventRef::Start(name) => Event::Start(name.to_string()),
+            EventRef::Attr { name, value } => Event::Attr {
+                name: name.to_string(),
+                value: value.to_string(),
+            },
+            EventRef::Text(text) => Event::Text(text.to_string()),
+            EventRef::CData(text) => Event::CData(text.to_string()),
+            EventRef::End(name) => Event::End(name.to_string()),
+            EventRef::Comment(text) => Event::Comment(text.to_string()),
+            EventRef::Pi { target, data } => Event::Pi {
+                target: target.to_string(),
+                data: data.to_string(),
+            },
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// Very beginning: the declaration is only recognized here.
@@ -65,22 +123,53 @@ enum State {
     Done,
 }
 
+/// Where a scanned run of character data lies.
+#[derive(Debug, Clone, Copy)]
+enum Chars {
+    /// In `buf[start..end]`, not yet checked for UTF-8: it had no
+    /// references.
+    Buf(usize, usize),
+    /// Expanded into `scratch`, every raw run checked.
+    Scratch,
+    /// Expanded, but some raw run was not UTF-8.
+    Invalid,
+}
+
 /// A pull-based event reader over any byte source.
 ///
-/// Iteration yields `Result<Event>`; after the first error the iterator is
-/// fused and returns `None` forever. Well-formedness violations are
-/// reported with a 1-based line/column position.
+/// [`Events::next_ref`] yields borrowed events; iteration yields owned
+/// `Result<Event>`s. After the first error both are fused and return
+/// nothing forever. Well-formedness violations are reported with a
+/// 1-based line/column position.
 pub struct Events<R> {
     src: R,
+    /// Look-ahead: `buf[..pos]` is consumed, the rest not yet.
     buf: Vec<u8>,
     pos: usize,
     eof: bool,
+    /// Line and column of `buf[mark]`. Bytes before `pos` are counted
+    /// into them only when the buffer is compacted or an error is built.
     line: u32,
     column: u32,
+    mark: usize,
     state: State,
-    stack: Vec<String>,
-    seen_attrs: Vec<String>,
-    failed: bool,
+    /// The open elements' names, concatenated, outermost first.
+    names: String,
+    /// Where each open element's name starts in `names`.
+    open: Vec<usize>,
+    /// The length `names` is cut back to at the next call, once the
+    /// [`EventRef::End`] borrowing the closed element's name is done.
+    popped: Option<usize>,
+    /// The current start tag's attribute names, concatenated, and where
+    /// each ends: the duplicate check compares against them in place.
+    attr_names: String,
+    attr_ends: Vec<usize>,
+    /// Text or an attribute value with its references expanded, or a
+    /// processing instruction's target.
+    scratch: String,
+    decl: Option<XmlDecl>,
+    /// Set by every error built: the reader is fused from then on.
+    failed: Cell<bool>,
 }
 
 impl<R: Read> Events<R> {
@@ -94,199 +183,303 @@ impl<R: Read> Events<R> {
             eof: false,
             line: 1,
             column: 1,
+            mark: 0,
             state: State::AtStart,
-            stack: Vec::new(),
-            seen_attrs: Vec::new(),
-            failed: false,
+            names: String::new(),
+            open: Vec::new(),
+            popped: None,
+            attr_names: String::new(),
+            attr_ends: Vec::new(),
+            scratch: String::new(),
+            decl: None,
+            failed: Cell::new(false),
         }
     }
 
     /// Number of currently open elements.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.open.len()
     }
 
+    /// The next event, borrowing from the reader until the next call;
+    /// `None` at the end of the document and after an error.
+    pub fn next_ref(&mut self) -> Result<Option<EventRef<'_>>> {
+        if self.failed.get() {
+            return Ok(None);
+        }
+        if let Some(len) = self.popped.take() {
+            self.names.truncate(len);
+        }
+        self.compact();
+        self.next_event()
+    }
+
+    /// Drops the consumed prefix of the buffer once it is long enough,
+    /// counting its lines and columns first. Only safe where no index
+    /// into the buffer is held: between events, and in whitespace.
+    fn compact(&mut self) {
+        if self.pos >= COMPACT_AT {
+            (self.line, self.column) = self.line_column();
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+            self.mark = 0;
+        }
+    }
+
+    /// Line and column of `buf[pos]`: a newline starts a line, and every
+    /// byte that does not continue a UTF-8 sequence is a column.
+    fn line_column(&self) -> (u32, u32) {
+        let consumed = &self.buf[self.mark..self.pos];
+        let (mut line, mut column, mut rest) = (self.line, self.column, consumed);
+        let newlines = count(consumed, |b| b == b'\n');
+        if newlines > 0 {
+            let last = consumed.iter().rposition(|&b| b == b'\n').unwrap_or(0);
+            line += newlines as u32;
+            column = 1;
+            rest = &consumed[last + 1..];
+        }
+        column += count(rest, |b| b & 0xc0 != 0x80) as u32;
+        (line, column)
+    }
+
+    /// An error at the current position; fuses the reader.
     fn err(&self, message: impl Into<String>) -> XmlError {
+        self.failed.set(true);
+        let (line, column) = self.line_column();
         XmlError {
-            line: self.line,
-            column: self.column,
+            line,
+            column,
             message: message.into(),
         }
     }
 
     // ---- buffered cursor -------------------------------------------------
 
-    fn refill(&mut self) -> Result<()> {
-        if self.pos >= COMPACT_AT {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Appends one read to the buffer; false at the end of input.
+    fn fill(&mut self) -> Result<bool> {
+        if self.eof {
+            return Ok(false);
         }
-        let mut chunk = [0u8; CHUNK];
+        let len = self.buf.len();
+        self.buf.resize(len + CHUNK, 0);
         loop {
-            match self.src.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(());
-                }
+            match self.src.read(&mut self.buf[len..]) {
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    return Ok(());
+                    self.buf.truncate(len + n);
+                    self.eof = n == 0;
+                    return Ok(n > 0);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(self.err(format!("I/O error: {e}"))),
+                Err(e) => {
+                    self.buf.truncate(len);
+                    return Err(self.err(format!("I/O error: {e}")));
+                }
             }
         }
     }
 
-    /// Best-effort: makes at least `n` bytes available unless EOF comes
-    /// first.
-    fn ensure(&mut self, n: usize) -> Result<()> {
-        while self.buf.len() - self.pos < n && !self.eof {
-            self.refill()?;
+    /// The byte at `i`, reading as needed; `None` past the end of input.
+    fn byte(&mut self, i: usize) -> Result<Option<u8>> {
+        while i >= self.buf.len() {
+            if !self.fill()? {
+                return Ok(None);
+            }
         }
-        Ok(())
+        Ok(Some(self.buf[i]))
     }
 
     fn peek(&mut self) -> Result<Option<u8>> {
-        self.ensure(1)?;
-        Ok(self.buf.get(self.pos).copied())
+        self.byte(self.pos)
     }
 
-    fn starts_with(&mut self, s: &str) -> Result<bool> {
-        self.ensure(s.len())?;
-        Ok(self.buf[self.pos..].starts_with(s.as_bytes()))
-    }
-
-    fn bump(&mut self) -> Result<Option<u8>> {
-        let Some(b) = self.peek()? else {
-            return Ok(None);
-        };
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.column = 1;
-        } else if b & 0xc0 != 0x80 {
-            // Count UTF-8 scalar starts, not continuation bytes.
-            self.column += 1;
-        }
-        Ok(Some(b))
-    }
-
-    fn advance(&mut self, n: usize) -> Result<()> {
-        for _ in 0..n {
-            self.bump()?;
-        }
-        Ok(())
+    fn starts_with(&mut self, s: &[u8]) -> Result<bool> {
+        while self.buf.len() - self.pos < s.len() && self.fill()? {}
+        Ok(self.buf[self.pos..].starts_with(s))
     }
 
     fn expect(&mut self, s: &str) -> Result<()> {
-        if self.starts_with(s)? {
-            self.advance(s.len())
+        if self.starts_with(s.as_bytes())? {
+            self.pos += s.len();
+            Ok(())
         } else {
             Err(self.err(format!("expected `{s}`")))
         }
     }
 
-    fn skip_ws(&mut self) -> Result<()> {
-        while matches!(self.peek()?, Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump()?;
+    /// The index of the first byte at or after `from` that `stop`
+    /// matches, reading as needed; the end of input if none does.
+    fn find(&mut self, from: usize, stop: impl Fn(u8) -> bool) -> Result<usize> {
+        let mut i = from;
+        loop {
+            if let Some(k) = self.buf[i..].iter().position(|&b| stop(b)) {
+                return Ok(i + k);
+            }
+            i = self.buf.len();
+            if !self.fill()? {
+                return Ok(i);
+            }
         }
-        Ok(())
     }
 
-    /// Copies bytes into `out` until one of `stops` (or EOF); the stop byte
-    /// is not consumed.
-    fn copy_until(&mut self, out: &mut Vec<u8>, stops: &[u8]) -> Result<()> {
+    /// The index of the first `pat` at or after `pos`; `None` if the
+    /// input ends first.
+    fn find_seq(&mut self, pat: &[u8]) -> Result<Option<usize>> {
+        let mut i = self.pos;
         loop {
-            if self.pos >= self.buf.len() {
-                if self.eof {
+            let at = self.find(i, |b| b == pat[0])?;
+            while self.buf.len() < at + pat.len() {
+                if !self.fill()? {
+                    return Ok(None);
+                }
+            }
+            if self.buf[at..].starts_with(pat) {
+                return Ok(Some(at));
+            }
+            i = at + 1;
+        }
+    }
+
+    /// Skips whitespace, compacting the buffer as it goes: a run of
+    /// whitespace is no token, so however long it is, it is not kept.
+    fn skip_ws(&mut self) -> Result<()> {
+        let is_ws = |b: &u8| matches!(b, b' ' | b'\t' | b'\r' | b'\n');
+        loop {
+            match self.buf[self.pos..].iter().position(|b| !is_ws(b)) {
+                Some(k) => {
+                    self.pos += k;
                     return Ok(());
                 }
-                self.refill()?;
-                continue;
-            }
-            let b = self.buf[self.pos];
-            if stops.contains(&b) {
-                return Ok(());
-            }
-            out.push(b);
-            self.pos += 1;
-            if b == b'\n' {
-                self.line += 1;
-                self.column = 1;
-            } else if b & 0xc0 != 0x80 {
-                self.column += 1;
+                None => {
+                    self.pos = self.buf.len();
+                    self.compact();
+                    if !self.fill()? {
+                        return Ok(());
+                    }
+                }
             }
         }
-    }
-
-    fn utf8(&self, bytes: Vec<u8>, what: &str) -> Result<String> {
-        String::from_utf8(bytes).map_err(|_| self.err(format!("{what} is not valid UTF-8")))
     }
 
     // ---- grammar -----------------------------------------------------------
 
-    fn name(&mut self) -> Result<String> {
-        let mut out = Vec::new();
+    /// Scans a name at `pos`, leaving `pos` after it; the caller checks
+    /// `buf[start..end]` for UTF-8.
+    fn name(&mut self) -> Result<(usize, usize)> {
+        let start = self.pos;
         match self.peek()? {
-            Some(b) if is_name_start(b) => {
-                out.push(b);
-                self.bump()?;
-            }
+            Some(b) if is_name_start(b) => {}
             _ => return Err(self.err("expected name")),
         }
-        while let Some(b) = self.peek()? {
-            if is_name_char(b) {
-                out.push(b);
-                self.bump()?;
-            } else {
-                break;
-            }
-        }
-        self.utf8(out, "name")
+        self.pos = self.find(start + 1, |b| !is_name_char(b))?;
+        Ok((start, self.pos))
     }
 
-    /// Parses `&…;` and returns the expanded text.
-    fn reference(&mut self) -> Result<String> {
-        self.expect("&")?;
+    /// Parses `&…;` at `pos` and appends its expansion to `scratch`.
+    fn reference(&mut self) -> Result<()> {
+        self.pos += 1; // `&`
         if self.peek()? == Some(b'#') {
-            self.bump()?;
+            self.pos += 1;
             let radix = if self.peek()? == Some(b'x') {
-                self.bump()?;
+                self.pos += 1;
                 16
             } else {
                 10
             };
-            let mut digits = String::new();
-            while let Some(b) = self.peek()? {
-                if (b as char).is_digit(radix) {
-                    digits.push(b as char);
-                    self.bump()?;
-                } else {
-                    break;
-                }
-            }
+            let start = self.pos;
+            self.pos = self.find(start, |b| !(b as char).is_digit(radix))?;
+            let end = self.pos;
             self.expect(";")?;
-            let code = u32::from_str_radix(&digits, radix)
-                .map_err(|_| self.err("bad character reference"))?;
+            let digits = &self.buf[start..end];
+            let code = digits
+                .iter()
+                .try_fold(0u32, |code, &b| {
+                    code.checked_mul(radix)?
+                        .checked_add((b as char).to_digit(radix)?)
+                })
+                .filter(|_| !digits.is_empty())
+                .ok_or_else(|| self.err("bad character reference"))?;
             let ch = char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?;
-            return Ok(ch.to_string());
+            self.scratch.push(ch);
+            return Ok(());
         }
-        let name = self.name()?;
-        self.expect(";")?;
-        let expansion = match name.as_str() {
-            "lt" => "<",
-            "gt" => ">",
-            "amp" => "&",
-            "apos" => "'",
-            "quot" => "\"",
-            other => return Err(self.err(format!("unknown entity `&{other};`"))),
+        let (start, end) = self.name()?;
+        let Ok(name) = str::from_utf8(&self.buf[start..end]) else {
+            return Err(self.err("name is not valid UTF-8"));
         };
-        Ok(expansion.to_string())
+        let expansion = match name {
+            "lt" => '<',
+            "gt" => '>',
+            "amp" => '&',
+            "apos" => '\'',
+            "quot" => '"',
+            _ => {
+                let name = name.to_string();
+                self.expect(";")?;
+                return Err(self.err(format!("unknown entity `&{name};`")));
+            }
+        };
+        self.expect(";")?;
+        self.scratch.push(expansion);
+        Ok(())
     }
 
-    fn attribute(&mut self) -> Result<(String, String)> {
-        let name = self.name()?;
+    /// Scans character data from `pos` up to the first byte `is_stop`
+    /// matches (or the end of input), leaving `pos` there. Data without
+    /// references stays in the buffer; with them, each raw run is
+    /// checked and copied into `scratch` between the expansions.
+    fn chars(&mut self, is_stop: impl Fn(u8) -> bool) -> Result<Chars> {
+        let start = self.pos;
+        let mut expanded = false;
+        let mut valid = true;
+        loop {
+            let run = self.pos;
+            self.pos = self.find(run, |b| b == b'&' || is_stop(b))?;
+            if expanded {
+                match str::from_utf8(&self.buf[run..self.pos]) {
+                    Ok(raw) => self.scratch.push_str(raw),
+                    Err(_) => valid = false,
+                }
+            }
+            if self.buf.get(self.pos) != Some(&b'&') {
+                return Ok(match (expanded, valid) {
+                    (false, _) => Chars::Buf(start, self.pos),
+                    (true, true) => Chars::Scratch,
+                    (true, false) => Chars::Invalid,
+                });
+            }
+            if !expanded {
+                expanded = true;
+                self.scratch.clear();
+                match str::from_utf8(&self.buf[start..self.pos]) {
+                    Ok(raw) => self.scratch.push_str(raw),
+                    Err(_) => valid = false,
+                }
+            }
+            self.reference()?;
+        }
+    }
+
+    /// The scanned character data as a string, or an error naming `what`
+    /// at the current position if it is not UTF-8.
+    fn chars_str(&self, chars: Chars, what: &str) -> Result<&str> {
+        match chars {
+            Chars::Buf(start, end) => str::from_utf8(&self.buf[start..end])
+                .map_err(|_| self.err(format!("{what} is not valid UTF-8"))),
+            Chars::Scratch => Ok(&self.scratch),
+            Chars::Invalid => Err(self.err(format!("{what} is not valid UTF-8"))),
+        }
+    }
+
+    /// Parses `name = "value"` at `pos`: the name is appended to
+    /// `attr_names`, and the value is scanned, `pos` left after its
+    /// closing quote.
+    fn attribute(&mut self) -> Result<Chars> {
+        let (start, end) = self.name()?;
+        let Ok(name) = str::from_utf8(&self.buf[start..end]) else {
+            return Err(self.err("name is not valid UTF-8"));
+        };
+        self.attr_names.push_str(name);
+        self.attr_ends.push(self.attr_names.len());
         self.skip_ws()?;
         self.expect("=")?;
         self.skip_ws()?;
@@ -294,39 +487,38 @@ impl<R: Read> Events<R> {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.err("expected quoted attribute value")),
         };
-        self.bump()?;
-        let mut value = Vec::new();
-        loop {
-            match self.peek()? {
-                Some(q) if q == quote => {
-                    self.bump()?;
-                    let value = self.utf8(value, "attribute value")?;
-                    return Ok((name, value));
-                }
-                Some(b'<') => return Err(self.err("`<` in attribute value")),
-                Some(b'&') => {
-                    let expanded = self.reference()?;
-                    value.extend_from_slice(expanded.as_bytes());
-                }
-                Some(_) => self.copy_until(&mut value, &[quote, b'&', b'<'])?,
-                None => return Err(self.err("unterminated attribute value")),
+        self.pos += 1;
+        let value = self.chars(|b| b == quote || b == b'<')?;
+        match self.peek()? {
+            Some(b'<') => Err(self.err("`<` in attribute value")),
+            Some(_) => {
+                self.pos += 1;
+                Ok(value)
             }
+            None => Err(self.err("unterminated attribute value")),
         }
     }
 
-    fn xml_decl(&mut self) -> Result<Option<XmlDecl>> {
-        if !self.starts_with("<?xml")? {
-            return Ok(None);
-        }
+    /// The name of the attribute `attribute` scanned last.
+    fn last_attr_name(&self) -> &str {
+        let end = self.attr_names.len();
+        let start = match self.attr_ends.len() {
+            0 | 1 => 0,
+            n => self.attr_ends[n - 2],
+        };
+        &self.attr_names[start..end]
+    }
+
+    /// Parses the XML declaration into `decl`, if the input starts with
+    /// one.
+    fn xml_decl(&mut self) -> Result<bool> {
         // `<?xml-stylesheet` etc. are PIs, not the declaration.
-        self.ensure(6)?;
-        if !matches!(
-            self.buf.get(self.pos + 5),
-            Some(b' ' | b'\t' | b'\r' | b'\n')
-        ) {
-            return Ok(None);
+        if !self.starts_with(b"<?xml")?
+            || !matches!(self.byte(self.pos + 5)?, Some(b' ' | b'\t' | b'\r' | b'\n'))
+        {
+            return Ok(false);
         }
-        self.advance(5)?;
+        self.pos += 5;
         let mut decl = XmlDecl {
             version: "1.0".to_string(),
             encoding: None,
@@ -334,12 +526,14 @@ impl<R: Read> Events<R> {
         };
         loop {
             self.skip_ws()?;
-            if self.starts_with("?>")? {
-                self.advance(2)?;
-                return Ok(Some(decl));
+            if self.starts_with(b"?>")? {
+                self.pos += 2;
+                self.decl = Some(decl);
+                return Ok(true);
             }
-            let (name, value) = self.attribute()?;
-            match name.as_str() {
+            let value = self.attribute()?;
+            let value = self.chars_str(value, "attribute value")?.to_string();
+            match self.last_attr_name() {
                 "version" => decl.version = value,
                 "encoding" => decl.encoding = Some(value),
                 "standalone" => decl.standalone = Some(value == "yes"),
@@ -353,130 +547,161 @@ impl<R: Read> Events<R> {
     /// Skips a DOCTYPE declaration, including a bracketed internal subset.
     /// The skipped bytes must still be UTF-8, as everywhere else.
     fn doctype(&mut self) -> Result<()> {
-        self.expect("<!DOCTYPE")?;
+        self.pos += b"<!DOCTYPE".len();
+        let start = self.pos;
         let mut depth = 0i32;
-        let mut skipped = Vec::new();
+        let mut i = start;
         loop {
-            match self.bump()? {
-                Some(b'>') if depth == 0 => return self.utf8(skipped, "DOCTYPE").map(drop),
-                Some(b) => {
-                    match b {
-                        b'[' => depth += 1,
-                        b']' => depth -= 1,
-                        _ => {}
-                    }
-                    skipped.push(b);
+            match self.byte(i)? {
+                Some(b'>') if depth == 0 => break,
+                Some(b'[') => depth += 1,
+                Some(b']') => depth -= 1,
+                Some(_) => {}
+                None => {
+                    self.pos = i;
+                    return Err(self.err("unterminated DOCTYPE"));
                 }
-                None => return Err(self.err("unterminated DOCTYPE")),
             }
+            i += 1;
+        }
+        self.pos = i + 1;
+        match str::from_utf8(&self.buf[start..i]) {
+            Ok(_) => Ok(()),
+            Err(_) => Err(self.err("DOCTYPE is not valid UTF-8")),
         }
     }
 
-    fn comment(&mut self) -> Result<String> {
-        self.expect("<!--")?;
-        let mut out = Vec::new();
-        loop {
-            if self.starts_with("-->")? {
-                let text = self.utf8(out, "comment")?;
-                if text.contains("--") {
-                    return Err(self.err("`--` inside comment"));
-                }
-                self.advance(3)?;
-                return Ok(text);
-            }
-            match self.bump()? {
-                Some(b) => out.push(b),
-                None => return Err(self.err("unterminated comment")),
-            }
+    fn comment(&mut self) -> Result<Option<EventRef<'_>>> {
+        self.pos += b"<!--".len();
+        let start = self.pos;
+        let Some(end) = self.find_seq(b"-->")? else {
+            self.pos = self.buf.len();
+            return Err(self.err("unterminated comment"));
+        };
+        self.pos = end;
+        let Ok(text) = str::from_utf8(&self.buf[start..end]) else {
+            return Err(self.err("comment is not valid UTF-8"));
+        };
+        if text.contains("--") {
+            return Err(self.err("`--` inside comment"));
         }
+        self.pos = end + 3;
+        Ok(Some(EventRef::Comment(text)))
     }
 
-    fn processing_instruction(&mut self) -> Result<Event> {
-        self.expect("<?")?;
-        let target = self.name()?;
+    fn processing_instruction(&mut self) -> Result<Option<EventRef<'_>>> {
+        self.pos += b"<?".len();
+        let (start, end) = self.name()?;
+        let Ok(target) = str::from_utf8(&self.buf[start..end]) else {
+            return Err(self.err("name is not valid UTF-8"));
+        };
         if target.eq_ignore_ascii_case("xml") {
             return Err(self.err("XML declaration not allowed here"));
         }
+        self.scratch.clear();
+        self.scratch.push_str(target);
         self.skip_ws()?;
-        let mut out = Vec::new();
-        loop {
-            if self.starts_with("?>")? {
-                let data = self.utf8(out, "processing instruction")?;
-                self.advance(2)?;
-                return Ok(Event::Pi { target, data });
-            }
-            match self.bump()? {
-                Some(b) => out.push(b),
-                None => return Err(self.err("unterminated processing instruction")),
-            }
-        }
+        let start = self.pos;
+        let Some(end) = self.find_seq(b"?>")? else {
+            self.pos = self.buf.len();
+            return Err(self.err("unterminated processing instruction"));
+        };
+        self.pos = end;
+        let Ok(data) = str::from_utf8(&self.buf[start..end]) else {
+            return Err(self.err("processing instruction is not valid UTF-8"));
+        };
+        self.pos = end + 2;
+        Ok(Some(EventRef::Pi {
+            target: &self.scratch,
+            data,
+        }))
     }
 
-    fn cdata(&mut self) -> Result<String> {
-        self.expect("<![CDATA[")?;
-        let mut out = Vec::new();
-        loop {
-            if self.starts_with("]]>")? {
-                self.advance(3)?;
-                return self.utf8(out, "CDATA section");
-            }
-            match self.bump()? {
-                Some(b) => out.push(b),
-                None => return Err(self.err("unterminated CDATA section")),
-            }
+    fn cdata(&mut self) -> Result<Option<EventRef<'_>>> {
+        self.pos += b"<![CDATA[".len();
+        let start = self.pos;
+        let Some(end) = self.find_seq(b"]]>")? else {
+            self.pos = self.buf.len();
+            return Err(self.err("unterminated CDATA section"));
+        };
+        self.pos = end + 3;
+        match str::from_utf8(&self.buf[start..end]) {
+            Ok(text) => Ok(Some(EventRef::CData(text))),
+            Err(_) => Err(self.err("CDATA section is not valid UTF-8")),
         }
-    }
-
-    /// Maximal run of character data and references.
-    fn text(&mut self) -> Result<String> {
-        let mut out = Vec::new();
-        loop {
-            match self.peek()? {
-                Some(b'<') | None => break,
-                Some(b'&') => {
-                    let expanded = self.reference()?;
-                    out.extend_from_slice(expanded.as_bytes());
-                }
-                Some(_) => self.copy_until(&mut out, b"<&")?,
-            }
-        }
-        self.utf8(out, "text")
     }
 
     /// Consumes `<name`, pushes the open element, and switches to attribute
     /// parsing.
-    fn open_tag(&mut self) -> Result<Event> {
+    fn open_tag(&mut self) -> Result<Option<EventRef<'_>>> {
         self.expect("<")?;
-        let name = self.name()?;
-        self.stack.push(name.clone());
-        self.seen_attrs.clear();
+        let (start, end) = self.name()?;
+        let Ok(name) = str::from_utf8(&self.buf[start..end]) else {
+            return Err(self.err("name is not valid UTF-8"));
+        };
+        let at = self.names.len();
+        self.names.push_str(name);
+        self.open.push(at);
+        self.attr_names.clear();
+        self.attr_ends.clear();
         self.state = State::StartTag;
-        Ok(Event::Start(name))
+        Ok(Some(EventRef::Start(&self.names[at..])))
     }
 
-    fn next_event(&mut self) -> Result<Option<Event>> {
+    /// Consumes `</name>` closing the innermost open element.
+    fn close_tag(&mut self) -> Result<Option<EventRef<'_>>> {
+        self.pos += b"</".len();
+        let (start, end) = self.name()?;
+        let Ok(close) = str::from_utf8(&self.buf[start..end]) else {
+            return Err(self.err("name is not valid UTF-8"));
+        };
+        let at = *self.open.last().expect("Content implies open element");
+        let open = &self.names[at..];
+        if close != open {
+            return Err(self.err(format!(
+                "mismatched end tag: expected `</{open}>`, found `</{close}>`"
+            )));
+        }
+        self.skip_ws()?;
+        self.expect(">")?;
+        Ok(Some(self.pop()))
+    }
+
+    /// Closes the innermost open element.
+    fn pop(&mut self) -> EventRef<'_> {
+        let at = self.open.pop().expect("an element is open");
+        self.popped = Some(at);
+        self.state = if self.open.is_empty() {
+            State::Epilog
+        } else {
+            State::Content
+        };
+        EventRef::End(&self.names[at..])
+    }
+
+    fn next_event(&mut self) -> Result<Option<EventRef<'_>>> {
         loop {
             match self.state {
                 State::AtStart => {
                     self.state = State::Prolog;
-                    if let Some(decl) = self.xml_decl()? {
-                        return Ok(Some(Event::Decl(decl)));
+                    if self.xml_decl()? {
+                        return Ok(self.decl.as_ref().map(EventRef::Decl));
                     }
                 }
                 State::Prolog => {
                     self.skip_ws()?;
-                    if self.starts_with("<!--")? {
-                        return Ok(Some(Event::Comment(self.comment()?)));
+                    if self.starts_with(b"<!--")? {
+                        return self.comment();
                     }
-                    if self.starts_with("<!DOCTYPE")? {
+                    if self.starts_with(b"<!DOCTYPE")? {
                         self.doctype()?;
                         continue;
                     }
-                    if self.starts_with("<?")? {
-                        return Ok(Some(self.processing_instruction()?));
+                    if self.starts_with(b"<?")? {
+                        return self.processing_instruction();
                     }
                     if self.peek()? == Some(b'<') {
-                        return Ok(Some(self.open_tag()?));
+                        return self.open_tag();
                     }
                     return Err(self.err("expected root element"));
                 }
@@ -485,74 +710,52 @@ impl<R: Read> Events<R> {
                     match self.peek()? {
                         Some(b'/') => {
                             self.expect("/>")?;
-                            let name = self.stack.pop().expect("StartTag implies open element");
-                            self.state = if self.stack.is_empty() {
-                                State::Epilog
-                            } else {
-                                State::Content
-                            };
-                            return Ok(Some(Event::End(name)));
+                            return Ok(Some(self.pop()));
                         }
                         Some(b'>') => {
-                            self.bump()?;
+                            self.pos += 1;
                             self.state = State::Content;
                         }
                         Some(_) => {
-                            let (name, value) = self.attribute()?;
-                            if self.seen_attrs.contains(&name) {
-                                return Err(self.err(format!("duplicate attribute `{name}`")));
+                            let value = self.attribute()?;
+                            let value = self.chars_str(value, "attribute value")?;
+                            let name = self.last_attr_name();
+                            let earlier = &self.attr_names[..self.attr_names.len() - name.len()];
+                            let mut start = 0;
+                            for &end in &self.attr_ends[..self.attr_ends.len() - 1] {
+                                if &earlier[start..end] == name {
+                                    return Err(self.err(format!("duplicate attribute `{name}`")));
+                                }
+                                start = end;
                             }
-                            self.seen_attrs.push(name.clone());
-                            return Ok(Some(Event::Attr { name, value }));
+                            return Ok(Some(EventRef::Attr { name, value }));
                         }
                         None => return Err(self.err("unterminated start tag")),
                     }
                 }
                 State::Content => match self.peek()? {
-                    Some(b'<') => {
-                        if self.starts_with("</")? {
-                            self.expect("</")?;
-                            let close = self.name()?;
-                            let open = self.stack.last().expect("Content implies open element");
-                            if close != *open {
-                                return Err(self.err(format!(
-                                    "mismatched end tag: expected `</{open}>`, found `</{close}>`"
-                                )));
-                            }
-                            self.skip_ws()?;
-                            self.expect(">")?;
-                            self.stack.pop();
-                            if self.stack.is_empty() {
-                                self.state = State::Epilog;
-                            }
-                            return Ok(Some(Event::End(close)));
-                        }
-                        if self.starts_with("<!--")? {
-                            return Ok(Some(Event::Comment(self.comment()?)));
-                        }
-                        if self.starts_with("<![CDATA[")? {
-                            return Ok(Some(Event::CData(self.cdata()?)));
-                        }
-                        if self.starts_with("<?")? {
-                            return Ok(Some(self.processing_instruction()?));
-                        }
-                        return Ok(Some(self.open_tag()?));
-                    }
+                    Some(b'<') => match self.byte(self.pos + 1)? {
+                        Some(b'/') => return self.close_tag(),
+                        Some(b'!') if self.starts_with(b"<!--")? => return self.comment(),
+                        Some(b'!') if self.starts_with(b"<![CDATA[")? => return self.cdata(),
+                        Some(b'?') => return self.processing_instruction(),
+                        _ => return self.open_tag(),
+                    },
                     Some(_) => {
-                        let text = self.text()?;
-                        if !text.is_empty() {
-                            return Ok(Some(Event::Text(text)));
-                        }
+                        // Never empty: the data starts with a byte that
+                        // is not `<`, or with a reference.
+                        let text = self.chars(|b| b == b'<')?;
+                        return Ok(Some(EventRef::Text(self.chars_str(text, "text")?)));
                     }
                     None => return Err(self.err("unexpected end of input inside element")),
                 },
                 State::Epilog => {
                     self.skip_ws()?;
-                    if self.starts_with("<!--")? {
-                        return Ok(Some(Event::Comment(self.comment()?)));
+                    if self.starts_with(b"<!--")? {
+                        return self.comment();
                     }
-                    if self.starts_with("<?")? {
-                        return Ok(Some(self.processing_instruction()?));
+                    if self.starts_with(b"<?")? {
+                        return self.processing_instruction();
                     }
                     if self.peek()?.is_none() {
                         self.state = State::Done;
@@ -569,27 +772,49 @@ impl<R: Read> Events<R> {
 impl<R: Read> Iterator for Events<R> {
     type Item = Result<Event>;
 
+    /// The owned copy of [`Events::next_ref`]'s event.
     fn next(&mut self) -> Option<Result<Event>> {
-        if self.failed {
-            return None;
-        }
-        match self.next_event() {
-            Ok(Some(event)) => Some(Ok(event)),
-            Ok(None) => None,
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+        self.next_ref()
+            .map(|e| e.map(EventRef::to_owned))
+            .transpose()
     }
 }
 
+/// The number of bytes `pred` accepts, summed in byte-wide lanes over
+/// short chunks so that the compiler can vectorize it: the position of
+/// every byte of a document is counted this way once.
+fn count(bytes: &[u8], pred: impl Fn(u8) -> bool) -> usize {
+    bytes
+        .chunks(255)
+        .map(|chunk| chunk.iter().fold(0u8, |n, &b| n + u8::from(pred(b))) as usize)
+        .sum()
+}
+
+/// `[byte]` → may the byte start a name, may it continue one.
+const NAME_START: [bool; 256] = name_table(false);
+const NAME_CHAR: [bool; 256] = name_table(true);
+
+const fn name_table(continuing: bool) -> [bool; 256] {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphabetic()
+            || c == b'_'
+            || c == b':'
+            || c >= 0x80
+            || (continuing && (c.is_ascii_digit() || c == b'-' || c == b'.'));
+        b += 1;
+    }
+    table
+}
+
 fn is_name_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
+    NAME_START[b as usize]
 }
 
 fn is_name_char(b: u8) -> bool {
-    is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
+    NAME_CHAR[b as usize]
 }
 
 #[cfg(test)]
@@ -707,6 +932,71 @@ mod tests {
         assert_eq!(error.line, 2);
         assert!(error.message.contains("mismatched end tag"));
         assert!(events.next().is_none(), "iterator must fuse after error");
+    }
+
+    #[test]
+    fn borrowed_events_are_the_owned_ones() {
+        for case in CASES {
+            let owned: Vec<_> = Events::new(case.as_bytes()).map(|r| r.unwrap()).collect();
+            let mut events = Events::new(OneByte(case.as_bytes()));
+            let mut borrowed = Vec::new();
+            while let Some(event) = events.next_ref().unwrap() {
+                borrowed.push(event.to_owned());
+            }
+            assert_eq!(owned, borrowed, "case {case:?}");
+        }
+    }
+
+    /// Line and column are counted per consumed slice, across buffer
+    /// compactions, as a newline and every UTF-8 scalar start.
+    #[test]
+    fn error_positions_survive_compaction() {
+        let mut doc = String::from("<r>");
+        for i in 0..5_000 {
+            doc.push_str(&format!("<v a=\"é{i}\">✓ &amp; {i}</v>\n"));
+        }
+        doc.push_str("  <x>é</y>");
+        let error = Events::new(doc.as_bytes())
+            .find_map(|r| r.err())
+            .expect("mismatched end tag must error");
+        let at = doc.len() - 1; // just after `</y`
+        let line = 1 + doc[..at].matches('\n').count() as u32;
+        let column = 1 + doc[..at].rsplit('\n').next().unwrap().chars().count() as u32;
+        assert_eq!((error.line, error.column), (line, column), "{error}");
+        assert_eq!((line, column), (5_001, 10));
+    }
+
+    /// Whitespace between tokens is dropped as it is read, so a long run
+    /// of it does not grow the look-ahead buffer.
+    #[test]
+    fn long_whitespace_keeps_the_buffer_bounded() {
+        let spaces = || std::io::repeat(b' ').take(1 << 20);
+        let src = spaces()
+            .chain(&b"<a "[..])
+            .chain(spaces())
+            .chain(&b"x='1'"[..])
+            .chain(spaces())
+            .chain(&b"><b>t</b"[..])
+            .chain(spaces())
+            .chain(&b"></a>"[..])
+            .chain(spaces())
+            .chain(&b"<!---->"[..])
+            .chain(spaces());
+        let mut events = Events::new(src);
+        let mut n = 0;
+        while events.next_ref().unwrap().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 7, "Start, Attr, Start, Text, End, End, Comment");
+        assert!(
+            events.buf.capacity() <= 4 * COMPACT_AT,
+            "buffer grew to {} bytes",
+            events.buf.capacity()
+        );
+        let mut bad = Events::new(spaces().chain(&b"\n  <a></b>"[..]));
+        let error = std::iter::from_fn(|| bad.next()).find_map(|r| r.err());
+        let error = error.expect("mismatched end tag must error");
+        assert_eq!((error.line, error.column), (2, 9));
     }
 
     #[test]

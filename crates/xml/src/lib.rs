@@ -4,9 +4,10 @@
 //! one path in each direction:
 //!
 //! * in: [`Events`], a pull tokenizer over any byte source, is the only
-//!   XML tokenizer. Store ingest feeds its events straight to the
-//!   vectorizer; [`parse`] feeds them to a [`TreeBuilder`] when a caller
-//!   wants a DOM.
+//!   XML tokenizer. Store ingest feeds its borrowed events
+//!   ([`EventRef`], from [`Events::next_ref`]) straight to the
+//!   vectorizer; [`parse`] feeds its owned ones to a [`TreeBuilder`]
+//!   when a caller wants a DOM.
 //! * out: [`XmlWriter`] streams compact XML into any [`std::io::Write`]
 //!   from [`Sink`] calls. [`write_document`] drives it over a DOM;
 //!   `vx-core` drives it straight from a vectorized document.
@@ -24,7 +25,7 @@ mod events;
 mod writer;
 
 pub use dom::{Document, Element, Node, TreeBuilder, XmlDecl};
-pub use events::{Event, Events};
+pub use events::{Event, EventRef, Events};
 pub use parser::parse;
 pub use writer::{write_document, WriteOptions, XmlWriter};
 

@@ -132,8 +132,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// DOM in between.
 pub fn vectorize_str(xml_text: &str) -> Result<vx_core::VecDoc> {
     let mut pipeline = vx_core::Pipeline::new(vx_core::VecDoc::default(), Default::default());
-    for event in vx_xml::Events::new(xml_text.as_bytes()) {
-        pipeline.feed(event?).map_err(vx_core::CoreError::from)?;
+    let mut events = vx_xml::Events::new(xml_text.as_bytes());
+    while let Some(event) = events.next_ref()? {
+        pipeline.feed(event).map_err(vx_core::CoreError::from)?;
     }
     Ok(pipeline.finish().map_err(vx_core::CoreError::from)?)
 }
