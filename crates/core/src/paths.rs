@@ -1,7 +1,7 @@
 //! The integrity gate ([`check_text_counts`]) that store open and the
 //! engine's bare-document path run before trusting a document's vectors,
 //! and the path numbering the walks over a document share: dense
-//! [`PathIds`] from `vx-skeleton`, whose vectors [`VecDoc::path_id`]
+//! [`PathIds`] from `vx-skeleton`, whose vectors [`VecDoc::text_vector`]
 //! resolves.
 
 use crate::vecdoc::VecDoc;

@@ -1,16 +1,17 @@
 //! Lossless reconstruction `VEC(T) → T` (Prop 2.2): one skeleton-order
-//! walk over `(S, V)`, `O(|T|)` time, that pulls each text from its
-//! vector's cursor and drives a [`Sink`] — a streaming XML writer
-//! ([`write_xml`]), a DOM builder ([`reconstruct`]), or any other
-//! ([`reconstruct_into`]). Vectors resolve through [`PathIds`], so no
-//! path string is built per value and no node is cloned.
+//! [`vx_skeleton::Traversal`] over `(S, V)`, `O(|T|)` time on a stack of
+//! any size, that pulls each text from its vector's cursor and drives a
+//! [`Sink`] — a streaming XML writer ([`write_xml`]), a DOM builder
+//! ([`reconstruct`]), or any other ([`reconstruct_into`]). Vectors
+//! resolve through [`PathIds`], so no path string is built per value and
+//! no node is cloned.
 
 use crate::paths::{PathId, PathIds, SUPER_ROOT};
 use crate::vecdoc::VecDoc;
 use crate::{CoreError, Result};
 use std::borrow::Cow;
 use std::io;
-use vx_skeleton::NodeId;
+use vx_skeleton::Visit;
 use vx_xml::{Document, Sink, TreeBuilder, XmlWriter};
 
 /// What a salvage reconstruction had to invent.
@@ -75,7 +76,9 @@ pub fn reconstruct_into(doc: &VecDoc, sink: &mut impl Sink) -> Result<()> {
 }
 
 /// One skeleton-order walk over `(S, V)`, returning what it had to
-/// invent and how far it read each vector.
+/// invent and how far it read each vector. An element's `@name` children
+/// (each wrapping one value) go out as attributes when it is entered, so
+/// the traversal skips them where they stand.
 fn walk(
     doc: &VecDoc,
     sink: &mut impl Sink,
@@ -84,81 +87,68 @@ fn walk(
     let root = doc
         .root
         .ok_or_else(|| CoreError::Corrupt("vectorized document has no root".into()))?;
-    let Some(root_name) = doc.skeleton.node(root).name else {
+    let skeleton = &doc.skeleton;
+    let Some(root_name) = skeleton.node(root).name else {
         return Err(CoreError::Corrupt("root node is a text marker".into()));
     };
-    let mut paths = PathIds::default();
-    let root_path = doc.path_id(&mut paths, SUPER_ROOT, root_name);
     let mut walk = Walk {
         doc,
-        paths,
+        paths: PathIds::default(),
         cursors: vec![0; doc.vectors().len()],
         report: ReconstructReport::default(),
         strict,
-        sink,
     };
-    walk.element(root, root_path)?;
+    let root_path = walk.paths.child(SUPER_ROOT, root_name);
+    let mut traversal = skeleton.traverse(root, root_path);
+    while let Some(visit) = traversal.next(|path, name| walk.paths.child(path, name)) {
+        match visit {
+            Visit::Enter {
+                node, name, label, ..
+            } => {
+                let tag = skeleton.name(name);
+                if tag.starts_with('@') {
+                    traversal.skip_run();
+                    traversal.skip_subtree();
+                    continue;
+                }
+                sink.start(tag)?;
+                for edge in &skeleton.node(node).edges {
+                    let Some(child) = skeleton.node(edge.child).name else {
+                        continue;
+                    };
+                    if let Some(attr) = skeleton.name(child).strip_prefix('@') {
+                        let attr_path = walk.paths.child(label, child);
+                        for _ in 0..edge.run {
+                            sink.attr(attr, &walk.take(attr_path)?)?;
+                        }
+                    }
+                }
+            }
+            Visit::Text { label, run } => {
+                for _ in 0..run {
+                    sink.text(&walk.take(label)?)?;
+                }
+            }
+            Visit::Leave { name } => sink.end(skeleton.name(name))?,
+        }
+    }
     Ok((walk.report, walk.cursors))
 }
 
-struct Walk<'a, S> {
+struct Walk<'a> {
     doc: &'a VecDoc,
     paths: PathIds,
     /// Next unread value index per vector, parallel to `doc.vectors()`.
     cursors: Vec<usize>,
     report: ReconstructReport,
     strict: bool,
-    sink: &'a mut S,
 }
 
-impl<'a, S: Sink> Walk<'a, S> {
-    /// Emits the element `node`, reached at path `path`. Its `@name`
-    /// children (each wrapping one value) go out first as attributes,
-    /// then its texts and elements in order.
-    fn element(&mut self, node: NodeId, path: PathId) -> Result<()> {
-        let skeleton = &self.doc.skeleton;
-        let data = skeleton.node(node);
-        let name = data
-            .name
-            .ok_or_else(|| CoreError::Corrupt("unexpected text marker as element".into()))?;
-        let tag = skeleton.name(name);
-        self.sink.start(tag)?;
-        for edge in &data.edges {
-            let Some(child) = skeleton.node(edge.child).name else {
-                continue;
-            };
-            if let Some(attr) = skeleton.name(child).strip_prefix('@') {
-                let attr_path = self.doc.path_id(&mut self.paths, path, child);
-                for _ in 0..edge.run {
-                    let value = self.take(attr_path)?;
-                    self.sink.attr(attr, &value)?;
-                }
-            }
-        }
-        for edge in &data.edges {
-            match skeleton.node(edge.child).name {
-                None => {
-                    for _ in 0..edge.run {
-                        let value = self.take(path)?;
-                        self.sink.text(&value)?;
-                    }
-                }
-                Some(child) if skeleton.name(child).starts_with('@') => {}
-                Some(child) => {
-                    let child_path = self.doc.path_id(&mut self.paths, path, child);
-                    for _ in 0..edge.run {
-                        self.element(edge.child, child_path)?;
-                    }
-                }
-            }
-        }
-        Ok(self.sink.end(tag)?)
-    }
-
+impl<'a> Walk<'a> {
     /// The next value of the text directly under `path`.
     fn take(&mut self, path: PathId) -> Result<Cow<'a, str>> {
         let doc = self.doc;
-        let raw = self.paths.vector(path).and_then(|i| {
+        let raw = doc.text_vector(&mut self.paths, path).and_then(|i| {
             let position = self.cursors[i];
             self.cursors[i] += 1;
             doc.vectors()[i].values.get(position)

@@ -1,7 +1,7 @@
 //! The in-memory vectorized document `VEC(T) = (S, V)`.
 
 use std::collections::HashMap;
-use vx_skeleton::{NameId, NodeId, PathId, PathIds, Skeleton};
+use vx_skeleton::{NodeId, PathId, PathIds, Skeleton};
 use vx_vector::Vector;
 
 /// One data vector: every text value of one root-to-text tag path, in
@@ -86,15 +86,13 @@ impl VecDoc {
         self.lookup.get(path).copied()
     }
 
-    /// The id of `parent`'s child path `name` in `ids`, a path seen for
-    /// the first time resolving its vector here once: the walks over the
-    /// document (output, query) find each text's vector this way without
-    /// building or hashing a path string per value.
+    /// The vector of the texts directly under the path `id` of `ids`,
+    /// resolved from the path's spelling the first time it is asked for:
+    /// the walks over the document (output, query) find each text's
+    /// vector this way, spelling only text paths, each once.
     #[inline]
-    pub fn path_id(&self, ids: &mut PathIds, parent: PathId, name: NameId) -> PathId {
-        ids.child_resolved(parent, name, &self.skeleton, |path| {
-            self.vector_position(path)
-        })
+    pub fn text_vector(&self, ids: &mut PathIds, id: PathId) -> Option<usize> {
+        ids.text_vector(id, &self.skeleton, |path| self.vector_position(path))
     }
 
     /// Total text bytes across all vectors.

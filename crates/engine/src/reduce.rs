@@ -11,11 +11,13 @@
 //! paths below it — enough to stream a deep copy later without having
 //! visited it).
 //!
-//! The pass carries a dense path id ([`PathId`]) instead of a path
-//! string: a per-document trie numbers each absolute element path on
-//! first sight and resolves its vector once, and the cursors are a
-//! `Vec` indexed by vector position, so a visit hashes no string and,
-//! once its paths are numbered, allocates nothing. Subtrees in which no
+//! The pass is one [`vx_skeleton::Traversal`], so no document depth
+//! reaches the native stack. It carries a dense path id ([`PathId`])
+//! instead of a path string: a per-document trie numbers each absolute
+//! element path on first sight and resolves a path's vector at its
+//! first text, and the cursors are a `Vec` indexed by vector position,
+//! so a visit hashes no string and, once its paths are numbered,
+//! allocates nothing. Subtrees in which no
 //! machine is alive are never entered: each `(path id, node)`'s text
 //! layout, resolved once from [`PathIndex::texts_below`], bulk advances
 //! the cursors across them, so the pass touches only the parts of the
@@ -50,7 +52,7 @@ use std::time::Instant;
 use vx_core::{IdMap, PathId, PathIds, Pipeline, PipelineOptions, VecDoc, SUPER_ROOT};
 use vx_obs::{Counters, Spans};
 use vx_skeleton::{
-    NameId, NodeId, PathIndex, PathPattern, PatternStep, PatternTest, Skeleton, StructIndex,
+    NameId, NodeId, PathIndex, PathPattern, PatternStep, PatternTest, Skeleton, StructIndex, Visit,
 };
 
 /// One document made available to evaluation: its `doc("…")` name, the
@@ -681,7 +683,7 @@ fn collect_doc(
     };
 
     let mut paths = PathTrie::new();
-    let root_path = doc.path_id(&mut paths.ids, SUPER_ROOT, root_name);
+    let root_path = paths.ids.child(SUPER_ROOT, root_name);
     let mut walker = Walker {
         doc,
         skeleton,
@@ -711,8 +713,7 @@ fn collect_doc(
             walker.spawn(Target::Var(v), 0, None)?;
         }
     }
-    let top = walker.machines.len();
-    walker.visit(root, root_path, 0, top)?;
+    walker.walk()?;
     state.paths[doc_idx] = Some(walker.paths);
     Ok(())
 }
@@ -739,12 +740,12 @@ impl PathTrie {
         }
     }
 
-    /// The vector of the text directly under `id`; a missing one is a
-    /// damaged document.
-    fn text_vector(&self, id: PathId, skeleton: &Skeleton) -> Result<usize> {
-        self.ids.vector(id).ok_or_else(|| {
+    /// The vector of the text directly under `id`, resolved on first
+    /// use; a missing one is a damaged document.
+    fn text_vector(&mut self, id: PathId, doc: &VecDoc) -> Result<usize> {
+        doc.text_vector(&mut self.ids, id).ok_or_else(|| {
             let mut path = String::new();
-            self.ids.spell(id, skeleton, &mut path);
+            self.ids.spell(id, &doc.skeleton, &mut path);
             EngineError::Corrupt(format!("no vector for text path {path:?}"))
         })
     }
@@ -766,9 +767,9 @@ impl PathTrie {
         for &(rel, count) in index.texts_below(node) {
             let mut at = id;
             for name in index.rel_names(rel) {
-                at = doc.path_id(&mut self.ids, at, name);
+                at = self.ids.child(at, name);
             }
-            let pos = self.text_vector(at, &doc.skeleton)?;
+            let pos = self.text_vector(at, doc)?;
             self.texts.push((pos, count));
         }
         let range = (start, self.texts.len());
@@ -781,9 +782,20 @@ impl PathTrie {
     }
 }
 
-/// The per-document skeleton pass. Machines live on one stack: a visit's
-/// machines are the slice `[lo, hi)` at its top, the visit advances
-/// them into the space past the end, and truncates back on return.
+/// What an entered element keeps until it is left: the machine stack's
+/// height when it was entered, its live machines, and where its own
+/// `Values` collectors start.
+#[derive(Clone, Copy)]
+struct Level {
+    hi: usize,
+    live: (usize, usize),
+    collectors: usize,
+}
+
+/// The per-document skeleton pass, one [`vx_skeleton::Traversal`].
+/// Machines live on one stack: an entered element's machines are the
+/// slice `[lo, hi)` at its top, entering advances them into the space
+/// past the end, and leaving truncates back to `hi`.
 struct Walker<'a> {
     doc: &'a VecDoc,
     skeleton: &'a Skeleton,
@@ -808,7 +820,7 @@ struct Walker<'a> {
     /// The machine stack.
     machines: Vec<Machine>,
     /// `Values` collectors of the elements on the current root-to-node
-    /// chain; a visit uses those it pushed itself.
+    /// chain; an element's texts go to those it pushed itself.
     collectors: Vec<Collector>,
     root: NodeId,
     /// The root element's path id.
@@ -896,22 +908,88 @@ impl Walker<'_> {
         Ok(())
     }
 
-    /// Visits the element `node` at path `path` with the machines
-    /// `[lo, hi)`, the top of the stack.
-    fn visit(&mut self, node: NodeId, path: PathId, lo: usize, hi: usize) -> Result<()> {
+    /// Walks the document with the machines spawned at the super-root.
+    /// Each entered element pushes its [`Level`], and leaving pops it.
+    /// Each element run edge is decided once, at its first copy: all its
+    /// copies are entered, or all bulk-skipped.
+    fn walk(&mut self) -> Result<()> {
+        let top = self.machines.len();
+        // The innermost element's level; `outer` holds its ancestors'.
+        let mut level = Level {
+            hi: top,
+            live: (0, top),
+            collectors: 0,
+        };
+        let mut outer = Vec::new();
+        let skeleton = self.skeleton;
+        let mut traversal = skeleton.traverse(self.root, self.root_path);
+        while let Some(visit) = traversal.next(|path, name| self.paths.ids.child(path, name)) {
+            match visit {
+                Visit::Enter {
+                    node,
+                    name,
+                    label: path,
+                    first,
+                } => {
+                    let (lo, hi) = level.live;
+                    if !first || (lo != hi && !self.subtree_dead(lo..hi, node, name)) {
+                        outer.push(level);
+                        level = self.enter(node, name, path, (lo, hi))?;
+                        continue;
+                    }
+                    // No machine can match anything below: bulk-advance
+                    // the cursors over the run's copies without entering.
+                    let run = 1 + traversal.skip_run();
+                    traversal.skip_subtree();
+                    if lo != hi {
+                        // Structural pruning: summary evidence alone
+                        // showed no machine can complete inside.
+                        let structural = self.structural.expect("pruning implies an index");
+                        self.tally.summary_hits += (hi - lo) as u64;
+                        self.tally.nodes_skipped += structural.expanded(node) * run;
+                    }
+                    self.skip(node, path, run)?;
+                }
+                Visit::Text { label: path, run } => {
+                    // Text children: their vector is the element's path's.
+                    let vec_pos = self.paths.text_vector(path, self.doc)?;
+                    let start = self.cursors[vec_pos];
+                    self.cursors[vec_pos] += run as usize;
+                    self.tally.values_passed += run;
+                    for c in &self.collectors[level.collectors..] {
+                        if let RefData::Values(rows) = &mut self.state.ref_data[c.r] {
+                            for k in 0..run as usize {
+                                rows[c.occ][c.group].push((vec_pos, start + k));
+                            }
+                        }
+                    }
+                }
+                Visit::Leave { .. } => {
+                    self.machines.truncate(level.hi);
+                    self.collectors.truncate(level.collectors);
+                    level = outer.pop().expect("left an entered element");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Enters the element `node` named `name` at path `path` with the
+    /// machines `[lo, hi)`, the top of the stack, returning its level.
+    fn enter(
+        &mut self,
+        node: NodeId,
+        name: NameId,
+        path: PathId,
+        (lo, hi): (usize, usize),
+    ) -> Result<Level> {
         debug_assert_eq!(self.machines.len(), hi);
         self.tally.visits += 1;
         self.tally.nfa_advances += (hi - lo) as u64;
-        let skeleton = self.skeleton;
-        let data = skeleton.node(node);
-        let name_id = data
-            .name
-            .ok_or_else(|| EngineError::Corrupt("element visit reached a text node".into()))?;
-
         // Advance every machine over this element into `[hi, adv_hi)`.
         for i in lo..hi {
             let m = self.machines[i];
-            let states = self.pattern(m.target).advance(m.states, name_id);
+            let states = self.pattern(m.target).advance(m.states, name);
             if states != 0 {
                 self.machines.push(Machine { states, ..m });
             }
@@ -921,7 +999,7 @@ impl Walker<'_> {
         // machine lands on the live slice after whatever its accept
         // spawned.
         let adv_hi = self.machines.len();
-        let own_collectors = self.collectors.len();
+        let collectors = self.collectors.len();
         for i in hi..adv_hi {
             let m = self.machines[i];
             if self.pattern(m.target).accepts(m.states) {
@@ -930,49 +1008,11 @@ impl Walker<'_> {
             }
             self.machines.push(m);
         }
-        let (live_lo, live_hi) = (adv_hi, self.machines.len());
-
-        for edge in &data.edges {
-            match skeleton.node(edge.child).name {
-                None => {
-                    // Text children: their vector is the current path's.
-                    let vec_pos = self.paths.text_vector(path, skeleton)?;
-                    let start = self.cursors[vec_pos];
-                    self.cursors[vec_pos] += edge.run as usize;
-                    self.tally.values_passed += edge.run;
-                    for c in &self.collectors[own_collectors..] {
-                        if let RefData::Values(rows) = &mut self.state.ref_data[c.r] {
-                            for k in 0..edge.run as usize {
-                                rows[c.occ][c.group].push((vec_pos, start + k));
-                            }
-                        }
-                    }
-                }
-                Some(child_name) => {
-                    let child_path = self.doc.path_id(&mut self.paths.ids, path, child_name);
-                    if live_lo == live_hi {
-                        // No machine can match anything below: bulk-advance
-                        // the cursors over the subtree without entering it.
-                        self.skip(edge.child, child_path, edge.run)?;
-                    } else if self.subtree_dead(live_lo..live_hi, edge.child, child_name) {
-                        // Structural pruning: summary evidence alone shows
-                        // no machine can complete inside this subtree, so
-                        // the walk skips it wholesale.
-                        let structural = self.structural.expect("pruning implies an index");
-                        self.tally.summary_hits += (live_hi - live_lo) as u64;
-                        self.tally.nodes_skipped += structural.expanded(edge.child) * edge.run;
-                        self.skip(edge.child, child_path, edge.run)?;
-                    } else {
-                        for _ in 0..edge.run {
-                            self.visit(edge.child, child_path, live_lo, live_hi)?;
-                        }
-                    }
-                }
-            }
-        }
-        self.machines.truncate(hi);
-        self.collectors.truncate(own_collectors);
-        Ok(())
+        Ok(Level {
+            hi,
+            live: (adv_hi, self.machines.len()),
+            collectors,
+        })
     }
 
     /// Whether the whole subtree at `child` can be skipped: the index
@@ -1847,7 +1887,7 @@ impl Eval<'_> {
                             doc,
                             paths,
                             task.node,
-                            Some(task.path),
+                            task.path,
                             &mut cursors,
                             builder,
                             &self.tally.values,
@@ -1873,32 +1913,23 @@ fn copy_walk(
     doc: &VecDoc,
     paths: &PathTrie,
     node: NodeId,
-    path: Option<PathId>,
+    path: PathId,
     cursors: &mut [usize],
     builder: &mut Pipeline<VecDoc>,
     values_out: &Cell<u64>,
 ) -> Result<()> {
     let skeleton = &doc.skeleton;
-    let data = skeleton.node(node);
-    let name_id = data
-        .name
-        .ok_or_else(|| EngineError::Corrupt("copy task rooted at a text node".into()))?;
-    builder.start(skeleton.name(name_id))?;
-    for edge in &data.edges {
-        match skeleton.node(edge.child).name {
-            None => {
-                let pos = match path {
-                    Some(path) => paths.text_vector(path, skeleton)?,
-                    None => {
-                        return Err(EngineError::Corrupt(format!(
-                            "no vector for text copied under {:?}",
-                            skeleton.name(name_id)
-                        )))
-                    }
-                };
+    let mut traversal = skeleton.traverse(node, Some(path));
+    while let Some(visit) = traversal.next(|path, name| path.and_then(|p| paths.ids.get(p, name))) {
+        match visit {
+            Visit::Enter { name, .. } => builder.start(skeleton.name(name))?,
+            Visit::Text { label, run } => {
+                let pos = label
+                    .and_then(|p| paths.ids.vector(p))
+                    .ok_or_else(|| EngineError::Corrupt("no vector for a copied text".into()))?;
                 let values = &doc.vectors()[pos].values;
-                values_out.set(values_out.get() + edge.run);
-                for _ in 0..edge.run {
+                values_out.set(values_out.get() + run);
+                for _ in 0..run {
                     let bytes = values.get(cursors[pos]).ok_or_else(|| {
                         EngineError::Corrupt(format!(
                             "vector {:?} exhausted during copy",
@@ -1909,15 +1940,8 @@ fn copy_walk(
                     builder.text(bytes)?;
                 }
             }
-            Some(child_name) => {
-                let child_path = path.and_then(|p| paths.ids.get(p, child_name));
-                for _ in 0..edge.run {
-                    copy_walk(
-                        doc, paths, edge.child, child_path, cursors, builder, values_out,
-                    )?;
-                }
-            }
+            Visit::Leave { .. } => builder.end()?,
         }
     }
-    Ok(builder.end()?)
+    Ok(())
 }

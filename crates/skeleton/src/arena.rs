@@ -250,6 +250,16 @@ impl Skeleton {
         seen
     }
 
+    /// The document-order traversal of the tree the element `root`
+    /// expands to, with `label` on the root; see [`Traversal`].
+    pub fn traverse<L: Copy>(&self, root: NodeId, label: L) -> Traversal<'_, L> {
+        Traversal {
+            skeleton: self,
+            stack: Vec::new(),
+            root: Some((root, label)),
+        }
+    }
+
     /// Expanded (uncompressed) size in tree nodes of the subtree rooted at
     /// `id`: the element/text node itself plus all descendants, with runs
     /// multiplied out. This is the `|T|`-side count of the paper's
@@ -271,6 +281,114 @@ impl Skeleton {
             }
         }
         size[id.0 as usize]
+    }
+}
+
+/// One step of a [`Traversal`]. Labels are the caller's: the root's is
+/// given, and each element run edge's copies get `child(parent's label,
+/// name)`, computed once per edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visit<L> {
+    /// An element is entered. `first` marks the first copy of a run edge,
+    /// where a decision about the whole run belongs; the root, reached by
+    /// no edge, is not one.
+    Enter {
+        node: NodeId,
+        name: NameId,
+        label: L,
+        first: bool,
+    },
+    /// `run` consecutive texts (one edge) in the element labelled `label`.
+    Text { label: L, run: u64 },
+    /// The element entered last and not yet left is left.
+    Leave { name: NameId },
+}
+
+/// A document-order walk of the tree a DAG node expands to, on an
+/// explicit stack of `(node, label, edge index, copies left in the run)`
+/// frames: any depth fits on any stack, and a step allocates nothing once
+/// the stack has grown. The caller may skip the rest of the current
+/// element or the copies of its run edge still to come.
+pub struct Traversal<'s, L> {
+    skeleton: &'s Skeleton,
+    stack: Vec<Frame<'s, L>>,
+    /// The root and its label, until the first step enters it.
+    root: Option<(NodeId, L)>,
+}
+
+/// An entered element: its node's name and edges, and its label.
+struct Frame<'s, L> {
+    name: NameId,
+    edges: &'s [Edge],
+    label: L,
+    /// The next edge to start.
+    edge: usize,
+    /// Copies of edge `edge - 1` still to enter, and their label.
+    left: u64,
+    child: L,
+}
+
+impl<'s, L: Copy> Traversal<'s, L> {
+    /// The next step; `child` labels element run edges (see [`Visit`]).
+    #[inline]
+    pub fn next(&mut self, mut child: impl FnMut(L, NameId) -> L) -> Option<Visit<L>> {
+        let skeleton = self.skeleton;
+        let Some(top) = self.stack.last_mut() else {
+            let (node, label) = self.root.take()?;
+            return Some(self.enter(node, skeleton.node(node), label, false));
+        };
+        if top.left > 0 {
+            top.left -= 1;
+            let node = top.edges[top.edge - 1].child;
+            let label = top.child;
+            return Some(self.enter(node, skeleton.node(node), label, false));
+        }
+        let Some(&edge) = top.edges.get(top.edge) else {
+            let name = top.name;
+            self.stack.pop();
+            return Some(Visit::Leave { name });
+        };
+        top.edge += 1;
+        let data = skeleton.node(edge.child);
+        let Some(name) = data.name else {
+            let (label, run) = (top.label, edge.run);
+            return Some(Visit::Text { label, run });
+        };
+        top.left = edge.run - 1;
+        top.child = child(top.label, name);
+        let label = top.child;
+        Some(self.enter(edge.child, data, label, true))
+    }
+
+    #[inline]
+    fn enter(&mut self, node: NodeId, data: &'s NodeData, label: L, first: bool) -> Visit<L> {
+        let name = data.name.expect("a traversal starts at an element");
+        self.stack.push(Frame {
+            name,
+            edges: &data.edges,
+            label,
+            edge: 0,
+            left: 0,
+            child: label,
+        });
+        Visit::Enter {
+            node,
+            name,
+            label,
+            first,
+        }
+    }
+
+    /// Skips what is left of the current element, its `Leave` included.
+    pub fn skip_subtree(&mut self) {
+        self.stack.pop();
+    }
+
+    /// Skips the copies of the current element's run edge not entered
+    /// yet, returning how many; call it before [`Traversal::skip_subtree`].
+    pub fn skip_run(&mut self) -> u64 {
+        let parent = self.stack.len().checked_sub(2);
+        parent.map_or(0, |p| std::mem::take(&mut self.stack[p].left))
     }
 }
 
@@ -335,6 +453,159 @@ mod tests {
         assert_eq!(n1, n2);
         assert_eq!(s.len(), 2); // '#' + one shared leaf
         assert_eq!(s.duplicate_nodes(), 0);
+    }
+
+    /// `r(#×2, a×3, c(a, #))` with `a = a(#, b×2)` and `b = b(#)`, its
+    /// root and its `a` node.
+    fn runs_dag() -> (Skeleton, NodeId, NodeId) {
+        let mut s = Skeleton::new();
+        let (r, a, b, c) = (s.intern("r"), s.intern("a"), s.intern("b"), s.intern("c"));
+        let text = |run| Edge {
+            child: TEXT_NODE,
+            run,
+        };
+        let b_n = s.cons(b, &[text(1)]);
+        let a_n = s.cons(a, &[text(1), Edge { child: b_n, run: 2 }]);
+        let c_n = s.cons(c, &[Edge { child: a_n, run: 1 }, text(1)]);
+        let edges = [
+            text(2),
+            Edge { child: a_n, run: 3 },
+            Edge { child: c_n, run: 1 },
+        ];
+        let root = s.cons(r, &edges);
+        (s, root, a_n)
+    }
+
+    /// A label that tells the paths apart: the parent's, then the name.
+    fn label(parent: u64, name: NameId) -> u64 {
+        parent * 8 + u64::from(name.0) + 1
+    }
+
+    /// The events a [`Traversal`] must produce, by plain recursion.
+    fn expand(s: &Skeleton, node: NodeId, at: u64, first: bool, out: &mut Vec<Visit<u64>>) {
+        let name = s.node(node).name.unwrap();
+        out.push(Visit::Enter {
+            node,
+            name,
+            label: at,
+            first,
+        });
+        for edge in &s.node(node).edges {
+            match s.node(edge.child).name {
+                None => out.push(Visit::Text {
+                    label: at,
+                    run: edge.run,
+                }),
+                Some(child) => {
+                    for copy in 0..edge.run {
+                        expand(s, edge.child, label(at, child), copy == 0, out);
+                    }
+                }
+            }
+        }
+        out.push(Visit::Leave { name });
+    }
+
+    #[test]
+    fn traversal_expands_runs_in_document_order() {
+        let (s, root, a_n) = runs_dag();
+        for start in [root, a_n] {
+            let mut expected = Vec::new();
+            expand(&s, start, 5, false, &mut expected);
+            let mut traversal = s.traverse(start, 5);
+            let got: Vec<_> = std::iter::from_fn(|| traversal.next(label)).collect();
+            assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn skips_drop_a_run_or_the_rest_of_an_element() {
+        let (s, root, a_n) = runs_dag();
+        /// The texts a traversal from `root` yields, `on_enter` acting at
+        /// each element it enters.
+        fn texts(
+            s: &Skeleton,
+            root: NodeId,
+            mut on_enter: impl FnMut(&mut Traversal<'_, u64>, NodeId, bool),
+        ) -> u64 {
+            let mut traversal = s.traverse(root, 0);
+            let mut texts = 0;
+            while let Some(visit) = traversal.next(label) {
+                match visit {
+                    Visit::Text { run, .. } => texts += run,
+                    Visit::Enter { node, first, .. } => on_enter(&mut traversal, node, first),
+                    Visit::Leave { .. } => {}
+                }
+            }
+            texts
+        }
+        // r holds 2 + 3·3 + (3 + 1) = 15 texts, each `a` copy 3 of them.
+        assert_eq!(texts(&s, root, |_, _, _| {}), 15);
+        // Skipping each `a` run at its first copy: the root's three
+        // copies (2 left after the first) and `c`'s one (none left).
+        let mut left = Vec::new();
+        let kept = texts(&s, root, |traversal, node, first| {
+            if node == a_n && first {
+                left.push(traversal.skip_run());
+                traversal.skip_subtree();
+            }
+        });
+        assert_eq!((kept, left), (15 - 4 * 3, vec![2, 0]));
+        // Leaving each `a` after its first copy of `b`: the second `b`
+        // copy is never entered, and neither is anything after it.
+        let mut traversal = s.traverse(root, 0u64);
+        let (mut entered_b, mut leaves) = (0, 0);
+        while let Some(visit) = traversal.next(label) {
+            match visit {
+                Visit::Enter { name, .. } if s.name(name) == "b" => {
+                    entered_b += 1;
+                    traversal.skip_run();
+                    traversal.skip_subtree();
+                    traversal.skip_subtree();
+                }
+                Visit::Leave { .. } => leaves += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(entered_b, 4, "one per `a` copy");
+        assert_eq!(leaves, 2, "only `c` and `r` are left normally");
+    }
+
+    /// The traversal keeps its frames on the heap: a 10^6-deep chain is
+    /// walked on a 256 KiB stack.
+    #[test]
+    fn traversal_survives_a_deep_chain_on_a_small_stack() {
+        const DEPTH: u64 = 1_000_000;
+        let outcome = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let mut skeleton = Skeleton::new();
+                let a = skeleton.intern("a");
+                let mut node = TEXT_NODE;
+                for _ in 0..DEPTH {
+                    node = skeleton.cons(
+                        a,
+                        &[Edge {
+                            child: node,
+                            run: 1,
+                        }],
+                    );
+                }
+                let mut traversal = skeleton.traverse(node, 1u64);
+                let (mut enters, mut leaves, mut text_at) = (0, 0, 0);
+                while let Some(visit) = traversal.next(|depth, _| depth + 1) {
+                    match visit {
+                        Visit::Enter { .. } => enters += 1,
+                        Visit::Text { label, .. } => text_at = label,
+                        Visit::Leave { .. } => leaves += 1,
+                    }
+                }
+                (enters, leaves, text_at)
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(outcome, (DEPTH, DEPTH, DEPTH));
     }
 
     #[test]

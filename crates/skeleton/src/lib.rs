@@ -8,7 +8,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`Skeleton`] — the hash-consing arena ([`arena`]),
+//! * [`Skeleton`] — the hash-consing arena ([`arena`]), and
+//!   [`Traversal`], the one explicit-stack document-order walk every pass
+//!   over `(S, V)` runs on,
 //! * the binary `.vxsk` format, both a strict reader/writer and a lenient
 //!   salvage reader for damaged files ([`mod@format`]),
 //! * the path summary — per-node text counts over hash-consed relative
@@ -24,7 +26,7 @@ pub mod paths;
 pub mod stream;
 pub mod structural;
 
-pub use arena::{Edge, NameId, NodeId, Skeleton};
+pub use arena::{Edge, NameId, NodeId, Skeleton, Traversal, Visit};
 pub use format::{read, read_lenient, write, RawSkeleton, SalvageReport};
 pub use paths::{
     IdHasher, IdMap, PathId, PathIds, PathIndex, PathPattern, PatternStep, PatternTest, RelId,

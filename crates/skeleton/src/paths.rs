@@ -63,9 +63,9 @@ pub const SUPER_ROOT: PathId = 0;
 /// are `@name` elements here, as in the skeleton.
 ///
 /// Vectors are the caller's: the walks over a finished document resolve
-/// a new path's vector when it is numbered ([`PathIds::child_resolved`]);
-/// the vectorizer, which creates vectors as their first values arrive,
-/// sets one later ([`PathIds::set_vector`]).
+/// a path's vector at its first text ([`PathIds::text_vector`]); the
+/// vectorizer, which creates vectors as their first values arrive, sets
+/// one ([`PathIds::set_vector`]).
 #[derive(Debug)]
 pub struct PathIds {
     ids: IdMap<(PathId, NameId), PathId>,
@@ -74,7 +74,7 @@ pub struct PathIds {
     /// `[PathId]` → the vector of the text values directly under the
     /// path, if it has one.
     vector: Vec<Option<usize>>,
-    /// Scratch for spelling out a newly numbered path.
+    /// Scratch for spelling out a path to resolve.
     spelled: String,
 }
 
@@ -100,43 +100,11 @@ impl PathIds {
         }
     }
 
-    /// As [`PathIds::child`], but a path seen for the first time gets
-    /// `resolve` of its spelling (see [`PathIds::spell`]) as its vector.
-    #[inline]
-    pub fn child_resolved(
-        &mut self,
-        parent: PathId,
-        name: NameId,
-        skeleton: &Skeleton,
-        resolve: impl FnOnce(&str) -> Option<usize>,
-    ) -> PathId {
-        match self.ids.get(&(parent, name)) {
-            Some(&id) => id,
-            None => self.number_resolved(parent, name, skeleton, resolve),
-        }
-    }
-
     fn number(&mut self, parent: PathId, name: NameId) -> PathId {
         let id = self.parent.len() as PathId;
         self.parent.push((parent, name));
         self.vector.push(None);
         self.ids.insert((parent, name), id);
-        id
-    }
-
-    fn number_resolved(
-        &mut self,
-        parent: PathId,
-        name: NameId,
-        skeleton: &Skeleton,
-        resolve: impl FnOnce(&str) -> Option<usize>,
-    ) -> PathId {
-        let id = self.number(parent, name);
-        let mut spelled = std::mem::take(&mut self.spelled);
-        spelled.clear();
-        self.spell(id, skeleton, &mut spelled);
-        self.vector[id as usize] = resolve(&spelled);
-        self.spelled = spelled;
         id
     }
 
@@ -149,6 +117,26 @@ impl PathIds {
     /// The vector of the text values directly under `id`, if it has one.
     #[inline]
     pub fn vector(&self, id: PathId) -> Option<usize> {
+        self.vector[id as usize]
+    }
+
+    /// As [`PathIds::vector`], but a path with none yet gets `resolve` of
+    /// its spelling (see [`PathIds::spell`]). The walks over a finished
+    /// document ask at a path's texts, so only text paths are spelled,
+    /// each once.
+    pub fn text_vector(
+        &mut self,
+        id: PathId,
+        skeleton: &Skeleton,
+        resolve: impl FnOnce(&str) -> Option<usize>,
+    ) -> Option<usize> {
+        if self.vector[id as usize].is_none() {
+            let mut spelled = std::mem::take(&mut self.spelled);
+            spelled.clear();
+            self.spell(id, skeleton, &mut spelled);
+            self.vector[id as usize] = resolve(&spelled);
+            self.spelled = spelled;
+        }
         self.vector[id as usize]
     }
 
@@ -650,18 +638,25 @@ mod tests {
         let (s, _, names) = sample();
         let (lib, book, title) = (names[0], names[1], names[2]);
         let mut ids = PathIds::default();
+        let lib_p = ids.child(SUPER_ROOT, lib);
+        let book_p = ids.child(lib_p, book);
+        let title_p = ids.child(book_p, title);
+        assert_eq!(ids.child(book_p, title), title_p, "numbered once");
         let mut resolved = Vec::new();
-        let mut child = |ids: &mut PathIds, parent, name| {
-            ids.child_resolved(parent, name, &s, |path| {
+        let mut resolve = |ids: &mut PathIds, id| {
+            ids.text_vector(id, &s, |path| {
                 resolved.push(path.to_string());
                 (path == "lib/book/title").then_some(7)
             })
         };
-        let lib_p = child(&mut ids, SUPER_ROOT, lib);
-        let book_p = child(&mut ids, lib_p, book);
-        let title_p = child(&mut ids, book_p, title);
-        assert_eq!(child(&mut ids, book_p, title), title_p, "numbered once");
-        assert_eq!(resolved, ["lib", "lib/book", "lib/book/title"]);
+        assert_eq!(resolve(&mut ids, title_p), Some(7));
+        assert_eq!(resolve(&mut ids, title_p), Some(7));
+        assert_eq!(resolve(&mut ids, book_p), None);
+        assert_eq!(
+            resolved,
+            ["lib/book/title", "lib/book"],
+            "spelled once when found"
+        );
         assert_eq!((ids.vector(book_p), ids.vector(title_p)), (None, Some(7)));
         assert_eq!(ids.get(lib_p, book), Some(book_p));
         assert_eq!(ids.get(lib_p, title), None);

@@ -23,7 +23,9 @@
 //! it supports. Qualifiers are syntactic sugar: [`desugar`] rewrites
 //! `$x in P[q]/R` into fresh-variable bindings plus `where` conjuncts,
 //! after which no qualifier remains (the form the query-graph compiler
-//! consumes).
+//! consumes). Qualifiers, constructors and the queries inside
+//! constructors nest at most [`MAX_NESTING`] levels deep; past that the
+//! parser returns an error at the offending token.
 
 pub mod ast;
 mod desugar;
@@ -35,7 +37,7 @@ pub use ast::{
     Query, ReturnExpr, Root, Span, Step,
 };
 pub use desugar::{desugar, is_fully_desugared};
-pub use parser::parse_query;
+pub use parser::{parse_query, MAX_NESTING};
 
 use std::fmt;
 

@@ -4,10 +4,20 @@ use crate::ast::*;
 use crate::lexer::{tokenize, Spanned, Token};
 use crate::{Result, XqError};
 
+/// How deep qualifiers (`a[b[c]]`), element constructors and the
+/// queries inside constructors may nest.
+/// The parser and the passes after it recurse once per level, so past
+/// this a query is refused rather than allowed to exhaust the stack.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses an XQ query.
 pub fn parse_query(input: &str) -> Result<Query> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let query = p.query()?;
     p.expect(&Token::Eof)?;
     Ok(query)
@@ -16,6 +26,9 @@ pub fn parse_query(input: &str) -> Result<Query> {
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Qualifiers, constructors and nested queries open around the
+    /// current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -49,6 +62,17 @@ impl Parser {
         } else {
             Err(self.err(format!("expected {token:?}, found {:?}", self.peek())))
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, past [`MAX_NESTING`] an error.
+    fn nested<T>(&mut self, parse: fn(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn query(&mut self) -> Result<Query> {
@@ -99,11 +123,11 @@ impl Parser {
         let mut content = Vec::new();
         loop {
             match self.peek() {
-                Token::LAngle => content.push(Content::Element(self.constructor()?)),
+                Token::LAngle => content.push(Content::Element(self.nested(Self::constructor)?)),
                 Token::LBrace => {
                     self.bump();
                     if self.peek() == &Token::For {
-                        content.push(Content::Query(Box::new(self.query()?)));
+                        content.push(Content::Query(Box::new(self.nested(Self::query)?)));
                     } else {
                         content.push(Content::Path(self.path()?));
                     }
@@ -189,7 +213,7 @@ impl Parser {
             let mut qualifiers = Vec::new();
             while self.peek() == &Token::LBracket {
                 self.bump();
-                qualifiers.push(self.qualifier()?);
+                qualifiers.push(self.nested(Self::qualifier)?);
                 self.expect(&Token::RBracket)?;
             }
             steps.push(Step {
@@ -225,7 +249,7 @@ impl Parser {
         };
         while self.peek() == &Token::LBracket {
             self.bump();
-            first.qualifiers.push(self.qualifier()?);
+            first.qualifiers.push(self.nested(Self::qualifier)?);
             self.expect(&Token::RBracket)?;
         }
         let mut steps = vec![first];
@@ -346,6 +370,36 @@ mod tests {
     fn rejects_mismatched_constructor_tags() {
         assert!(parse_query(r#"for $x in doc("d")/a return <r>{$x/v}</s>"#).is_err());
         assert!(parse_query(r#"for $x in doc("d")/a return <r>text</r>"#).is_err());
+    }
+
+    #[test]
+    fn caps_nesting_with_a_positioned_error() {
+        let qualifiers = |n: usize| {
+            format!(
+                "for $x in doc(\"d\")/a{}{} return $x/c",
+                "[b".repeat(n),
+                "]".repeat(n)
+            )
+        };
+        let constructors = |n: usize| {
+            format!(
+                "for $x in doc(\"d\")/a return <r>{}{{$x/c}}{}</r>",
+                "<e>".repeat(n - 1),
+                "</e>".repeat(n - 1)
+            )
+        };
+        let queries = |n: usize| {
+            let inner = "for $y in $x/c return <r>{".repeat(n - 1);
+            let close = "}</r>".repeat(n - 1);
+            format!("for $x in doc(\"d\")/a return <r>{{{inner}$y/c{close}}}</r>")
+        };
+        for deep in [qualifiers, constructors, queries] {
+            assert!(parse_query(&deep(MAX_NESTING)).is_ok());
+            let src = deep(4_000);
+            let err = parse_query(&src).unwrap_err();
+            assert!(err.message.contains("nesting deeper than 64"), "{err}");
+            assert!(err.offset > 0 && err.offset < src.len() / 2, "{err}");
+        }
     }
 
     #[test]

@@ -192,6 +192,41 @@ fn error_contract_is_structured_json() {
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
+/// A query nesting 4 000 qualifiers (about 16 KB) is refused at parse
+/// time with a 4xx, and the server keeps answering: the parser recurses
+/// per nesting level, so an uncapped query this deep would overflow a
+/// worker's stack and abort the whole process.
+#[test]
+fn deeply_nested_query_is_refused_and_the_server_keeps_answering() {
+    let dir = temp_store("nested");
+    let (addr, worker) = start(vec![dir.clone()], 2);
+
+    let deep = format!(
+        "for $i in doc(\"xk\")/site/regions/*/item{}{} return $i/name",
+        "[b".repeat(4_000),
+        "]".repeat(4_000)
+    );
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/query",
+        &format!("{{\"query\": {}}}", json_str(&deep)),
+    );
+    assert!((400..500).contains(&status), "{status}: {body}");
+    assert_eq!(error_kind(&body), "bad_query");
+
+    let (status, answer) = request(
+        addr,
+        "POST",
+        "/query",
+        &format!("{{\"query\": {}}}", json_str(QUERY)),
+    );
+    assert_eq!(status, 200, "query after the refused one: {answer}");
+
+    shutdown(addr, worker);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stats_and_xml_output_and_keep_alive() {
     let dir = temp_store("stats");
